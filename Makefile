@@ -40,9 +40,10 @@ test:
 	$(GO) test ./...
 
 # The sampler stack on one and on two cores, so a test that only holds
-# at one GOMAXPROCS fails here. pkg/service joins once its recovery
+# at one GOMAXPROCS fails here; internal/core runs the shared gang's
+# spin-or-park paths both ways. pkg/service joins once its recovery
 # tests stop depending on the core count.
-CPU_PKGS := ./internal/model ./internal/mcmc ./internal/spec ./internal/sched ./pkg/parmcmc
+CPU_PKGS := ./internal/model ./internal/mcmc ./internal/spec ./internal/sched ./internal/core ./pkg/parmcmc
 test-cpu:
 	$(GO) test -short -cpu 1,2 $(CPU_PKGS)
 

@@ -2,7 +2,9 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
 	"repro/internal/imaging"
@@ -205,6 +207,60 @@ func TestPeriodicWithSpeculation(t *testing.T) {
 	}
 }
 
+// The local phases and the speculative global batches share one gang:
+// a PeriodicSpeculative engine at Workers=W runs exactly W-1 background
+// goroutines, and Close releases them.
+func TestEngineRunsOneGang(t *testing.T) {
+	for _, workers := range []int{2, 3} {
+		host, _ := testHost(t, 6, 192, 192, 16)
+		opts := defaultOpts(192, 192)
+		opts.Workers = workers
+		opts.GridXM, opts.GridYM = 64, 64
+		opts.SpecAdaptive = true
+		before := settledGoroutines(t)
+		pe, err := NewEngine(host, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pe.Run(20000)
+		if pe.Executor() == nil || pe.Executor().Batches == 0 {
+			t.Fatalf("workers=%d: no speculative batches ran", workers)
+		}
+		if got := settledGoroutines(t) - before; got != workers-1 {
+			t.Fatalf("workers=%d: %d background goroutines, want %d", workers, got, workers-1)
+		}
+		pe.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("workers=%d: %d goroutines outlive Close", workers, runtime.NumGoroutine()-before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// settledGoroutines returns the goroutine count once it has held steady
+// for a while, so goroutines released by earlier work (which Close only
+// signals) have exited before the count is taken.
+func settledGoroutines(t *testing.T) int {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	n, steady := runtime.NumGoroutine(), 0
+	for steady < 20 {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutine count never settled (last %d)", n)
+		}
+		time.Sleep(time.Millisecond)
+		if m := runtime.NumGoroutine(); m == n {
+			steady++
+		} else {
+			n, steady = m, 0
+		}
+	}
+	return n
+}
+
 // Sampling the prior through the periodic engine must still recover the
 // Poisson count mean — the statistical-validity claim of §V.
 func TestPeriodicPriorRecovery(t *testing.T) {
@@ -358,4 +414,68 @@ func TestOwnedCirclesStayEligible(t *testing.T) {
 			t.Fatalf("circle escaped image: %+v", c)
 		}
 	})
+}
+
+// overlapSum skips entries that are too far apart on one axis to
+// overlap; the pruned sum must equal the full one bit for bit, including
+// pairs just inside, on and just outside the skip distance.
+func TestOverlapSumPruningExact(t *testing.T) {
+	r := rng.New(3)
+	for trial := 0; trial < 200; trial++ {
+		w := &cellWorker{}
+		c := geom.Ellipse{X: 50, Y: 50, Rx: r.Uniform(3, 12), Ry: r.Uniform(3, 12), Theta: r.Uniform(0, math.Pi)}
+		if trial%2 == 0 {
+			c.Ry = c.Rx
+		}
+		for i := 0; i < 12; i++ {
+			o := geom.Ellipse{Rx: r.Uniform(3, 12), Ry: r.Uniform(3, 12), Theta: r.Uniform(0, math.Pi)}
+			if i%2 == 0 {
+				o.Ry = o.Rx
+			}
+			// Place o so one axis offset straddles the skip distance
+			// c.MaxR()+o.MaxR() and the other axis is anywhere nearby.
+			reach := c.MaxR() + o.MaxR()
+			along := reach * r.Uniform(0.5, 1.2)
+			if i%4 == 1 {
+				along = reach
+			}
+			across := r.Uniform(-reach, reach)
+			if i%3 == 0 {
+				along, across = across, along
+			}
+			o.X, o.Y = c.X+along, c.Y+across
+			if i%5 == 0 {
+				o.X = c.X - along
+			}
+			w.addNeighbour(i, o)
+		}
+		self := -1
+		if trial%3 == 0 {
+			self = int(r.Intn(12))
+		}
+		want := 0.0
+		for i := range w.entries {
+			if i != self {
+				want += c.OverlapArea(w.entries[i].c)
+			}
+		}
+		if got := w.overlapSum(c, self); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: pruned sum %v, full sum %v", trial, got, want)
+		}
+	}
+}
+
+// Local-phase cells are claimed largest allocation first, ties by index.
+func TestClaimOrderLPT(t *testing.T) {
+	pe := &Engine{}
+	for _, iters := range []int{3, 9, 0, 9, 5} {
+		pe.activeBuf = append(pe.activeBuf, &cellWorker{iters: iters})
+	}
+	pe.sortClaimOrder()
+	want := []int{1, 3, 4, 0, 2}
+	for i := range want {
+		if pe.order[i] != want[i] {
+			t.Fatalf("claim order %v, want %v", pe.order, want)
+		}
+	}
 }

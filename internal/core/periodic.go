@@ -124,13 +124,19 @@ type Engine struct {
 	exec        *spec.Executor
 	margin      float64
 
-	// gang is the persistent local-phase worker group, created on the
-	// first parallel phase. Reusing one goroutine set across fork/join
-	// cycles replaces ForEach's per-phase goroutine+channel setup with a
-	// single barrier release — the rest of the phase (grid draw,
-	// ownership assignment, merge) is inherently serial chain work, so
-	// the dispatch was the only removable serialization at the barrier.
+	// gang is the engine's one persistent worker group, shared by the
+	// local phases and the speculative executor's evaluation lanes (nil
+	// with Workers = 1 or SimulateParallel). Reusing one goroutine set
+	// across fork/join cycles replaces ForEach's per-phase goroutine+
+	// channel setup with a single barrier release, and sharing it keeps
+	// one set of workers warm through both phases instead of two sets
+	// competing for the same cores.
 	gang *sched.Gang
+	// order is the local phase's claim order over activeBuf (largest
+	// iteration allocation first); runCell runs the cell claimed as
+	// task t. Both are reused across phases.
+	order   []int
+	runCell func(_, t int)
 
 	// globalWeights mirrors the host weights restricted to globalMoves,
 	// computed once so global phases draw kinds without allocating.
@@ -179,10 +185,15 @@ func NewEngine(host *mcmc.Engine, opt Options) (*Engine, error) {
 		globalWeights: weights,
 		margin:        host.S.P.LocalityMargin(),
 	}
+	if opt.Workers > 1 && !opt.SimulateParallel {
+		pe.gang = sched.NewGang(opt.Workers)
+		pe.runCell = func(_, t int) { pe.activeBuf[pe.order[t]].run() }
+	}
 	if (opt.SpecAdaptive || opt.SpecWidth > 1) && len(globals) > 0 {
 		cfg := spec.Config{
 			Workers:  opt.Workers,
 			Simulate: opt.SimulateParallel,
+			Gang:     pe.gang,
 		}
 		if opt.SpecAdaptive {
 			cfg.MaxWidth = opt.SpecMaxWidth
@@ -194,16 +205,14 @@ func NewEngine(host *mcmc.Engine, opt Options) (*Engine, error) {
 	return pe, nil
 }
 
-// Close releases the engine's persistent worker goroutines (the local-
-// phase gang and the speculative executor's eval lanes). The engine must
-// not be used afterwards; Close is idempotent.
+// Close releases the engine's persistent worker goroutines. The engine
+// must not be used afterwards; Close is idempotent.
 func (pe *Engine) Close() {
 	if pe.exec != nil {
 		pe.exec.Close()
 	}
 	if pe.gang != nil {
 		pe.gang.Close()
-		pe.gang = nil
 	}
 }
 
@@ -379,20 +388,42 @@ func (pe *Engine) localPhase(n int) {
 			}
 		}
 		pe.SimLocalSeconds += sched.Makespan(costs, sched.LPTAssign(costs, pe.Opt.Workers))
+	} else if pe.gang == nil || len(active) <= 1 {
+		// Nothing runs concurrently: no gang round, and the field keeps
+		// its plain occupancy counters.
+		for _, w := range active {
+			w.run()
+		}
 	} else {
 		// Concurrent workers write disjoint pixels but share occupancy
 		// blocks that straddle cell boundaries: switch the field's
 		// counter updates to atomics for the phase.
+		pe.sortClaimOrder()
 		s.F.SetParallel(true)
-		if pe.gang == nil {
-			pe.gang = sched.NewGang(pe.Opt.Workers)
-		}
-		pe.gang.Run(len(active), func(_, i int) { active[i].run() })
+		pe.gang.Run(len(active), pe.runCell)
 		s.F.SetParallel(false)
 	}
 
 	pe.mergeWorkers(active)
 	pe.finishLocal(start)
+}
+
+// sortClaimOrder orders activeBuf's indices for the gang to claim:
+// largest iteration allocation first (the LPT rule, ties by index), so
+// the longest cells start first and the phase's tail is a short cell.
+// Claim order affects only which lane runs a cell; each cell's RNG
+// stream and pixels are its own, and the merge keeps activeBuf order.
+func (pe *Engine) sortClaimOrder() {
+	active := pe.activeBuf
+	pe.order = pe.order[:0]
+	for i := range active {
+		j := len(pe.order)
+		pe.order = append(pe.order, i)
+		for ; j > 0 && active[pe.order[j-1]].iters < active[i].iters; j-- {
+			pe.order[j] = pe.order[j-1]
+		}
+		pe.order[j] = i
+	}
 }
 
 func (pe *Engine) finishLocal(start time.Time) {

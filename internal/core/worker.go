@@ -115,13 +115,20 @@ func (w *cellWorker) addNeighbour(id int, c geom.Ellipse) {
 }
 
 // overlapSum returns Σ overlapArea(c, other) over every entry except the
-// one at index self.
+// one at index self. An entry whose centre is at least the sum of the two
+// outer radii away along either axis is skipped: its equal-area disc
+// cannot reach c's, so OverlapArea would return exactly 0 and the sum is
+// unchanged bit for bit.
 func (w *cellWorker) overlapSum(c geom.Ellipse, self int) float64 {
 	total := 0.0
+	cr := c.MaxR()
 	for i := range w.entries {
-		if i != self {
-			total += c.OverlapArea(w.entries[i].c)
+		o := w.entries[i].c
+		reach := cr + o.MaxR()
+		if i == self || math.Abs(c.X-o.X) >= reach || math.Abs(c.Y-o.Y) >= reach {
+			continue
 		}
+		total += c.OverlapArea(o)
 	}
 	return total
 }

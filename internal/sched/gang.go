@@ -3,6 +3,7 @@ package sched
 import (
 	"runtime"
 	"sync/atomic"
+	"time"
 )
 
 // Gang is a persistent worker group for tight fork/join loops: the same
@@ -18,6 +19,17 @@ import (
 // shared atomic counter, so uneven task costs balance dynamically exactly
 // as with ForEach. Run blocks until every task of the round has returned.
 //
+// Waiting follows the rhythm of a periodic engine, whose rounds come
+// back to back or a serial phase apart. While the started, unclosed
+// gangs of the whole process together fit in GOMAXPROCS, a background
+// worker spins for up to gangSpinBudget of wall-clock after a round
+// (yielding now and then) before it parks, and Run's caller spins on the
+// round's completion before it blocks: a parked goroutine takes a hundred
+// microseconds or more to wake, longer than a whole round. Once they do
+// not fit — one gang wider than GOMAXPROCS, or several gangs running side
+// by side, as concurrent jobs do — spinners would take the cores their
+// peers need, so waiters spin only briefly and then park.
+//
 // A Gang must be released with Close when no longer needed; background
 // workers otherwise park forever (the service's goroutine-leak checks
 // would trip). Run and Close must be called from a single goroutine at a
@@ -25,6 +37,8 @@ import (
 type Gang struct {
 	workers int
 	started bool
+	// procs is GOMAXPROCS when the gang started.
+	procs   int64
 	closing atomic.Bool
 
 	// Round state: written by the releaser strictly before the epoch
@@ -38,6 +52,8 @@ type Gang struct {
 	epoch   padUint64
 	next    padInt64
 	pending padInt64
+	// waiting is set while Run's caller blocks on done.
+	waiting padUint64
 
 	done  chan struct{}
 	slots []gangSlot
@@ -61,11 +77,26 @@ type padInt64 struct {
 	_ [56]byte
 }
 
-// Spin budget before a worker parks: a short burst of plain re-checks
-// (cheap when another core releases the barrier within nanoseconds), then
-// a few scheduler yields so a single-core host is not starved by the
-// spin, then a channel park.
+// busyWidth is the summed width of every started, unclosed gang in the
+// process: the number of goroutines that may spin at once.
+var busyWidth atomic.Int64
+
 const (
+	// gangSpinBudget is how long a waiter spins before it blocks while
+	// the process's gangs fit in GOMAXPROCS: long enough to span one serial
+	// global phase plus the next barrier's setup, so the workers are
+	// still spinning when the next round is released.
+	gangSpinBudget = time.Millisecond
+	// gangYieldEvery is how often such a spinner yields its P, so other
+	// goroutines of the process are delayed by at most this much.
+	gangYieldEvery = 50 * time.Microsecond
+	// gangClockEvery is how many plain re-checks run between two clock
+	// reads of a spinner.
+	gangClockEvery = 64
+
+	// Once the gangs do not fit, a waiter spins only a short burst of
+	// plain re-checks, then yields a few times so a single-core host is
+	// not starved by the spin, then parks.
 	gangSpinLoads  = 128
 	gangSpinYields = 4
 )
@@ -108,6 +139,8 @@ func (g *Gang) Run(tasks int, fn func(worker, task int)) {
 	}
 	if !g.started {
 		g.started = true
+		g.procs = int64(runtime.GOMAXPROCS(0))
+		busyWidth.Add(int64(g.workers))
 		// Hand each worker the pre-round epoch explicitly: a worker that
 		// is slow to start must still see this round's increment as new.
 		base := g.epoch.v.Load()
@@ -125,6 +158,7 @@ func (g *Gang) Run(tasks int, fn func(worker, task int)) {
 	// the worker sees the new epoch (and never blocks on a missing token)
 	// or we see parked=1 and hand it a token. Tokens are buffered and
 	// consumed with a re-check, so a stale token merely costs one spin.
+	spin := g.fits()
 	for i := 1; i < g.workers; i++ {
 		sl := &g.slots[i]
 		if sl.parked.Load() != 0 {
@@ -132,14 +166,68 @@ func (g *Gang) Run(tasks int, fn func(worker, task int)) {
 			case sl.wake <- struct{}{}:
 			default:
 			}
+			// The woken worker waits in this P's run-next slot: spinning
+			// here would keep it from running.
+			spin = false
 		}
 	}
 	g.drain(0)
-	if g.pending.v.Add(-1) == 0 {
-		g.done <- struct{}{}
+	// Wait for the round's last pending count to retire. Blocking uses a
+	// second Dekker pair: we store waiting=1 and then re-load pending; the
+	// worker that retires the last count decrements pending and then
+	// loads waiting, handing us a token if it is set. As with the wake
+	// tokens, a stale token only costs one more re-check.
+	finished := func() bool { return g.pending.v.Load() == 0 }
+	if g.pending.v.Add(-1) != 0 && !(spin && g.await(finished)) {
+		g.waiting.v.Store(1)
+		for !finished() {
+			<-g.done
+		}
+		g.waiting.v.Store(0)
 	}
-	<-g.done
 	g.fn = nil
+}
+
+// fits reports whether every started, unclosed gang of the process fits
+// in GOMAXPROCS alongside this one, so that its waiters may spin.
+func (g *Gang) fits() bool { return busyWidth.Load() <= g.procs }
+
+// await spins until cond holds and reports whether it did; on false the
+// waiter blocks. While the process's gangs fit in GOMAXPROCS it spins for
+// up to gangSpinBudget of wall-clock, yielding every gangYieldEvery, and
+// gives up early once they no longer fit; otherwise it spins only the
+// short burst.
+func (g *Gang) await(cond func() bool) bool {
+	if !g.fits() {
+		for spins := 0; spins < gangSpinLoads+gangSpinYields; spins++ {
+			if cond() {
+				return true
+			}
+			if spins >= gangSpinLoads {
+				runtime.Gosched()
+			}
+		}
+		return cond()
+	}
+	var start, yielded time.Time
+	for spins := 1; ; spins++ {
+		if cond() {
+			return true
+		}
+		if spins%gangClockEvery != 0 {
+			continue
+		}
+		now := time.Now()
+		switch {
+		case start.IsZero():
+			start, yielded = now, now
+		case now.Sub(start) >= gangSpinBudget || !g.fits():
+			return false
+		case now.Sub(yielded) >= gangYieldEvery:
+			runtime.Gosched()
+			yielded = now
+		}
+	}
 }
 
 // drain claims and runs tasks for the current round until none remain.
@@ -157,32 +245,28 @@ func (g *Gang) drain(worker int) {
 // round, report completion, repeat until Close.
 func (g *Gang) work(self int, seen uint64) {
 	sl := &g.slots[self]
+	released := func() bool { return g.epoch.v.Load() != seen }
 	for {
-		for spins := 0; ; spins++ {
-			cur := g.epoch.v.Load()
-			if cur != seen {
-				seen = cur
-				break
+		for !g.await(released) {
+			sl.parked.Store(1)
+			if !released() {
+				<-sl.wake
 			}
-			switch {
-			case spins < gangSpinLoads:
-			case spins < gangSpinLoads+gangSpinYields:
-				runtime.Gosched()
-			default:
-				sl.parked.Store(1)
-				if g.epoch.v.Load() == seen {
-					<-sl.wake
-				}
-				sl.parked.Store(0)
-				spins = 0
-			}
+			sl.parked.Store(0)
 		}
+		seen = g.epoch.v.Load()
 		if g.closing.Load() {
 			return
 		}
 		g.drain(self)
-		if g.pending.v.Add(-1) == 0 {
-			g.done <- struct{}{}
+		if g.pending.v.Add(-1) == 0 && g.waiting.v.Load() != 0 {
+			select {
+			case g.done <- struct{}{}:
+			default:
+			}
+			// The caller now sits in this P's run-next slot: yield so it
+			// resumes at once instead of after this worker's next spin.
+			runtime.Gosched()
 		}
 	}
 }
@@ -195,6 +279,7 @@ func (g *Gang) Close() {
 		return
 	}
 	g.closing.Store(true)
+	busyWidth.Add(-int64(g.workers))
 	g.epoch.v.Add(1)
 	for i := 1; i < g.workers; i++ {
 		sl := &g.slots[i]

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestGangRunsEveryTaskOnce(t *testing.T) {
@@ -37,6 +38,77 @@ func TestGangRepeatedRounds(t *testing.T) {
 	want := int64(rounds * tasks * (tasks + 1) / 2)
 	if got := total.Load(); got != want {
 		t.Fatalf("total = %d, want %d", got, want)
+	}
+}
+
+// On a single P the spin policy must not starve the caller: a 4-wide
+// gang is wider than GOMAXPROCS, so its waiters park instead of spinning
+// on the one core the round needs, and repeated rounds finish promptly
+// (a spinner that only async preemption dislodges costs ~10 ms a round).
+func TestGangSingleProcRoundsFinish(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	g := NewGang(4)
+	defer g.Close()
+	var total atomic.Int64
+	const rounds = 10000
+	start := time.Now()
+	for r := 0; r < rounds; r++ {
+		g.Run(8, func(_, task int) { total.Add(int64(task)) })
+	}
+	if g.fits() {
+		t.Fatal("a gang wider than GOMAXPROCS spins")
+	}
+	if el := time.Since(start); el > 5*time.Second {
+		t.Fatalf("%d rounds took %v on one P", rounds, el)
+	}
+	if got, want := total.Load(), int64(rounds*28); got != want {
+		t.Fatalf("total = %d, want %d", got, want)
+	}
+}
+
+// The spin decision counts every gang of the process: two gangs as wide
+// as GOMAXPROCS running side by side (two concurrent jobs at the default
+// width) must both fall back to parking, and closing one lets the other
+// spin again. Their rounds must still finish promptly.
+func TestGangsShareTheSpinBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	if w := busyWidth.Load(); w != 0 {
+		t.Fatalf("busy width %d before any gang started: a gang was not closed", w)
+	}
+	a, b := NewGang(2), NewGang(2)
+	defer a.Close()
+	noop := func(int, int) {}
+	a.Run(2, noop)
+	if !a.fits() {
+		t.Fatal("a lone gang as wide as GOMAXPROCS does not spin")
+	}
+	b.Run(2, noop)
+	if a.fits() || b.fits() {
+		t.Fatal("two gangs filling GOMAXPROCS twice over still spin")
+	}
+	const rounds = 5000
+	var done atomic.Int64
+	start := time.Now()
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for r := 0; r < rounds; r++ {
+			b.Run(4, func(_, task int) { done.Add(int64(task)) })
+		}
+	}()
+	for r := 0; r < rounds; r++ {
+		a.Run(4, func(_, task int) { done.Add(int64(task)) })
+	}
+	<-finished
+	if el := time.Since(start); el > 10*time.Second {
+		t.Fatalf("%d rounds on each of two gangs took %v", rounds, el)
+	}
+	if got, want := done.Load(), int64(2*rounds*6); got != want {
+		t.Fatalf("total = %d, want %d", got, want)
+	}
+	b.Close()
+	if !a.fits() {
+		t.Fatal("closing the second gang did not let the first spin again")
 	}
 }
 

@@ -5,8 +5,8 @@
 // the §VI task scheduler: "the processor dead-time that results can be
 // reclaimed through the use of a task scheduler, allowing more
 // partitions than there are available processors to be employed". Gang
-// is the persistent-worker barrier the speculative executor runs its
-// batches on.
+// is the persistent-worker barrier a periodic engine runs both its local
+// phases and its speculative batches on.
 package sched
 
 import (

@@ -1,19 +1,25 @@
 package spec
 
-import "math"
-
 // controller picks the speculation width that maximises expected
-// committed chain iterations per second under the eq. 3 model, net of
-// measured per-batch overhead:
+// committed chain iterations per second, pricing each width by what a
+// batch of that width was measured to cost:
 //
-//	score(n) = E[consumed | p_r, n] / (overhead + τ_eval · ⌈n/workers⌉)
+//	score(n) = E[consumed | p_r, n] / cost(n)
 //
 // where E is ExpectedIterationsPerBatch, p_r the windowed rejection rate
-// of the restricted move-set, τ_eval the smoothed per-proposal
-// evaluation cost and overhead the smoothed per-batch dispatch+barrier
-// cost. ⌈n/workers⌉ counts evaluation waves: widths beyond the worker
-// count still help (deeper speculation), but each extra wave costs a
-// full τ_eval, which is exactly the trade eq. 3 leaves out.
+// of the restricted move-set and cost(n) the smoothed wall-clock of one
+// width-n batch — evaluation, gang dispatch, lane imbalance and the
+// acceptance scan, as the host actually ran them (in Simulate mode, the
+// modelled makespan plus overhead instead). No overlap model is assumed:
+// a width whose lanes do not overlap on this host costs what it costs,
+// and width 1, which evaluates inline without a gang round, wins
+// whenever a gang round is slower than the evaluations it spreads.
+//
+// Every width is run once, for a short probe window, before the
+// controller trusts its scores, and every ctlProbeEvery-th decision
+// probes the width run least recently instead of holding the best one,
+// so a width whose cost has changed since (a warmer gang, a busier host,
+// a different chain regime) is re-measured.
 //
 // Because the realized chain is width-invariant (see the package doc),
 // the controller is free to consume wall-clock measurements: its
@@ -21,7 +27,6 @@ import "math"
 // needs no replay of the decision sequence.
 type controller struct {
 	maxWidth int
-	workers  int
 
 	// Decaying window of acceptance outcomes for the restricted
 	// move-set, seeded with a pseudo-count prior at the paper's case
@@ -29,16 +34,27 @@ type controller struct {
 	tested   float64
 	rejected float64
 
-	perEval  float64 // EWMA seconds per proposal evaluation
-	overhead float64 // EWMA seconds per batch of dispatch+barrier cost
+	// cost[n] is the smoothed seconds per width-n batch (0: never run);
+	// lastRun[n] the decision count at which width n last held a
+	// window (-1: never). samples collects the current window's batch
+	// costs at the held width.
+	cost    []float64
+	lastRun []int
+	samples [ctlDecideEvery]float64
+	nsample int
 
-	width   int
-	batches int // batches since the last decision
+	best      int // the width the scores favour
+	width     int // the width held until the next decision
+	decisions int
+	batches   int // batches since the last decision
 }
 
 const (
-	// ctlDecideEvery is how many batches each width decision holds for.
+	// ctlDecideEvery is how many batches a decision holds the best width
+	// for; ctlProbeLen how many it holds any other width (a first run or
+	// a re-probe), which only needs to be measured, not exploited.
 	ctlDecideEvery = 32
+	ctlProbeLen    = 8
 	// ctlDecay halves the acceptance window at every decision, so the
 	// rejection-rate estimate tracks the chain's current regime (early
 	// exploration accepts far more than equilibrium).
@@ -46,55 +62,90 @@ const (
 	// ctlHysteresis: only switch widths for a ≥5% predicted gain, so
 	// near-ties don't oscillate.
 	ctlHysteresis = 1.05
-	// ctlEWMA is the smoothing factor for the cost estimates.
-	ctlEWMA = 0.2
+	// ctlEWMA is the weight of one window's mean batch cost in its
+	// width's smoothed cost.
+	ctlEWMA = 0.5
+	// ctlProbeEvery is the re-probe cadence in decisions: one window in
+	// this many runs the stalest width.
+	ctlProbeEvery = 16
 )
 
+// newController builds a controller over widths 1..maxWidth. workers is
+// the lane count; the first window runs at min(workers, maxWidth).
 func newController(maxWidth, workers int) *controller {
 	c := &controller{
 		maxWidth: maxWidth,
-		workers:  max(workers, 1),
 		// Prior: 8 pseudo-batches at the paper's p_r ≈ 0.75.
 		tested:   8,
 		rejected: 6,
-		perEval:  1e-6,
-		overhead: 2e-6,
+		cost:     make([]float64, maxWidth+1),
+		lastRun:  make([]int, maxWidth+1),
 	}
-	c.width = min(4, maxWidth)
+	for n := range c.lastRun {
+		c.lastRun[n] = -1
+	}
+	c.best = min(max(workers, 1), maxWidth)
+	c.width = c.best
+	c.lastRun[c.width] = 0
 	return c
 }
 
 // observe folds one batch's outcome into the windowed estimates and
-// re-decides the width at the decision cadence. tested counts proposals
-// whose acceptance test ran; rejected counts those that failed it.
-// evalSecs is the measured evaluation time over evals proposals, and
-// overhead the batch's dispatch+barrier cost sample (both may be 0 when
-// nothing was timed).
-func (c *controller) observe(tested, rejected int, evalSecs float64, evals int, overhead float64) {
+// re-decides the width at the decision cadence. width is the batch's
+// width, tested counts proposals whose acceptance test ran, rejected
+// those that failed it, and secs is the batch's cost (0 when untimed).
+func (c *controller) observe(width, tested, rejected int, secs float64) {
 	c.tested += float64(tested)
 	c.rejected += float64(rejected)
-	if evals > 0 && evalSecs > 0 {
-		c.perEval += ctlEWMA * (evalSecs/float64(evals) - c.perEval)
+	if secs > 0 && width == c.width {
+		c.samples[c.nsample] = secs
+		c.nsample++
 	}
-	if overhead > 0 {
-		c.overhead += ctlEWMA * (overhead - c.overhead)
+	window := ctlDecideEvery
+	if c.width != c.best {
+		window = ctlProbeLen
 	}
-	if c.batches++; c.batches >= ctlDecideEvery {
+	if c.batches++; c.batches >= window {
 		c.batches = 0
+		c.foldWindow(window)
 		c.decide()
 		c.tested *= ctlDecay
 		c.rejected *= ctlDecay
 	}
 }
 
-// score is the predicted committed iterations per second at width n.
-func (c *controller) score(pr float64, n int) float64 {
-	waves := (n + c.workers - 1) / c.workers
-	cost := c.overhead + c.perEval*float64(waves)
-	if cost <= 0 {
-		cost = math.SmallestNonzeroFloat64
+// foldWindow folds the window's mean batch cost into the held width's
+// smoothed cost. The window's slowest batch is left out: it is where a
+// worker that parked while the previous window ran inline pays its
+// wake-up, a cost of switching widths rather than of this one. A window
+// with fewer than half its batches timed at the held width (the clamped
+// tail of a RunN) leaves the cost as it is.
+func (c *controller) foldWindow(window int) {
+	n := c.nsample
+	c.nsample = 0
+	if n < window/2 {
+		return
 	}
-	return ExpectedIterationsPerBatch(pr, n) / cost
+	sum, slowest := 0.0, 0.0
+	for _, v := range c.samples[:n] {
+		sum += v
+		slowest = max(slowest, v)
+	}
+	mean := (sum - slowest) / float64(n-1)
+	if est := c.cost[c.width]; est == 0 {
+		c.cost[c.width] = mean
+	} else {
+		c.cost[c.width] += ctlEWMA * (mean - est)
+	}
+}
+
+// score is the predicted committed iterations per second at width n, or
+// 0 for a width never run.
+func (c *controller) score(pr float64, n int) float64 {
+	if c.cost[n] == 0 {
+		return 0
+	}
+	return ExpectedIterationsPerBatch(pr, n) / c.cost[n]
 }
 
 func (c *controller) decide() {
@@ -111,7 +162,30 @@ func (c *controller) decide() {
 			best, bestScore = n, s
 		}
 	}
-	if best != c.width && bestScore > c.score(pr, c.width)*ctlHysteresis {
-		c.width = best
+	if best != c.best && bestScore > c.score(pr, c.best)*ctlHysteresis {
+		c.best = best
 	}
+	c.decisions++
+	// Hold the best width, unless a width has never been held (the first
+	// sweep) or it is time to re-probe the stalest one.
+	c.width = c.best
+	probe := c.decisions%ctlProbeEvery == 0
+	for n := 1; n <= c.maxWidth; n++ {
+		if c.lastRun[n] < 0 {
+			c.width, probe = n, false
+			break
+		}
+	}
+	if probe {
+		stalest := 0
+		for n := 1; n <= c.maxWidth; n++ {
+			if n != c.best && (stalest == 0 || c.lastRun[n] < c.lastRun[stalest]) {
+				stalest = n
+			}
+		}
+		if stalest != 0 {
+			c.width = stalest
+		}
+	}
+	c.lastRun[c.width] = c.decisions
 }

@@ -160,37 +160,106 @@ func TestAdaptiveRunNExact(t *testing.T) {
 	}
 }
 
-// The controller's width choice must track the cost model: with
-// rejection near certainty wider is better; with everything accepted
-// width 1 wins; extra workers shift the optimum upward.
+// The controller's width choice must track the measured batch costs:
+// with everything accepted width 1 wins; in the paper's regime lanes
+// that overlap make wider batches win; and a gang whose lanes do not
+// overlap loses to inline evaluation. Each case
+// prices a width-n batch with cost(n), feeds the controller the batches
+// it asks for, and reads the width the scores settle on.
 func TestControllerDecide(t *testing.T) {
+	// modelCost is the perfect-overlap model: a dispatch overhead (none
+	// for width 1, which runs inline) plus one evaluation per wave.
+	modelCost := func(workers int, perEval, overhead float64) func(int) float64 {
+		return func(n int) float64 {
+			c := perEval * float64((n+workers-1)/workers)
+			if n > 1 {
+				c += overhead
+			}
+			return c
+		}
+	}
 	cases := []struct {
-		pr       float64
-		workers  int
-		perEval  float64
-		overhead float64
-		want     func(w int) bool
+		name    string
+		pr      float64
+		workers int
+		cost    func(n int) float64
+		want    func(w int) bool
 	}{
 		// All accepted: every batch consumes 1 iteration regardless of
 		// width, so any extra wave is pure waste.
-		{0.0, 1, 1e-5, 1e-6, func(w int) bool { return w == 1 }},
+		{"all-accepted", 0.0, 1, modelCost(1, 1e-5, 1e-6), func(w int) bool { return w == 1 }},
 		// Paper regime on a 4-way machine with cheap overhead: the eq. 3
 		// sweet spot (~4 for p_r = 0.75) should be found.
-		{0.75, 4, 1e-5, 1e-6, func(w int) bool { return w >= 3 }},
+		{"paper-4way", 0.75, 4, modelCost(4, 1e-5, 1e-6), func(w int) bool { return w >= 3 }},
 		// One worker and overhead dwarfed by eval cost: waves are paid
 		// serially, so width must stay small.
-		{0.75, 1, 1e-4, 1e-7, func(w int) bool { return w <= 2 }},
+		{"one-worker", 0.75, 1, modelCost(1, 1e-4, 1e-7), func(w int) bool { return w <= 2 }},
+		// Two lanes that do not overlap: a width-n batch costs more
+		// wall-clock than n inline evaluations, so width 1 must win even
+		// in the paper's speculation-friendly regime.
+		{"no-overlap", 0.75, 2, func(n int) float64 {
+			if n == 1 {
+				return 1e-5
+			}
+			return 1.1 * float64(n) * 1e-5
+		}, func(w int) bool { return w == 1 }},
+		// Two lanes with ideal overlap: a width-2 batch costs one
+		// evaluation, so speculation must be used.
+		{"ideal-overlap", 0.75, 2, modelCost(2, 1e-5, 0), func(w int) bool { return w > 1 }},
 	}
-	for i, tc := range cases {
+	for _, tc := range cases {
 		c := newController(8, tc.workers)
-		c.perEval, c.overhead = tc.perEval, tc.overhead
-		// Feed the window enough batches at the target rejection rate to
-		// swamp the prior, then force a decision.
-		c.tested, c.rejected = 1e6, 1e6*tc.pr
-		c.decide()
-		if !tc.want(c.width) {
-			t.Errorf("case %d (pr=%v workers=%d): picked width %d", i, tc.pr, tc.workers, c.width)
+		held := make([]int, 9)
+		const batches = 40 * ctlDecideEvery
+		for b := 0; b < batches; b++ {
+			// Pin the window at the target rejection rate.
+			c.tested, c.rejected = 1e6, 1e6*tc.pr
+			if b >= batches/2 {
+				held[c.width]++
+			}
+			c.observe(c.width, 0, 0, tc.cost(c.width))
 		}
+		if !tc.want(c.best) {
+			t.Errorf("%s: settled on width %d", tc.name, c.best)
+		}
+		// Past the first sweep, the best width runs every batch but the
+		// periodic re-probes'.
+		if held[c.best] < batches/2*9/10 {
+			t.Errorf("%s: best width %d ran only %d of the last %d batches (%v)", tc.name, c.best, held[c.best], batches/2, held)
+		}
+	}
+}
+
+// Every width is measured before the controller trusts its scores, and
+// a width that later becomes cheaper is found by a re-probe.
+func TestControllerProbes(t *testing.T) {
+	c := newController(4, 2)
+	cost := func(n int) float64 { return 1e-5 * float64(n) }
+	seen := map[int]bool{}
+	run := func(batches int) {
+		for b := 0; b < batches; b++ {
+			c.tested, c.rejected = 1e6, 0.75e6
+			seen[c.width] = true
+			c.observe(c.width, 0, 0, cost(c.width))
+		}
+	}
+	run(ctlDecideEvery + 3*ctlProbeLen)
+	if len(seen) != 4 {
+		t.Fatalf("widths run in the first sweep: %v, want all of 1..4", seen)
+	}
+	if c.best != 1 {
+		t.Fatalf("serial lanes: settled on width %d, want 1", c.best)
+	}
+	// The host frees up: width 2 now overlaps perfectly.
+	cost = func(n int) float64 {
+		if n == 2 {
+			return 1e-5
+		}
+		return 1e-5 * float64(n)
+	}
+	run(4 * ctlProbeEvery * ctlDecideEvery)
+	if c.best != 2 {
+		t.Fatalf("after the lanes began to overlap: best width %d, want 2", c.best)
 	}
 }
 

@@ -66,6 +66,13 @@ type Config struct {
 	// defaults to min(width cap, GOMAXPROCS) — or the width cap itself
 	// in Simulate mode, where no real goroutines are spawned.
 	Workers int
+	// Gang, when non-nil, supplies the evaluation lanes: batches run on
+	// this gang, one lane per gang worker, instead of on a gang of the
+	// executor's own. The caller keeps ownership (Close leaves it
+	// open), which lets the periodic engine share one warm gang between
+	// its local phases and its speculative global batches. Ignored in
+	// Simulate mode.
+	Gang *sched.Gang
 	// Simulate runs evaluations serially but timed, accumulating
 	// SimSeqSeconds/SimSpecSeconds — the single-machine device for
 	// reporting multi-core numbers from a host with fewer cores (README.md,
@@ -73,14 +80,6 @@ type Config struct {
 	Simulate bool
 	// SimOverhead overrides DefaultSimOverhead (seconds per batch).
 	SimOverhead float64
-}
-
-// laneClock accumulates one gang lane's evaluation time, padded so
-// concurrent lanes never share a cache line.
-type laneClock struct {
-	secs  float64
-	evals int64
-	_     [48]byte
 }
 
 // Executor evaluates proposals speculatively against a host engine.
@@ -102,9 +101,14 @@ type Executor struct {
 	seqBase uint64
 
 	// gang is the persistent eval worker group (nil when evaluation is
-	// serial: single lane or Simulate mode).
-	gang  *sched.Gang
-	lanes []laneClock
+	// serial: single lane or Simulate mode); ownGang reports whether the
+	// executor built it and so must close it. evalTask evaluates task i
+	// of the batch starting at chain iteration batchBase on a lane, built
+	// once so a batch hands the gang no fresh closure.
+	gang      *sched.Gang
+	ownGang   bool
+	evalTask  func(lane, i int)
+	batchBase int64
 
 	ctl *controller // nil for fixed width
 
@@ -186,17 +190,20 @@ func NewExecutorOpts(host *mcmc.Engine, cfg Config, moves []mcmc.Move) *Executor
 	}
 	x.seqBase = host.R.Uint64()
 	lanes := 1
-	if !cfg.Simulate && maxW > 1 {
-		lanes = min(workers, maxW)
+	switch {
+	case cfg.Simulate || maxW == 1:
+	case cfg.Gang != nil:
+		x.gang, lanes = cfg.Gang, cfg.Gang.Workers()
+	default:
+		if lanes = min(workers, maxW); lanes > 1 {
+			x.gang, x.ownGang = sched.NewGang(lanes), true
+		}
 	}
 	x.slots = make([]*mcmc.Engine, lanes)
 	for i := range x.slots {
 		x.slots[i] = host.ShadowScratch()
 	}
-	if lanes > 1 {
-		x.gang = sched.NewGang(lanes)
-		x.lanes = make([]laneClock, lanes)
-	}
+	x.evalTask = func(lane, i int) { x.evalOne(lane, x.batchBase, i) }
 	if cfg.Width == 0 {
 		x.ctl = newController(maxW, workers)
 	}
@@ -222,10 +229,11 @@ func (x *Executor) MaxWidth() int { return len(x.props) }
 // Adaptive reports whether the width is controller-driven.
 func (x *Executor) Adaptive() bool { return x.ctl != nil }
 
-// Close releases the persistent eval workers. The executor must not be
-// used afterwards; Close is idempotent.
+// Close releases the persistent eval workers of a gang the executor
+// built itself (a Config.Gang stays open). The executor must not be used
+// afterwards; Close is idempotent.
 func (x *Executor) Close() {
-	if x.gang != nil {
+	if x.ownGang {
 		x.gang.Close()
 	}
 }
@@ -267,11 +275,14 @@ func (x *Executor) StepBatch(width int) (consumed int, applied bool) {
 	}
 	props := x.props[:width]
 	base := x.host.Iter
+	var t0 time.Time
+	if x.ctl != nil && !x.simulate {
+		t0 = time.Now()
+	}
 
 	// Evaluate the expensive likelihood deltas concurrently (or serially
-	// but timed, in Simulate mode) on the frozen state.
-	var evalWall, laneSum, laneMax float64
-	var evalsTimed int
+	// but timed, in Simulate mode) on the frozen state. Width 1 runs
+	// inline: a gang round would only add its dispatch.
 	switch {
 	case x.simulate:
 		secs := x.evalSecs[:width]
@@ -281,39 +292,11 @@ func (x *Executor) StepBatch(width int) (consumed int, applied bool) {
 			secs[i] = time.Since(t0).Seconds()
 		}
 	case x.gang != nil && width > 1:
-		if x.ctl != nil {
-			for l := range x.lanes {
-				x.lanes[l].secs, x.lanes[l].evals = 0, 0
-			}
-			t0 := time.Now()
-			x.gang.Run(width, func(lane, i int) {
-				s := time.Now()
-				x.evalOne(lane, base, i)
-				lc := &x.lanes[lane]
-				lc.secs += time.Since(s).Seconds()
-				lc.evals++
-			})
-			evalWall = time.Since(t0).Seconds()
-			for l := range x.lanes {
-				laneSum += x.lanes[l].secs
-				laneMax = math.Max(laneMax, x.lanes[l].secs)
-				evalsTimed += int(x.lanes[l].evals)
-			}
-		} else {
-			x.gang.Run(width, func(lane, i int) { x.evalOne(lane, base, i) })
-		}
+		x.batchBase = base
+		x.gang.Run(width, x.evalTask)
 	default:
-		if x.ctl != nil {
-			t0 := time.Now()
-			for i := range props {
-				x.evalOne(0, base, i)
-			}
-			evalWall = time.Since(t0).Seconds()
-			laneSum, laneMax, evalsTimed = evalWall, evalWall, width
-		} else {
-			for i := range props {
-				x.evalOne(0, base, i)
-			}
+		for i := range props {
+			x.evalOne(0, base, i)
 		}
 	}
 
@@ -332,6 +315,7 @@ func (x *Executor) StepBatch(width int) (consumed int, applied bool) {
 	}
 	x.Consumed += int64(consumed)
 
+	var batchSecs float64
 	if x.simulate {
 		secs := x.evalSecs[:width]
 		// A sequential chain would have evaluated exactly the consumed
@@ -340,25 +324,17 @@ func (x *Executor) StepBatch(width int) (consumed int, applied bool) {
 		for _, s := range secs[:consumed] {
 			x.SimSeqSeconds += s
 		}
-		x.SimSpecSeconds += sched.Makespan(secs, sched.LPTAssign(secs, x.workers)) + x.simOverhead
+		batchSecs = sched.Makespan(secs, sched.LPTAssign(secs, x.workers)) + x.simOverhead
+		x.SimSpecSeconds += batchSecs
+	} else if x.ctl != nil {
+		batchSecs = time.Since(t0).Seconds()
 	}
 	if x.ctl != nil {
 		rejected := consumed
 		if applied {
 			rejected--
 		}
-		var evalSecs, overhead float64
-		var evals int
-		if x.simulate {
-			for _, s := range x.evalSecs[:width] {
-				evalSecs += s
-			}
-			evals, overhead = width, x.simOverhead
-		} else {
-			evalSecs, evals = laneSum, evalsTimed
-			overhead = math.Max(0, evalWall-laneMax)
-		}
-		x.ctl.observe(consumed, rejected, evalSecs, evals, overhead)
+		x.ctl.observe(width, consumed, rejected, batchSecs)
 	}
 	return consumed, applied
 }
