@@ -41,9 +41,10 @@ test:
 
 # The sampler stack on one and on two cores, so a test that only holds
 # at one GOMAXPROCS fails here; internal/core runs the shared gang's
-# spin-or-park paths both ways. pkg/service joins once its recovery
-# tests stop depending on the core count.
-CPU_PKGS := ./internal/model ./internal/mcmc ./internal/spec ./internal/sched ./internal/core ./pkg/parmcmc
+# spin-or-park paths both ways, and internal/partition runs its region
+# chains concurrently on sched.ForEach. pkg/service joins once its
+# recovery tests stop depending on the core count.
+CPU_PKGS := ./internal/model ./internal/mcmc ./internal/spec ./internal/sched ./internal/core ./internal/partition ./pkg/parmcmc
 test-cpu:
 	$(GO) test -short -cpu 1,2 $(CPU_PKGS)
 

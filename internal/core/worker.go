@@ -185,7 +185,7 @@ func (w *cellWorker) propose(p *localProposal) {
 		return
 	}
 	p.valid = true
-	p.dPrior = w.s.P.LogShapePrior(newC) - w.s.P.LogShapePrior(oldC)
+	p.dPrior = w.s.LogShapePrior(newC) - w.s.LogShapePrior(oldC)
 	p.dPrior -= w.s.P.OverlapPenalty *
 		(w.overlapSum(newC, idx) - w.overlapSum(oldC, idx))
 	// Field kernel: the occupancy skip prices the move, and the span

@@ -88,7 +88,7 @@ func TestDataDrivenBirthDeathBalance(t *testing.T) {
 		dLik, dPrior := s.EvalRemove(id)
 		n := s.Cfg.Len()
 		logAlphaDeath := dLik + dPrior +
-			(math.Log(e.wNorm[Birth]) + e.births.LogDensity(c.X, c.Y) + s.P.LogShapePrior(c)) -
+			(math.Log(e.wNorm[Birth]) + e.births.LogDensity(c.X, c.Y) + s.LogShapePrior(c)) -
 			(math.Log(e.wNorm[Death]) - math.Log(float64(n)))
 		if math.Abs(p.LogAlpha+logAlphaDeath) > 1e-6 {
 			t.Fatalf("data-driven birth %v / death %v do not cancel", p.LogAlpha, logAlphaDeath)

@@ -455,7 +455,7 @@ func (e *Engine) proposeBirth() Proposal {
 	// α = lik-ratio · e^{−γΔo} · λ/(n+1) · w_D/w_B. A data-driven
 	// q_pos enters explicitly instead.
 	hastings := (math.Log(e.wNorm[Death]) - math.Log(n+1)) -
-		(math.Log(e.wNorm[Birth]) + logPos + e.S.P.LogShapePrior(c))
+		(math.Log(e.wNorm[Birth]) + logPos + e.S.LogShapePrior(c))
 	dPost := dLik + dPrior
 	return Proposal{
 		Move: Birth, Valid: true,
@@ -478,7 +478,7 @@ func (e *Engine) proposeDeath() Proposal {
 		logPos = e.births.LogDensity(c.X, c.Y)
 	}
 	// q_fwd = w_D · 1/n;   q_rev = w_B · q_pos(c) · pr(shape).
-	hastings := (math.Log(e.wNorm[Birth]) + logPos + e.S.P.LogShapePrior(c)) -
+	hastings := (math.Log(e.wNorm[Birth]) + logPos + e.S.LogShapePrior(c)) -
 		(math.Log(e.wNorm[Death]) - math.Log(float64(n)))
 	dPost := dLik + dPrior
 	return Proposal{
@@ -504,7 +504,7 @@ func (e *Engine) proposeReplace() Proposal {
 	// Proposal densities: both directions pick 1/n and draw from the
 	// prior, so only the shape density asymmetry survives; it cancels
 	// against the shape prior ratio inside dPrior.
-	hastings := e.S.P.LogShapePrior(oldC) - e.S.P.LogShapePrior(newC)
+	hastings := e.S.LogShapePrior(oldC) - e.S.LogShapePrior(newC)
 	dPost := dLik + dPrior
 	return Proposal{
 		Move: Replace, Valid: true,

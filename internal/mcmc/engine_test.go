@@ -202,7 +202,7 @@ func TestBirthDeathDetailedBalance(t *testing.T) {
 		dLik, dPrior := s.EvalRemove(id)
 		n := s.Cfg.Len()
 		logAlphaDeath := dLik + dPrior +
-			(math.Log(e.wNorm[Birth]) - s.LogAreaTerm() + s.P.LogShapePrior(c)) -
+			(math.Log(e.wNorm[Birth]) - s.LogAreaTerm() + s.LogShapePrior(c)) -
 			(math.Log(e.wNorm[Death]) - math.Log(float64(n)))
 		if math.Abs(p.LogAlpha+logAlphaDeath) > 1e-6 {
 			t.Fatalf("birth %v and death %v logAlpha do not cancel", p.LogAlpha, logAlphaDeath)

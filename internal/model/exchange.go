@@ -212,15 +212,15 @@ func (s *State) EvalExchange(removedIDs []int, added []geom.Ellipse) (dLik, dPri
 
 	m := len(added) - len(removedIDs)
 	// Count term (unordered-configuration density, see state.go): λ^m.
-	dPrior = float64(m) * math.Log(s.P.Lambda)
+	dPrior = float64(m) * s.logLambda
 	// Position term: each circle carries density 1/A.
 	dPrior -= float64(m) * s.logArea
 	// Shape (radius/axes/rotation) terms.
 	for _, c := range added {
-		dPrior += s.P.LogShapePrior(c)
+		dPrior += s.prior.logShape(c)
 	}
 	for _, c := range removed {
-		dPrior -= s.P.LogShapePrior(c)
+		dPrior -= s.prior.logShape(c)
 	}
 
 	// Overlap delta. Terms involving only untouched circles cancel.

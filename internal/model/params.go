@@ -83,44 +83,65 @@ type errParams string
 
 func (e errParams) Error() string { return "model: invalid params: " + string(e) }
 
-// LogRadiusPDF returns the log density of the truncated-Normal radius
-// prior at r, including normalisation (needed for dimension-changing
-// moves, where the constants do not cancel). It returns -Inf outside
-// [MinRadius, MaxRadius].
-func (p Params) LogRadiusPDF(r float64) float64 {
-	if r < p.MinRadius || r > p.MaxRadius {
-		return math.Inf(-1)
-	}
-	z := (r - p.MeanRadius) / p.RadiusStdDev
-	logNorm := -0.5*math.Log(2*math.Pi) - math.Log(p.RadiusStdDev)
+// shapePrior is the per-feature shape prior with the truncated-Normal
+// radius prior's normalising constants evaluated once. Every proposal
+// prices this prior at least twice, so NewState builds one per state
+// (State.P never changes after that) and every shape-prior term is priced
+// from it; Params.shapePrior is the only place the constants are derived
+// and logRadius the only copy of the density formula.
+type shapePrior struct {
+	disc               bool
+	mean, sd, min, max float64
+	// logNorm is −½·log 2π − log σ, the untruncated Normal normaliser.
+	logNorm float64
+	// logMass is log(Φ(b)−Φ(a)), the log truncation mass; +Inf when the
+	// mass underflows to zero, so every density comes out −Inf.
+	logMass float64
+}
+
+// shapePrior evaluates the prior's normalising constants.
+func (p Params) shapePrior() shapePrior {
 	// Truncation mass Φ(b)-Φ(a).
 	a := (p.MinRadius - p.MeanRadius) / p.RadiusStdDev
 	b := (p.MaxRadius - p.MeanRadius) / p.RadiusStdDev
 	mass := 0.5 * (math.Erf(b/math.Sqrt2) - math.Erf(a/math.Sqrt2))
-	if mass <= 0 {
+	logMass := math.Inf(1)
+	if mass > 0 {
+		logMass = math.Log(mass)
+	}
+	return shapePrior{
+		disc: p.Shape == geom.KindDisc,
+		mean: p.MeanRadius, sd: p.RadiusStdDev,
+		min: p.MinRadius, max: p.MaxRadius,
+		logNorm: -0.5*math.Log(2*math.Pi) - math.Log(p.RadiusStdDev),
+		logMass: logMass,
+	}
+}
+
+// logRadius returns the log density of the truncated-Normal radius prior
+// at r, including normalisation (needed for dimension-changing moves,
+// where the constants do not cancel), and -Inf outside [min, max].
+func (sp *shapePrior) logRadius(r float64) float64 {
+	if r < sp.min || r > sp.max {
 		return math.Inf(-1)
 	}
-	return -0.5*z*z + logNorm - math.Log(mass)
+	z := (r - sp.mean) / sp.sd
+	return -0.5*z*z + sp.logNorm - sp.logMass
+}
+
+// logShape returns the log density of the shape prior at e: the radius
+// prior on the (shared) radius for discs; independent copies of it on
+// both semi-axes plus the uniform rotation prior for ellipses.
+func (sp *shapePrior) logShape(e geom.Ellipse) float64 {
+	if sp.disc {
+		return sp.logRadius(e.Rx)
+	}
+	return sp.logRadius(e.Rx) + sp.logRadius(e.Ry) + logPiInv
 }
 
 // logPiInv is log(1/π), the uniform rotation-prior density over [0, π)
 // carried by every ellipse-mode feature.
 var logPiInv = -math.Log(math.Pi)
-
-// LogShapePrior returns the log density of the per-feature shape prior
-// at e, excluding the position term (uniform 1/A, accounted separately)
-// and the pairwise overlap penalty. Disc mode evaluates the original
-// truncated-Normal radius prior on the (shared) radius; ellipse mode
-// places independent copies of that prior on both semi-axes plus the
-// uniform rotation prior. It returns -Inf outside the prior's support.
-// Birth and replace proposals draw from exactly this distribution, so
-// the terms cancel in their acceptance ratios.
-func (p Params) LogShapePrior(e geom.Ellipse) float64 {
-	if p.Shape == geom.KindDisc {
-		return p.LogRadiusPDF(e.Rx)
-	}
-	return p.LogRadiusPDF(e.Rx) + p.LogRadiusPDF(e.Ry) + logPiInv
-}
 
 // ShapeInSupport reports whether e lies in the prior's shape support:
 // both semi-axes inside the truncation range (for discs they coincide).

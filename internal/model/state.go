@@ -44,6 +44,10 @@ type State struct {
 	logLik   float64
 	logPrior float64
 	logArea  float64
+	// logLambda (log λ) and prior are functions of P alone, evaluated
+	// once here so no proposal recomputes them.
+	logLambda float64
+	prior     shapePrior
 }
 
 // NewState builds a state over the filtered image with the given
@@ -64,6 +68,9 @@ func NewState(img *imaging.Image, p Params) (*State, error) {
 		Cfg:     NewConfig(),
 		Index:   NewBucketIndex(img.Bounds(), p.MaxRadius),
 		logArea: math.Log(float64(img.W) * float64(img.H)),
+
+		logLambda: math.Log(p.Lambda),
+		prior:     p.shapePrior(),
 	}
 	for i, v := range img.Pix {
 		s.Gain[i] = p.PixelGain(v)
@@ -93,6 +100,16 @@ func (s *State) LogPost() float64 { return s.logLik + s.logPrior }
 // LogAreaTerm returns log(W·H), the log image area appearing in the
 // uniform position prior and in birth/death proposal densities.
 func (s *State) LogAreaTerm() float64 { return s.logArea }
+
+// LogShapePrior returns the log density of the per-feature shape prior
+// at e, excluding the position term (uniform 1/A, accounted separately)
+// and the pairwise overlap penalty. Disc mode evaluates the original
+// truncated-Normal radius prior on the (shared) radius; ellipse mode
+// places independent copies of that prior on both semi-axes plus the
+// uniform rotation prior. It returns -Inf outside the prior's support.
+// Birth and replace proposals draw from exactly this distribution, so
+// the terms cancel in their acceptance ratios.
+func (s *State) LogShapePrior(e geom.Ellipse) float64 { return s.prior.logShape(e) }
 
 // AddDeltas folds externally computed deltas into the cached values. The
 // periodic engine calls this once per partition when merging a parallel
@@ -139,9 +156,9 @@ func (s *State) priorDeltaAdd(c geom.Ellipse) float64 {
 	if !s.validPosition(c) {
 		return math.Inf(-1)
 	}
-	d := math.Log(s.P.Lambda) // count term λ^{n+1}/λ^n
-	d -= s.logArea            // position term
-	d += s.P.LogShapePrior(c) // shape (radius/axes/rotation) term
+	d := s.logLambda         // count term λ^{n+1}/λ^n
+	d -= s.logArea           // position term
+	d += s.prior.logShape(c) // shape (radius/axes/rotation) term
 	d -= s.P.OverlapPenalty * s.OverlapSum(c, -1)
 	return d
 }
@@ -150,9 +167,9 @@ func (s *State) priorDeltaAdd(c geom.Ellipse) float64 {
 // circle id.
 func (s *State) priorDeltaRemove(id int) float64 {
 	c := s.Cfg.Get(id)
-	d := -math.Log(s.P.Lambda)
+	d := -s.logLambda
 	d += s.logArea
-	d -= s.P.LogShapePrior(c)
+	d -= s.prior.logShape(c)
 	d += s.P.OverlapPenalty * s.OverlapSum(c, id)
 	return d
 }
@@ -204,7 +221,7 @@ func (s *State) EvalMove(id int, newC geom.Ellipse) (dLik, dPrior float64) {
 	if !s.validPosition(newC) {
 		return 0, math.Inf(-1)
 	}
-	dPrior = s.P.LogShapePrior(newC) - s.P.LogShapePrior(oldC)
+	dPrior = s.prior.logShape(newC) - s.prior.logShape(oldC)
 	if math.IsInf(dPrior, -1) {
 		return 0, dPrior
 	}
@@ -223,7 +240,7 @@ func (s *State) EvalMoveCached(id int, newC geom.Ellipse, ms *MoveSpans) (dLik, 
 	if !s.validPosition(newC) {
 		return 0, math.Inf(-1)
 	}
-	dPrior = s.P.LogShapePrior(newC) - s.P.LogShapePrior(oldC)
+	dPrior = s.prior.logShape(newC) - s.prior.logShape(oldC)
 	if math.IsInf(dPrior, -1) {
 		return 0, dPrior
 	}
@@ -276,14 +293,14 @@ func (s *State) Recompute() (logLik, logPrior float64) {
 		}
 	}
 	n := s.Cfg.Len()
-	logPrior = float64(n)*math.Log(s.P.Lambda) - float64(n)*s.logArea
+	logPrior = float64(n)*s.logLambda - float64(n)*s.logArea
 	overlap := 0.0
 	circles := s.Cfg.Circles()
 	for i, c := range circles {
 		if !s.validPosition(c) {
 			return logLik, math.Inf(-1)
 		}
-		logPrior += s.P.LogShapePrior(c)
+		logPrior += s.prior.logShape(c)
 		for _, o := range circles[i+1:] {
 			overlap += c.OverlapArea(o)
 		}

@@ -48,18 +48,19 @@ func TestParamsValidate(t *testing.T) {
 
 func TestLogRadiusPDFNormalised(t *testing.T) {
 	p := DefaultParams(5, 10)
-	// Numerically integrate exp(LogRadiusPDF) over the support.
+	sp := p.shapePrior()
+	// Numerically integrate the radius density over the support.
 	const steps = 20000
 	total := 0.0
 	dh := (p.MaxRadius - p.MinRadius) / steps
 	for i := 0; i < steps; i++ {
 		r := p.MinRadius + (float64(i)+0.5)*dh
-		total += math.Exp(p.LogRadiusPDF(r)) * dh
+		total += math.Exp(sp.logRadius(r)) * dh
 	}
 	if math.Abs(total-1) > 1e-4 {
 		t.Fatalf("radius prior integrates to %v", total)
 	}
-	if !math.IsInf(p.LogRadiusPDF(p.MinRadius-0.01), -1) {
+	if !math.IsInf(sp.logRadius(p.MinRadius-0.01), -1) {
 		t.Fatal("density outside support not -Inf")
 	}
 }
@@ -256,7 +257,7 @@ func TestCommitMovedKeepsIndexConsistent(t *testing.T) {
 	newC := geom.Disc(70, 70, 8)
 	dLik := s.F.LikDeltaMove(c, newC)
 	s.F.CoverMove(c, newC)
-	dPrior := s.P.LogShapePrior(newC) - s.P.LogShapePrior(c)
+	dPrior := s.LogShapePrior(newC) - s.LogShapePrior(c)
 	s.CommitMoved(id, newC)
 	s.AddDeltas(dLik, dPrior)
 	likErr, priorErr, coverOK := s.CheckConsistency()

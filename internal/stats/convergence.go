@@ -100,9 +100,12 @@ func ESS(xs []float64) float64 {
 // serves windowed convergence diagnostics on demand. Not safe for
 // concurrent use; callers guard it with their own lock.
 type Stream struct {
-	ring  []float64
-	start int // index of the oldest sample once the ring is full
-	total int64
+	// ring grows on demand up to window samples, so a stream that sees
+	// only a few samples (a short job's) reserves only a few.
+	ring   []float64
+	window int
+	start  int // index of the oldest sample once the ring is full
+	total  int64
 }
 
 // DefaultStreamWindow bounds a Stream's ring when NewStream is given a
@@ -115,13 +118,22 @@ func NewStream(window int) *Stream {
 	if window <= 0 {
 		window = DefaultStreamWindow
 	}
-	return &Stream{ring: make([]float64, 0, window)}
+	return &Stream{window: window}
 }
+
+// minStreamGrow is the ring's first allocation, in samples.
+const minStreamGrow = 8
 
 // Add folds one sample into the window.
 func (s *Stream) Add(x float64) {
 	s.total++
-	if len(s.ring) < cap(s.ring) {
+	if len(s.ring) < s.window {
+		if len(s.ring) == cap(s.ring) {
+			// Double, but never past the window.
+			grown := make([]float64, len(s.ring), min(max(2*cap(s.ring), minStreamGrow), s.window))
+			copy(grown, s.ring)
+			s.ring = grown
+		}
 		s.ring = append(s.ring, x)
 		return
 	}

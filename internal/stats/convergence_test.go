@@ -109,6 +109,36 @@ func TestStreamWindow(t *testing.T) {
 	}
 }
 
+// The ring grows on demand: a stream holding k samples reserves O(k),
+// not the whole window, and once it fills it slides exactly as a
+// preallocated ring would.
+func TestStreamGrowsLazily(t *testing.T) {
+	const window = 100
+	s := NewStream(window)
+	for k := 1; k <= 7; k++ {
+		s.Add(float64(k))
+	}
+	if c := cap(s.ring); c >= window || c > 2*minStreamGrow {
+		t.Fatalf("stream holding 7 samples reserved %d, window %d", c, window)
+	}
+	for k := 8; k <= 2*window+17; k++ {
+		s.Add(float64(k))
+		if cap(s.ring) > window {
+			t.Fatalf("after %d samples ring capacity %d exceeds the window %d", k, cap(s.ring), window)
+		}
+		got := s.Window()
+		first := max(1, k-window+1)
+		if len(got) != k-first+1 {
+			t.Fatalf("after %d samples window holds %d", k, len(got))
+		}
+		for i, v := range got {
+			if v != float64(first+i) {
+				t.Fatalf("after %d samples window[%d] = %v, want %d", k, i, v, first+i)
+			}
+		}
+	}
+}
+
 func TestStreamDiagnostics(t *testing.T) {
 	s := NewStream(0) // default window
 	if s.Len() != 0 || !math.IsNaN(s.RHat()) || !math.IsNaN(s.ESS()) {

@@ -19,7 +19,8 @@ type event struct {
 }
 
 // convWindow bounds the per-job ring of streamed log-posterior samples
-// the diag endpoint computes R̂/ESS over.
+// the diag endpoint computes R̂/ESS over; the ring grows to it on
+// demand, so a short job holds only the samples it streamed.
 const convWindow = 1024
 
 // Job is one queued or running detection. All mutable fields are
@@ -325,17 +326,25 @@ func (j *Job) statusLocked() api.JobStatus {
 	return v
 }
 
+// jobSpecTelemetry is one running job's speculative-executor telemetry.
+type jobSpecTelemetry struct {
+	id      string
+	width   int
+	speedup float64
+}
+
 // specTelemetry returns the speculative-executor telemetry of the
-// job's latest progress snapshot; ok is false for jobs that never
-// reported a speculation width (non-speculative strategies, or no
-// progress yet). The metrics endpoint exports these as per-job gauges.
-func (j *Job) specTelemetry() (width int, speedup float64, ok bool) {
+// job's latest progress snapshot; ok is false unless the job is running
+// and has reported a speculation width (non-speculative strategies, or
+// no progress yet). The metrics endpoint exports these as per-job
+// gauges.
+func (j *Job) specTelemetry() (t jobSpecTelemetry, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.progress == nil || j.progress.SpecWidth == 0 {
-		return 0, 0, false
+	if j.state != api.StateRunning || j.progress == nil || j.progress.SpecWidth == 0 {
+		return t, false
 	}
-	return j.progress.SpecWidth, j.progress.SpecSpeedup, true
+	return jobSpecTelemetry{id: j.id, width: j.progress.SpecWidth, speedup: j.progress.SpecSpeedup}, true
 }
 
 // Diag returns the job's chain diagnostics: the latest progress

@@ -44,34 +44,27 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE mcmcd_uptime_seconds counter\n")
 	fmt.Fprintf(w, "mcmcd_uptime_seconds %g\n", m.Uptime().Seconds())
 
-	// Per-job speculative-executor telemetry, from each job's latest
-	// progress snapshot (running and terminal jobs alike; only jobs that
-	// ever reported a speculation width appear).
-	first := true
+	// Per-job speculative-executor telemetry, from each running job's
+	// latest progress snapshot (only jobs that reported a speculation
+	// width appear; a job's series go away once it is terminal). One
+	// walk collects both families, which are then written grouped.
+	var spec []jobSpecTelemetry
 	for _, job := range m.Jobs() {
-		width, _, ok := job.specTelemetry()
-		if !ok {
-			continue
+		if t, ok := job.specTelemetry(); ok {
+			spec = append(spec, t)
 		}
-		if first {
-			fmt.Fprintf(w, "# HELP mcmcd_spec_width Current speculation width of the job's global phases (adaptive controller's pick, or the fixed configured width).\n")
-			fmt.Fprintf(w, "# TYPE mcmcd_spec_width gauge\n")
-			first = false
-		}
-		fmt.Fprintf(w, "mcmcd_spec_width{job=%q} %d\n", job.ID(), width)
 	}
-	first = true
-	for _, job := range m.Jobs() {
-		_, speedup, ok := job.specTelemetry()
-		if !ok {
-			continue
+	if len(spec) > 0 {
+		fmt.Fprintf(w, "# HELP mcmcd_spec_width Current speculation width of the job's global phases (adaptive controller's pick, or the fixed configured width).\n")
+		fmt.Fprintf(w, "# TYPE mcmcd_spec_width gauge\n")
+		for _, t := range spec {
+			fmt.Fprintf(w, "mcmcd_spec_width{job=%q} %d\n", t.id, t.width)
 		}
-		if first {
-			fmt.Fprintf(w, "# HELP mcmcd_spec_speedup Measured committed-iterations-per-batch of the job's speculative executor (eq. 3 speedup; 1 means speculation never helped).\n")
-			fmt.Fprintf(w, "# TYPE mcmcd_spec_speedup gauge\n")
-			first = false
+		fmt.Fprintf(w, "# HELP mcmcd_spec_speedup Measured committed-iterations-per-batch of the job's speculative executor (eq. 3 speedup; 1 means speculation never helped).\n")
+		fmt.Fprintf(w, "# TYPE mcmcd_spec_speedup gauge\n")
+		for _, t := range spec {
+			fmt.Fprintf(w, "mcmcd_spec_speedup{job=%q} %g\n", t.id, t.speedup)
 		}
-		fmt.Fprintf(w, "mcmcd_spec_speedup{job=%q} %g\n", job.ID(), speedup)
 	}
 
 	m.tel.queueWait.write(w, "mcmcd_queue_wait_seconds",

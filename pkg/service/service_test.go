@@ -807,17 +807,75 @@ func TestAPIEndpoints(t *testing.T) {
 // operator paths: the diag endpoint's spec_width/spec_speedup fields
 // and the per-job mcmcd_spec_width/mcmcd_spec_speedup gauges on
 // /metrics — and the exposition must parse back through pkg/client.
+// The gauges are per running job: present while the job runs, gone
+// once it is terminal.
 func TestSpecTelemetryDiagAndMetrics(t *testing.T) {
 	m := newTestManager(t, Config{Workers: 1})
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
 
+	scrape := func() *client.Metrics {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		parsed, err := client.ParseMetrics(buf.String())
+		if err != nil {
+			t.Fatalf("daemon exposition does not parse back: %v\n%s", err, buf.String())
+		}
+		return parsed
+	}
+	keys := func(id string) (width, speedup string) {
+		return fmt.Sprintf("mcmcd_spec_width{job=%q}", id), fmt.Sprintf("mcmcd_spec_speedup{job=%q}", id)
+	}
+
+	// A long job: its series appear while it runs and go once it is
+	// cancelled.
 	spec := api.OptionsSpec{
 		Strategy: "periodic+spec", MeanRadius: 7,
-		Iterations: 6000, Seed: 3, PartitionGrid: 2,
+		Iterations: 50_000_000, Seed: 3, PartitionGrid: 2,
 	}
 	view := submitJSON(t, srv.URL, api.JobSpec{Scene: &testScene, Options: spec})
+	widthKey, speedupKey := keys(view.ID)
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		parsed := scrape()
+		if width, ok := parsed.Values[widthKey]; ok {
+			if width < 1 {
+				t.Fatalf("%s = %v, want >= 1", widthKey, width)
+			}
+			if got := parsed.Values[speedupKey]; got < 1 {
+				t.Fatalf("%s = %v, want >= 1", speedupKey, got)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never appeared while the job ran", widthKey)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if _, err := m.Cancel(view.ID); err != nil {
+		t.Fatal(err)
+	}
 	waitDone(t, srv.URL, view.ID)
+	parsed := scrape()
+	for _, key := range []string{widthKey, speedupKey} {
+		if v, ok := parsed.Values[key]; ok {
+			t.Fatalf("%s = %v still exported after the job was cancelled", key, v)
+		}
+	}
+
+	// A job run to completion keeps its telemetry in diag but not on
+	// /metrics.
+	spec.Iterations = 6000
+	view = submitJSON(t, srv.URL, api.JobSpec{Scene: &testScene, Options: spec})
+	if got := waitDone(t, srv.URL, view.ID); got.State != api.StateDone {
+		t.Fatalf("job ended %s, want done", got.State)
+	}
 
 	resp, err := http.Get(srv.URL + "/v1/jobs/" + view.ID + "/diag")
 	if err != nil {
@@ -838,24 +896,11 @@ func TestSpecTelemetryDiagAndMetrics(t *testing.T) {
 	if diag.Progress == nil || diag.Progress.SpecWidth != diag.SpecWidth {
 		t.Fatalf("diag progress does not carry the spec width: %+v", diag.Progress)
 	}
-
-	resp, err = http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	buf.ReadFrom(resp.Body)
-	resp.Body.Close()
-	parsed, err := client.ParseMetrics(buf.String())
-	if err != nil {
-		t.Fatalf("daemon exposition does not parse back: %v\n%s", err, buf.String())
-	}
-	widthKey := fmt.Sprintf("mcmcd_spec_width{job=%q}", view.ID)
-	speedupKey := fmt.Sprintf("mcmcd_spec_speedup{job=%q}", view.ID)
-	if got := parsed.Values[widthKey]; got != float64(diag.SpecWidth) {
-		t.Fatalf("%s = %v, diag reports %d\n%s", widthKey, got, diag.SpecWidth, buf.String())
-	}
-	if got := parsed.Values[speedupKey]; got < 1 {
-		t.Fatalf("%s = %v, want >= 1", speedupKey, got)
+	widthKey, speedupKey = keys(view.ID)
+	parsed = scrape()
+	for _, key := range []string{widthKey, speedupKey} {
+		if v, ok := parsed.Values[key]; ok {
+			t.Fatalf("%s = %v still exported after the job finished", key, v)
+		}
 	}
 }
