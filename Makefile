@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt fmt-check vet lint test test-short race ci test-cpu cover-service cmdref cmdref-check docs-check bench bench-json bench-check bench-scaling fuzz-smoke e2e e2e-smoke e2e-case experiments-quick experiments
+.PHONY: all build fmt fmt-check vet vet-cross lint test test-short race ci test-cpu cover-service cmdref cmdref-check docs-check bench bench-json bench-check bench-scaling fuzz-smoke e2e e2e-smoke e2e-case experiments-quick experiments
 
 all: build
 
@@ -20,6 +20,12 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# The same vet for a second architecture, offline: arm64 is where Go
+# may fuse x*y+z into one FMA, so code that only builds or vets cleanly
+# on amd64 fails here rather than on an arm64 worker.
+vet-cross:
+	GOARCH=arm64 $(GO) vet ./...
 
 # Static analysis + known-vulnerability scan, mirroring the CI lint job
 # (same pinned versions, so local `make lint` reproduces CI exactly).
@@ -42,7 +48,8 @@ test:
 # The sampler stack on one and on two cores, so a test that only holds
 # at one GOMAXPROCS fails here; internal/core runs the shared gang's
 # spin-or-park paths both ways, and internal/partition runs its region
-# chains concurrently on sched.ForEach. pkg/service joins once its
+# chains concurrently on its work-conserving scheduler (partition.Step).
+# pkg/service joins once its
 # recovery tests stop depending on the core count.
 CPU_PKGS := ./internal/model ./internal/mcmc ./internal/spec ./internal/sched ./internal/core ./internal/partition ./pkg/parmcmc
 test-cpu:
@@ -53,7 +60,7 @@ test-cpu:
 race:
 	$(GO) test -race ./...
 
-ci: fmt-check vet build test-short test-cpu race cover-service cmdref-check docs-check
+ci: fmt-check vet vet-cross build test-short test-cpu race cover-service cmdref-check docs-check
 
 # Coverage gate for the API stack: the black-box suites must keep the
 # contract (pkg/api), the client (pkg/client) and the daemon

@@ -480,8 +480,8 @@ func assignLargestRemainder(n int, counts []int, workers []*cellWorker, remsBuf 
 // circle positions, spatial index, cached posterior and statistics.
 func (pe *Engine) mergeWorkers(workers []*cellWorker) {
 	for _, w := range workers {
-		w.forEachChanged(func(id int, c geom.Ellipse) {
-			pe.E.S.CommitMoved(id, c)
+		w.forEachChanged(func(id int, c geom.Ellipse, spans []geom.Span) {
+			pe.E.S.CommitMoved(id, c, spans)
 		})
 		pe.E.S.AddDeltas(w.dLik, w.dPrior)
 		pe.E.Stats.Add(w.stats)

@@ -64,8 +64,8 @@ type cellWorker struct {
 
 	// props is the reusable speculative-batch buffer; prop is the
 	// non-speculative scratch slot. Each slot owns a MoveSpans cache, so
-	// an accepted move replays its evaluation's span tables and retried
-	// moves of the same owned shape skip recomputing the old table.
+	// an accepted move replays the new-shape table its evaluation
+	// rasterised.
 	props []localProposal
 	prop  localProposal
 }
@@ -100,18 +100,38 @@ type workerEntry struct {
 	c        geom.Ellipse
 	original geom.Ellipse
 	owned    bool
+	// spans is an owned entry's span table: the state's stored table
+	// (read-only, borrowed for the phase) until the entry first moves,
+	// then own, the worker's private copy of its latest table. own keeps
+	// its backing array across phases.
+	spans []geom.Span
+	own   []geom.Span
 }
 
-// addOwned registers an owned circle.
+// nextEntry appends an entry slot, reusing a pooled slot's own buffer.
+func (w *cellWorker) nextEntry(id int, c geom.Ellipse, owned bool) *workerEntry {
+	if len(w.entries) < cap(w.entries) {
+		w.entries = w.entries[:len(w.entries)+1]
+	} else {
+		w.entries = append(w.entries, workerEntry{})
+	}
+	e := &w.entries[len(w.entries)-1]
+	e.id, e.c, e.original, e.owned, e.spans = id, c, c, owned, nil
+	return e
+}
+
+// addOwned registers an owned circle, borrowing its span table from the
+// state (read-only until the merge barrier).
 func (w *cellWorker) addOwned(id int, c geom.Ellipse) {
 	w.ownedAt = append(w.ownedAt, len(w.entries))
-	w.entries = append(w.entries, workerEntry{id: id, c: c, original: c, owned: true})
+	e := w.nextEntry(id, c, true)
+	e.spans = w.s.ShapeSpans(id, e.own)
 }
 
 // addNeighbour registers a read-only circle from outside the cell's
 // ownership.
 func (w *cellWorker) addNeighbour(id int, c geom.Ellipse) {
-	w.entries = append(w.entries, workerEntry{id: id, c: c, original: c})
+	w.nextEntry(id, c, false)
 }
 
 // overlapSum returns Σ overlapArea(c, other) over every entry except the
@@ -134,9 +154,9 @@ func (w *cellWorker) overlapSum(c geom.Ellipse, self int) float64 {
 }
 
 // localProposal is one evaluated (but unapplied) local move. Its ms
-// field caches the move's span tables between evaluation and apply (and
-// across retried proposals of the same shape); the slot is reused in
-// place so steady-state proposing allocates nothing.
+// field caches the new shape's span table between evaluation and apply;
+// the slot is reused in place so steady-state proposing allocates
+// nothing.
 type localProposal struct {
 	move   mcmc.Move
 	idx    int // entries index of the target circle
@@ -188,10 +208,10 @@ func (w *cellWorker) propose(p *localProposal) {
 	p.dPrior = w.s.LogShapePrior(newC) - w.s.LogShapePrior(oldC)
 	p.dPrior -= w.s.P.OverlapPenalty *
 		(w.overlapSum(newC, idx) - w.overlapSum(oldC, idx))
-	// Field kernel: the occupancy skip prices the move, and the span
-	// tables land in p.ms for the apply. Retried moves of the same owned
-	// shape reuse the cached old-shape table.
-	p.dLik = w.s.F.LikDeltaMovePrepared(oldC, newC, &p.ms)
+	// Field kernel: the occupancy skip prices the move against the
+	// entry's table, and the new shape's table lands in p.ms for the
+	// apply.
+	p.dLik = w.s.F.LikDeltaMovePrepared(w.entries[idx].spans, newC, &p.ms)
 }
 
 // accepts applies the Metropolis test to an evaluated proposal.
@@ -204,11 +224,13 @@ func (w *cellWorker) accepts(p *localProposal) bool {
 }
 
 // apply commits an accepted proposal to the shared coverage buffer and
-// the worker's private circle copies, replaying the span tables its
-// evaluation prepared.
+// the worker's private circle copies, replaying the span table its
+// evaluation prepared; the entry keeps a private copy of that table.
 func (w *cellWorker) apply(p *localProposal) {
 	entry := &w.entries[p.idx]
-	w.s.F.CoverMovePrepared(entry.c, p.newC, &p.ms)
+	spans := w.s.F.CoverMovePrepared(entry.spans, p.newC, &p.ms)
+	entry.own = append(entry.own[:0], spans...)
+	entry.spans = entry.own
 	entry.c = p.newC
 	w.dLik += p.dLik
 	w.dPrior += p.dPrior
@@ -282,12 +304,13 @@ func (w *cellWorker) runSpeculative() {
 }
 
 // forEachChanged calls fn for every owned circle whose value differs
-// from the phase-start snapshot, without allocating.
-func (w *cellWorker) forEachChanged(fn func(id int, c geom.Ellipse)) {
+// from the phase-start snapshot, with its final span table, without
+// allocating.
+func (w *cellWorker) forEachChanged(fn func(id int, c geom.Ellipse, spans []geom.Span)) {
 	for _, i := range w.ownedAt {
 		e := &w.entries[i]
 		if e.c != e.original {
-			fn(e.id, e.c)
+			fn(e.id, e.c, e.spans)
 		}
 	}
 }

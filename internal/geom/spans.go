@@ -227,8 +227,9 @@ func AppendDiscSpans(dst []Span, w, h int, c Circle) []Span {
 // Like DiscSpans, this is the general-purpose iterator form of the span
 // machinery — rasterisation, region accounting, tests. The likelihood
 // kernels do not call it: they need per-pixel coverage *multiplicities*,
-// so model.LikDeltaMulti cuts rows into constant-multiplicity segments
-// itself (and the single-disc kernels batch via AppendDiscSpans).
+// so the model package's exchange walk cuts rows into
+// constant-multiplicity segments itself (and the single-disc kernels
+// batch via AppendDiscSpans).
 func UnionSpans(w, h int, cs []Circle, fn func(y, xa, xb int)) {
 	if len(cs) == 0 {
 		return

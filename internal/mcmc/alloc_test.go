@@ -1,6 +1,7 @@
 package mcmc
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/geom"
@@ -111,4 +112,65 @@ func TestEllipseProposeOnlyZeroAlloc(t *testing.T) {
 			t.Errorf("Propose(%v): %v allocs/op in steady state, want 0", m, avg)
 		}
 	}
+}
+
+// TestAcceptedCommitsZeroAlloc pins the commit half: accepted birth,
+// death, move and replace commits — which store, replace or drop the
+// shape's span table in the state — allocate nothing in steady state,
+// for discs and ellipses. Birth and death run as a pair so the
+// configuration size stays put; recycled IDs reuse their table's
+// backing array. It also re-checks every Propose with an exact count
+// (split and merge price their exchange from stack tables):
+// testing.AllocsPerRun rounds down, so a path that allocates on only
+// some calls would pass it. Commits keep the rounded count, as the
+// spatial index's buckets still grow now and then when a shape lands
+// somewhere new.
+func TestAcceptedCommitsZeroAlloc(t *testing.T) {
+	for _, kind := range []geom.ShapeKind{geom.KindDisc, geom.KindEllipse} {
+		e := allocEngineKind(t, kind)
+		commit := func(m Move) {
+			if p := e.Propose(m); p.Valid {
+				e.Commit(p)
+			}
+		}
+		cases := []struct {
+			name string
+			run  func()
+		}{
+			{"birth+death", func() { commit(Birth); commit(Death) }},
+			{"shift", func() { commit(Shift) }},
+			{"replace", func() { commit(Replace) }},
+		}
+		for _, c := range cases {
+			for i := 0; i < 2000; i++ {
+				c.run()
+			}
+			if avg := testing.AllocsPerRun(500, c.run); avg != 0 {
+				t.Errorf("%v %s: %v allocs/op in steady state, want 0", kind, c.name, avg)
+			}
+		}
+		propose := func() {
+			for m := Move(0); m < NumMoves; m++ {
+				_ = e.Propose(m)
+			}
+		}
+		for i := 0; i < 2000; i++ {
+			propose()
+		}
+		if n := exactAllocs(500, propose); n != 0 {
+			t.Errorf("%v: %d allocations in 500 rounds of every Propose, want 0", kind, n)
+		}
+	}
+}
+
+// exactAllocs returns the total heap allocations of runs calls of f.
+func exactAllocs(runs int, f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }

@@ -602,8 +602,8 @@ func (e *Engine) proposeAxisScale() Proposal {
 // proposeRotate perturbs one ellipse's rotation with a wrapped Gaussian
 // kernel on the half-turn circle [0, π) — symmetric on that group, so
 // no Hastings correction; the uniform rotation prior contributes
-// nothing to dPrior either (EvalMove's shape-prior difference sees two
-// identical-axes shapes).
+// nothing to dPrior either (EvalMoveCached's shape-prior difference sees
+// two identical-axes shapes).
 func (e *Engine) proposeRotate() Proposal {
 	if e.S.P.Shape == geom.KindDisc {
 		return Proposal{Move: Rotate, Valid: false}

@@ -43,5 +43,17 @@
 // span-table replay for move commits) must match the separate
 // evaluators bit-for-bit on coverage and to 1e-9 on likelihood; the
 // differential tests and FuzzFusedKernelDifferential pin this against
-// the retained naive bounding-box kernels in naive.go.
+// the test-only naive bounding-box kernels in naive_test.go.
+//
+// # Span tables
+//
+// State keeps the span table of every live shape, keyed by the exact
+// ellipse it was rasterised from. A shape is rasterised once when it
+// enters the state or changes (ApplyAdd, ApplyMoveCached, ApplyExchange,
+// CommitMoved, Restore); every evaluation that prices or removes it
+// (EvalRemove, EvalMoveCached, EvalExchange, the periodic cell workers)
+// reads the stored table. A read whose key mismatches rasterises afresh
+// into scratch, so a stale table is never used. Tables are pure
+// geometry, so the kernels see exactly the spans they would have
+// computed; they are derived data and never serialised.
 package model

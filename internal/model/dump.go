@@ -143,11 +143,15 @@ func (s *State) Restore(d StateDump) error {
 	for i := range s.Cover {
 		s.Cover[i] = 0
 	}
-	s.Cfg.ForEach(func(_ int, c geom.Ellipse) {
-		CoverAdd(s.Cover, s.W, s.H, c, +1)
+	for i := range s.tables {
+		s.tables[i].ok = false
+	}
+	// Re-cover from freshly rasterised tables, bypassing the Field's
+	// occupancy counters, then rebuild those from the restored coverage.
+	raw := fieldView(nil, nil, s.Cover, s.W, s.H)
+	s.Cfg.ForEach(func(id int, c geom.Ellipse) {
+		raw.coverSpans(s.rasterise(id, c), +1)
 	})
-	// The free CoverAdd above bypasses the Field's occupancy counters;
-	// rebuild them from the restored coverage.
 	s.F.InitOcc()
 	s.logLik = d.LogLik
 	s.logPrior = d.LogPrior

@@ -6,70 +6,37 @@ import (
 	"repro/internal/geom"
 )
 
-// likMultiSpans is the fixed scratch capacity of LikDeltaMulti: split
+// likMultiSpans is the fixed scratch capacity of an exchange: split
 // and merge exchange at most three circles, so the per-row span table
 // lives on the stack. Larger exchanges fall back to an allocation.
 const likMultiSpans = 8
 
-// LikDeltaMulti returns the relative log-likelihood change from removing
-// the circles in removed and adding those in added, in one read-only pass
-// over the union of their scanline spans. It generalises LikDeltaAdd /
-// LikDeltaRemove / LikDeltaMove to arbitrary exchanges (split, merge).
-//
-// Per row, each circle contributes one span; span endpoints cut the row
-// into segments of constant removed/added multiplicity, each summed via
-// the gsum prefix table with a rare-branch correction scan.
-//
-// The removed circles must currently be part of the coverage (as
-// EvalExchange guarantees): inside a segment covered by dRem removed
-// circles, cover ≥ dRem, which is what lets net-loss segments reduce to
-// a single coverage-equality sum.
-func LikDeltaMulti(gain, gsum []float64, cover []int32, w, h int, removed, added []geom.Ellipse) float64 {
-	f := fieldView(gain, gsum, cover, w, h)
-	return f.LikDeltaMulti(removed, added)
-}
-
-// LikDeltaMulti prices an atomic exchange (see the free function above)
-// with the field's occupancy skip. Read-only.
-func (f *Field) LikDeltaMulti(removed, added []geom.Ellipse) float64 {
-	return f.exchangeWalk(removed, added, true, false)
-}
-
-// FusedExchangeCover performs the exchange and returns its likelihood
-// delta in the same span walk: every constant-multiplicity segment is
-// priced and then written with its net coverage change. Bit-identical to
-// LikDeltaMulti on the pre-mutation state followed by per-circle
-// CoverAdd calls.
-func (f *Field) FusedExchangeCover(removed, added []geom.Ellipse) float64 {
-	return f.exchangeWalk(removed, added, true, true)
-}
-
-// coverExchange applies the exchange's net coverage update without
-// pricing it (the delta was already computed by a matching
-// LikDeltaMulti).
-func (f *Field) coverExchange(removed, added []geom.Ellipse) {
-	f.exchangeWalk(removed, added, false, true)
+// appendShapes rasterises shapes onto all, one AppendShapeSpans call per
+// shape (the division-free disc path, hoisted quadratic coefficients for
+// ellipses), recording where each shape's table starts.
+func appendShapes(all []geom.Span, starts []int, w, h int, shapes []geom.Ellipse) ([]geom.Span, []int) {
+	for _, c := range shapes {
+		starts = append(starts, len(all))
+		all = geom.AppendShapeSpans(all, w, h, c)
+	}
+	return all, starts
 }
 
 // exchangeWalk is the shared body: one pass over the union of the
 // shapes' scanline spans, cutting each row into constant-multiplicity
 // segments; doSum accumulates the likelihood delta, doApply writes the
-// net coverage change. Segments are disjoint, so pricing-then-writing a
+// net coverage change. The shapes' span tables lie back to back in all,
+// shape i's at all[starts[i]:starts[i+1]]; the first nRem shapes are
+// the removed ones. Segments are disjoint, so pricing-then-writing a
 // segment cannot disturb any other segment's sum and the fused walk
 // equals eval-then-apply bitwise.
-func (f *Field) exchangeWalk(removed, added []geom.Ellipse, doSum, doApply bool) float64 {
-	w, h := f.W, f.H
-	nRem, nAdd := len(removed), len(added)
-	n := nRem + nAdd
-	if n == 0 {
+func (f *Field) exchangeWalk(all []geom.Span, starts []int, nRem int, doSum, doApply bool) float64 {
+	n := len(starts) - 1
+	if n <= 0 {
 		return 0
 	}
-	// Batched span tables: one AppendShapeSpans call per shape (the
-	// division-free disc path, hoisted quadratic coefficients for
-	// ellipses) instead of one RowSpan call per shape per row.
-	// starts[i]:starts[i+1] delimits shape i's table in all; cur[i]
-	// walks it as the row loop advances, so rows a shape does not touch
-	// cost it one integer compare.
+	// cur[i] walks shape i's table as the row loop advances, so rows a
+	// shape does not touch cost it one integer compare.
 	//
 	// Per row, span endpoints become open/close events (x in the high
 	// bits, event kind in the low two), insertion-sorted; walking them
@@ -78,20 +45,15 @@ func (f *Field) exchangeWalk(removed, added []geom.Ellipse, doSum, doApply bool)
 	// over the shapes. Events at equal x may process in any relative
 	// order: the multiplicities of the segment starting at x are read
 	// only after every event at x has been applied.
-	var spanBuf [2 * spanStack]geom.Span
-	var startBuf [likMultiSpans + 1]int
 	var curBuf [likMultiSpans]int
 	var evBuf [2 * likMultiSpans]int
-	all := spanBuf[:0]
-	starts := startBuf[:]
-	cur := curBuf[:n]
-	events := evBuf[:]
-	if n > likMultiSpans {
-		all = make([]geom.Span, 0, n*spanStack)
-		starts = make([]int, n+1)
-		cur = make([]int, n)
-		events = make([]int, 2*n)
+	var cur, events []int
+	if n <= likMultiSpans {
+		cur, events = curBuf[:n], evBuf[:]
+	} else {
+		cur, events = make([]int, n), make([]int, 2*n)
 	}
+	copy(cur, starts)
 	const (
 		evRemOpen = iota
 		evRemClose
@@ -99,18 +61,6 @@ func (f *Field) exchangeWalk(removed, added []geom.Ellipse, doSum, doApply bool)
 		evAddClose
 		evKinds
 	)
-	for i := 0; i < n; i++ {
-		var c geom.Ellipse
-		if i < nRem {
-			c = removed[i]
-		} else {
-			c = added[i-nRem]
-		}
-		starts[i] = len(all)
-		all = geom.AppendShapeSpans(all, w, h, c)
-		cur[i] = starts[i]
-	}
-	starts[n] = len(all)
 	const noRow = int32(math.MaxInt32)
 	delta := 0.0
 	for {
@@ -259,34 +209,47 @@ func (s *State) EvalExchange(removedIDs []int, added []geom.Ellipse) (dLik, dPri
 	}
 	dPrior -= s.P.OverlapPenalty * dOverlap
 
-	dLik = s.F.LikDeltaMulti(removed, added)
+	var spanBuf [2 * spanStack]geom.Span
+	var startBuf [likMultiSpans + 1]int
+	all, starts := s.exchangeSpans(spanBuf[:0], startBuf[:0], removedIDs, added)
+	dLik = s.F.exchangeWalk(all, starts, len(removedIDs), true, false)
 	return dLik, dPrior
+}
+
+// exchangeSpans lays out an exchange's span tables for exchangeWalk: the
+// removed shapes' stored tables, copied, then the added shapes
+// rasterised. Read-only.
+func (s *State) exchangeSpans(all []geom.Span, starts []int, removedIDs []int, added []geom.Ellipse) ([]geom.Span, []int) {
+	for _, id := range removedIDs {
+		starts = append(starts, len(all))
+		all = append(all, s.ShapeSpans(id, nil)...)
+	}
+	all, starts = appendShapes(all, starts, s.W, s.H, added)
+	return all, append(starts, len(all))
 }
 
 // ApplyExchange performs the exchange evaluated by EvalExchange and
 // returns the IDs of the added circles. The coverage update runs as a
 // single fused span walk over all exchanged shapes (each constant-
 // multiplicity segment written once with its net change) instead of one
-// pass per shape.
+// pass per shape; the added shapes' tables become their stored tables.
 func (s *State) ApplyExchange(removedIDs []int, added []geom.Ellipse, dLik, dPrior float64) []int {
-	var rbuf [2]geom.Ellipse
-	removed := rbuf[:0]
-	if len(removedIDs) > len(rbuf) {
-		removed = make([]geom.Ellipse, 0, len(removedIDs))
-	}
-	for _, id := range removedIDs {
-		removed = append(removed, s.Cfg.Get(id))
-	}
-	s.F.coverExchange(removed, added)
+	var spanBuf [2 * spanStack]geom.Span
+	var startBuf [likMultiSpans + 1]int
+	all, starts := s.exchangeSpans(spanBuf[:0], startBuf[:0], removedIDs, added)
+	s.F.exchangeWalk(all, starts, len(removedIDs), false, true)
 	for _, id := range removedIDs {
 		c := s.Cfg.Get(id)
 		s.Index.Remove(id, c.X, c.Y)
 		s.Cfg.Remove(id)
+		s.dropSpans(id)
 	}
 	ids := make([]int, len(added))
 	for i, c := range added {
 		ids[i] = s.Cfg.Add(c)
 		s.Index.Insert(ids[i], c.X, c.Y)
+		k := len(removedIDs) + i
+		s.storeSpans(ids[i], c, all[starts[k]:starts[k+1]])
 	}
 	s.logLik += dLik
 	s.logPrior += dPrior

@@ -8,6 +8,48 @@ import (
 	"repro/internal/rng"
 )
 
+// LikDeltaMulti returns the relative log-likelihood change from removing
+// the circles in removed and adding those in added, in one read-only pass
+// over the union of their scanline spans. It generalises LikDeltaAdd /
+// LikDeltaRemove / LikDeltaMove to arbitrary exchanges (split, merge).
+//
+// Per row, each circle contributes one span; span endpoints cut the row
+// into segments of constant removed/added multiplicity, each summed via
+// the gsum prefix table with a rare-branch correction scan.
+//
+// The removed circles must currently be part of the coverage (as
+// EvalExchange guarantees): inside a segment covered by dRem removed
+// circles, cover ≥ dRem, which is what lets net-loss segments reduce to
+// a single coverage-equality sum.
+func LikDeltaMulti(gain, gsum []float64, cover []int32, w, h int, removed, added []geom.Ellipse) float64 {
+	f := fieldView(gain, gsum, cover, w, h)
+	return f.LikDeltaMulti(removed, added)
+}
+
+// LikDeltaMulti prices an atomic exchange (see the free function above)
+// with the field's occupancy skip. Read-only.
+func (f *Field) LikDeltaMulti(removed, added []geom.Ellipse) float64 {
+	return f.exchangeShapes(removed, added, true, false)
+}
+
+// FusedExchangeCover performs the exchange and returns its likelihood
+// delta in the same span walk: every constant-multiplicity segment is
+// priced and then written with its net coverage change. Bit-identical to
+// LikDeltaMulti on the pre-mutation state followed by per-circle
+// CoverAdd calls.
+func (f *Field) FusedExchangeCover(removed, added []geom.Ellipse) float64 {
+	return f.exchangeShapes(removed, added, true, true)
+}
+
+// exchangeShapes rasterises every exchanged shape and walks the tables.
+func (f *Field) exchangeShapes(removed, added []geom.Ellipse, doSum, doApply bool) float64 {
+	var spanBuf [2 * spanStack]geom.Span
+	var startBuf [likMultiSpans + 1]int
+	all, starts := appendShapes(spanBuf[:0], startBuf[:0], f.W, f.H, removed)
+	all, starts = appendShapes(all, starts, f.W, f.H, added)
+	return f.exchangeWalk(all, append(starts, len(all)), len(removed), doSum, doApply)
+}
+
 // randCircle draws a circle inside the image with a prior-supported
 // radius.
 func randCircle(r *rng.RNG, s *State) geom.Ellipse {

@@ -619,59 +619,51 @@ func (f *Field) coverCrescent(row, base, xa, xb int, d int32) {
 	f.occ[n+1] += trans
 }
 
-// MoveSpans caches the span tables of a move's old and new shapes
-// between the evaluation and the apply of the same proposal, so an
-// accepted move replays the coverage update from the tables instead of
-// recomputing every row span a second time. The cache is keyed on the
-// exact (old, new) pair; CoverMovePrepared falls back to a fresh
-// computation on any mismatch, so a stale cache can never corrupt
-// state. Each engine/worker owns its own MoveSpans scratch — the tables
-// must not live on the shared State, where speculative shadows would
-// race on them.
+// MoveSpans carries the span table of a move's new shape from the
+// evaluation to the apply of the same proposal, so an accepted move
+// replays the coverage update from the table instead of rasterising the
+// new shape a second time. The old shape's table comes from its owner
+// (State.ShapeSpans, or a periodic worker's private copy). The cache is
+// keyed on the exact new shape; CoverMovePrepared re-rasterises on any
+// mismatch, so a stale cache can never corrupt state. Each
+// engine/worker owns its own MoveSpans scratch — the table must not
+// live on the shared State, where speculative shadows would race on it.
 type MoveSpans struct {
-	OldC, NewC geom.Ellipse
-	Valid      bool
-	spans      []geom.Span
-	nOld       int
+	NewC  geom.Ellipse
+	Valid bool
+	spans []geom.Span
 }
 
-// Matches reports whether the cached tables describe exactly the given
-// move.
-func (ms *MoveSpans) Matches(oldC, newC geom.Ellipse) bool {
-	return ms != nil && ms.Valid && ms.OldC == oldC && ms.NewC == newC
+// Matches reports whether the cached table is exactly newC's.
+func (ms *MoveSpans) Matches(newC geom.Ellipse) bool {
+	return ms != nil && ms.Valid && ms.NewC == newC
 }
 
-// Invalidate drops the cached tables.
+// Invalidate drops the cached table.
 func (ms *MoveSpans) Invalidate() {
 	if ms != nil {
 		ms.Valid = false
 	}
 }
 
-// LikDeltaMovePrepared prices replacing oldC with newC (oldC must be
-// covered) and leaves both span tables in ms for the matching
-// CoverMovePrepared call. Read-only on the field; steady-state calls
-// reuse ms's backing array and allocate nothing. When ms already holds
-// oldC's table — workers retrying moves of the same owned shape within
-// a local phase hit this constantly — only newC's spans are computed;
-// the tables are geometry-only, so a retained old table can never go
-// stale. Tables are only meaningful on the field they were built for:
-// each engine/worker owns one scratch per field.
-func (f *Field) LikDeltaMovePrepared(oldC, newC geom.Ellipse, ms *MoveSpans) float64 {
-	if ms.Valid && ms.OldC == oldC {
-		all := geom.AppendShapeSpans(ms.spans[:ms.nOld], f.W, f.H, newC)
-		ms.spans = all
-		ms.NewC = newC
-		return f.likDeltaMoveSpans(all[:ms.nOld], all[ms.nOld:])
+// prepare rasterises newC into ms unless ms already holds its table,
+// and returns the table.
+func (f *Field) prepare(newC geom.Ellipse, ms *MoveSpans) []geom.Span {
+	if !ms.Matches(newC) {
+		ms.spans = geom.AppendShapeSpans(ms.spans[:0], f.W, f.H, newC)
+		ms.NewC, ms.Valid = newC, true
 	}
-	ms.Valid = false
-	all := geom.AppendShapeSpans(ms.spans[:0], f.W, f.H, oldC)
-	ms.nOld = len(all)
-	all = geom.AppendShapeSpans(all, f.W, f.H, newC)
-	ms.spans = all
-	ms.OldC, ms.NewC = oldC, newC
-	ms.Valid = true
-	return f.likDeltaMoveSpans(all[:ms.nOld], all[ms.nOld:])
+	return ms.spans
+}
+
+// LikDeltaMovePrepared prices replacing the shape whose span table is
+// old (and which must be covered) with newC, leaving newC's table in ms
+// for the matching CoverMovePrepared call. Read-only on the field;
+// steady-state calls reuse ms's backing array and allocate nothing.
+// Tables are only meaningful on the field they were built for: each
+// engine/worker owns one scratch per field.
+func (f *Field) LikDeltaMovePrepared(old []geom.Span, newC geom.Ellipse, ms *MoveSpans) float64 {
+	return f.likDeltaMoveSpans(old, f.prepare(newC, ms))
 }
 
 // LikDeltaMove prices replacing oldC with newC without retaining span
@@ -684,34 +676,26 @@ func (f *Field) LikDeltaMove(oldC, newC geom.Ellipse) float64 {
 	return f.likDeltaMoveSpans(all[:nOld], all[nOld:])
 }
 
-// CoverMovePrepared applies the coverage update of the move cached in ms
-// if it matches (oldC, newC), and recomputes the span tables otherwise.
-// The tables are geometry-only (spans never depend on coverage), so they
-// stay valid after the apply.
-func (f *Field) CoverMovePrepared(oldC, newC geom.Ellipse, ms *MoveSpans) {
-	if ms.Matches(oldC, newC) {
-		f.coverMoveSpans(ms.spans[:ms.nOld], ms.spans[ms.nOld:])
-		return
-	}
-	f.CoverMove(oldC, newC)
-}
-
-// CoverMove updates the coverage for a move from oldC to newC in one
-// pass over the two span tables; per row only the symmetric difference
-// is touched.
-func (f *Field) CoverMove(oldC, newC geom.Ellipse) {
-	var buf [2 * spanStack]geom.Span
-	all := geom.AppendShapeSpans(buf[:0], f.W, f.H, oldC)
-	nOld := len(all)
-	all = geom.AppendShapeSpans(all, f.W, f.H, newC)
-	f.coverMoveSpans(all[:nOld], all[nOld:])
+// CoverMovePrepared applies the coverage update of a move from the shape
+// with span table old to newC, replaying newC's table from ms when it
+// matches and rasterising it into ms otherwise. It returns newC's table
+// (owned by ms), which the caller keeps as the moved shape's table.
+func (f *Field) CoverMovePrepared(old []geom.Span, newC geom.Ellipse, ms *MoveSpans) []geom.Span {
+	spans := f.prepare(newC, ms)
+	f.coverMoveSpans(old, spans)
+	return spans
 }
 
 // CoverAdd adjusts the coverage counts for shape c by d (+1 to add the
 // shape, −1 to remove it).
 func (f *Field) CoverAdd(c geom.Ellipse, d int32) {
 	var buf [spanStack]geom.Span
-	for _, sp := range geom.AppendShapeSpans(buf[:0], f.W, f.H, c) {
+	f.coverSpans(geom.AppendShapeSpans(buf[:0], f.W, f.H, c), d)
+}
+
+// coverSpans adds d to the coverage of every pixel of a span table.
+func (f *Field) coverSpans(spans []geom.Span, d int32) {
+	for _, sp := range spans {
 		f.coverAddRange(int(sp.Y), int(sp.X0), int(sp.X1), d)
 	}
 }

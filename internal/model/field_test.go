@@ -2,11 +2,30 @@ package model
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/rng"
 )
+
+// CoverMove updates the coverage for a move from oldC to newC by
+// rasterising both shapes, the table-less commit the state no longer
+// uses; the tests and the cold benchmarks compare the span-table replay
+// against it.
+func (f *Field) CoverMove(oldC, newC geom.Ellipse) {
+	var buf [2 * spanStack]geom.Span
+	all := geom.AppendShapeSpans(buf[:0], f.W, f.H, oldC)
+	nOld := len(all)
+	all = geom.AppendShapeSpans(all, f.W, f.H, newC)
+	f.coverMoveSpans(all[:nOld], all[nOld:])
+}
+
+// CoverMove is the free-function view of Field.CoverMove.
+func CoverMove(cover []int32, w, h int, oldC, newC geom.Ellipse) {
+	f := fieldView(nil, nil, cover, w, h)
+	f.CoverMove(oldC, newC)
+}
 
 // testField builds a Field with occupancy tracking over a random gain
 // image and nCover random shapes applied through the naive reference.
@@ -204,9 +223,10 @@ func FuzzFusedKernelDifferential(f *testing.F) {
 }
 
 // TestMoveSpansCacheReplay pins the span-table cache contract: a
-// prepared eval followed by the matching CoverMovePrepared must mutate
-// coverage exactly like the uncached pair, an old-shape cache hit must
-// not change results, and a mismatched cache must fall back safely.
+// prepared eval against the old shape's table followed by the matching
+// CoverMovePrepared must mutate coverage exactly like the uncached pair,
+// return the new shape's table, and a mismatched cache must fall back
+// safely.
 func TestMoveSpansCacheReplay(t *testing.T) {
 	const w, h = 64, 48
 	r := rng.New(71)
@@ -221,43 +241,43 @@ func TestMoveSpansCacheReplay(t *testing.T) {
 	fa.InitOcc()
 	NaiveCoverAdd(fb.Cover, w, h, oldC, +1)
 	fb.InitOcc()
+	// old plays the state's stored table of the moving shape.
+	old := geom.AppendShapeSpans(nil, w, h, oldC)
 
 	for trial := 0; trial < 200; trial++ {
 		newC := resized(oldC.Translate(r.Uniform(-3, 3), r.Uniform(-3, 3)), r.Uniform(-1, 1))
-		dA := fa.LikDeltaMovePrepared(oldC, newC, &ms)
+		dA := fa.LikDeltaMovePrepared(old, newC, &ms)
 		dB := fb.LikDeltaMove(oldC, newC)
 		if math.Abs(dA-dB) > diffTol {
 			t.Fatalf("trial %d: prepared delta %v, plain %v", trial, dA, dB)
 		}
-		if trial%3 == 0 { // accept: replay the cached tables
-			fa.CoverMovePrepared(oldC, newC, &ms)
+		if trial%3 == 0 { // accept: replay the cached table
+			if trial%6 == 0 {
+				ms.Invalidate() // force the re-rasterising path too
+			}
+			got := fa.CoverMovePrepared(old, newC, &ms)
 			fb.CoverMove(oldC, newC)
 			for i := range fa.Cover {
 				if fa.Cover[i] != fb.Cover[i] {
 					t.Fatalf("trial %d: cover mismatch at (%d,%d)", trial, i%w, i/w)
 				}
 			}
-			oldC = newC
-			// The next eval re-keys on the new old shape; ms retains the
-			// just-applied new table as its old table via OldC bookkeeping
-			// only when shapes match — force both paths over the run.
-			if trial%6 == 0 {
-				ms.Invalidate()
-			} else {
-				ms.OldC, ms.NewC = newC, newC
-				ms.Valid = false
+			if !reflect.DeepEqual(got, geom.AppendShapeSpans(nil, w, h, newC)) {
+				t.Fatalf("trial %d: CoverMovePrepared returned a table that is not the new shape's", trial)
 			}
+			old = append(old[:0], got...)
+			oldC = newC
 		}
 	}
-	// Mismatched cache: CoverMovePrepared must fall back to CoverMove.
+	// Mismatched cache: CoverMovePrepared must re-rasterise.
 	other := geom.Disc(40, 30, 5)
 	NaiveCoverAdd(fa.Cover, w, h, other, +1)
 	fa.InitOcc()
 	NaiveCoverAdd(fb.Cover, w, h, other, +1)
 	fb.InitOcc()
 	moved := other.Translate(2, 1)
-	stale := MoveSpans{OldC: geom.Disc(1, 1, 2), NewC: geom.Disc(3, 3, 2), Valid: true}
-	fa.CoverMovePrepared(other, moved, &stale)
+	stale := MoveSpans{NewC: geom.Disc(3, 3, 2), Valid: true}
+	fa.CoverMovePrepared(geom.AppendShapeSpans(nil, w, h, other), moved, &stale)
 	fb.CoverMove(other, moved)
 	for i := range fa.Cover {
 		if fa.Cover[i] != fb.Cover[i] {

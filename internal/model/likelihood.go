@@ -34,9 +34,9 @@ import (
 //  1. Exactness: span edges are pinned to the canonical coverage
 //     predicate (dx²+dy² ≤ r² at the pixel centre), so span kernels visit
 //     *exactly* the pixels the historical per-pixel scans visited. The
-//     retained naive reference kernels in naive.go are pinned to the span
-//     kernels by differential tests: likelihood deltas agree to 1e-9 and
-//     coverage arrays match exactly.
+//     test-only naive reference kernels (naive_test.go) are pinned to the
+//     span kernels by differential tests: likelihood deltas agree to 1e-9
+//     and coverage arrays match exactly.
 //  2. Disjointness: spans of a circle are contained in its clipped pixel
 //     bounding box, so the partition-parallel safety argument above is
 //     unchanged — owned circles still touch only pixels strictly inside
@@ -67,14 +67,6 @@ func BuildGainRowSums(gain []float64, w, h int) []float64 {
 		}
 	}
 	return sums
-}
-
-// discSpan returns the clipped integer pixel range of c's bounding box
-// (the naive reference kernels scan it per pixel).
-func discSpan(w, h int, c geom.Ellipse) (x0, y0, x1, y1 int) {
-	x0, x1 = c.PixelCols(w)
-	y0, y1 = c.PixelRows(h)
-	return
 }
 
 // spanStack is the per-call stack capacity for batched shape spans:
@@ -117,14 +109,6 @@ func LikDeltaMove(gain, gsum []float64, cover []int32, w, h int, oldC, newC geom
 func CoverAdd(cover []int32, w, h int, c geom.Ellipse, d int32) {
 	f := fieldView(nil, nil, cover, w, h)
 	f.CoverAdd(c, d)
-}
-
-// CoverMove updates the coverage for a move from old to new in one walk
-// over the two span tables; per row only the symmetric difference of the
-// two spans is touched.
-func CoverMove(cover []int32, w, h int, oldC, newC geom.Ellipse) {
-	f := fieldView(nil, nil, cover, w, h)
-	f.CoverMove(oldC, newC)
 }
 
 func minInt(a, b int) int {

@@ -88,9 +88,14 @@ func BenchmarkLikDeltaMove(b *testing.B) {
 	var sink float64
 	b.Run("scanline", func(b *testing.B) {
 		b.ReportAllocs()
+		// The production eval: the old shape's table is stored, the new
+		// shape is rasterised on every call (Invalidate defeats the
+		// cache a repeated newC would otherwise hit).
 		var ms MoveSpans
+		old := geom.AppendShapeSpans(nil, 512, 512, oldC)
 		for i := 0; i < b.N; i++ {
-			sink += f.LikDeltaMovePrepared(oldC, newC, &ms)
+			ms.Invalidate()
+			sink += f.LikDeltaMovePrepared(old, newC, &ms)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
@@ -133,19 +138,22 @@ func BenchmarkCoverMove(b *testing.B) {
 	newC := oldC.Translate(1.7, -2.1)
 	f.CoverAdd(oldC, +1)
 	// scanline measures the production apply: an accepted move replays
-	// the span tables its evaluation prepared (State.EvalMoveCached →
-	// ApplyMoveCached), so no row span is computed twice. cold recomputes
+	// the new-shape table its evaluation prepared (State.EvalMoveCached
+	// → ApplyMoveCached) against the stored old-shape table, so no row
+	// span is computed twice. cold recomputes
 	// the spans, the pre-span-cache behaviour.
 	b.Run("scanline", func(b *testing.B) {
 		b.ReportAllocs()
 		var there, back MoveSpans
-		f.LikDeltaMovePrepared(oldC, newC, &there)
-		f.LikDeltaMovePrepared(newC, oldC, &back)
+		oldSp := geom.AppendShapeSpans(nil, 512, 512, oldC)
+		newSp := geom.AppendShapeSpans(nil, 512, 512, newC)
+		f.LikDeltaMovePrepared(oldSp, newC, &there)
+		f.LikDeltaMovePrepared(newSp, oldC, &back)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			// Move there and back: leaves cover unchanged between pairs.
-			f.CoverMovePrepared(oldC, newC, &there)
-			f.CoverMovePrepared(newC, oldC, &back)
+			f.CoverMovePrepared(oldSp, newC, &there)
+			f.CoverMovePrepared(newSp, oldC, &back)
 		}
 	})
 	b.Run("cold", func(b *testing.B) {
@@ -200,9 +208,14 @@ func BenchmarkLikDeltaMoveEllipse(b *testing.B) {
 	var sink float64
 	b.Run("scanline", func(b *testing.B) {
 		b.ReportAllocs()
+		// The production eval: the old shape's table is stored, the new
+		// shape is rasterised on every call (Invalidate defeats the
+		// cache a repeated newC would otherwise hit).
 		var ms MoveSpans
+		old := geom.AppendShapeSpans(nil, 512, 512, oldC)
 		for i := 0; i < b.N; i++ {
-			sink += f.LikDeltaMovePrepared(oldC, newC, &ms)
+			ms.Invalidate()
+			sink += f.LikDeltaMovePrepared(old, newC, &ms)
 		}
 	})
 	b.Run("naive", func(b *testing.B) {
@@ -223,12 +236,14 @@ func BenchmarkCoverMoveEllipse(b *testing.B) {
 	b.Run("scanline", func(b *testing.B) {
 		b.ReportAllocs()
 		var there, back MoveSpans
-		f.LikDeltaMovePrepared(oldC, newC, &there)
-		f.LikDeltaMovePrepared(newC, oldC, &back)
+		oldSp := geom.AppendShapeSpans(nil, 512, 512, oldC)
+		newSp := geom.AppendShapeSpans(nil, 512, 512, newC)
+		f.LikDeltaMovePrepared(oldSp, newC, &there)
+		f.LikDeltaMovePrepared(newSp, oldC, &back)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			f.CoverMovePrepared(oldC, newC, &there)
-			f.CoverMovePrepared(newC, oldC, &back)
+			f.CoverMovePrepared(oldSp, newC, &there)
+			f.CoverMovePrepared(newSp, oldC, &back)
 		}
 	})
 	b.Run("cold", func(b *testing.B) {

@@ -6,13 +6,21 @@ import "repro/internal/geom"
 //
 // These are the original bounding-box implementations of the likelihood
 // and coverage primitives: scan the clipped pixel bounding box and test
-// the canonical coverage predicate per pixel. They are retained as the
-// ground truth the scanline kernels in likelihood.go are differentially
-// tested and benchmarked against — do not "optimise" them. The predicate
+// the canonical coverage predicate per pixel. They are the test-only
+// ground truth the scanline kernels are differentially tested and
+// benchmarked against — do not "optimise" them. The predicate
 // is geom.Ellipse.CoversPixel, the same one RowSpan pins its edges to,
 // so naive and scanline kernels evaluate identical arithmetic on every
 // architecture (for discs, CoversPixel reduces bit-exactly to the
 // historical dx²+dy² ≤ r² comparison with forced per-multiply rounding).
+
+// discSpan returns the clipped integer pixel range of c's bounding box
+// (the naive reference kernels scan it per pixel).
+func discSpan(w, h int, c geom.Ellipse) (x0, y0, x1, y1 int) {
+	x0, x1 = c.PixelCols(w)
+	y0, y1 = c.PixelRows(h)
+	return
+}
 
 // NaiveLikDeltaAdd is the bounding-box reference for LikDeltaAdd.
 func NaiveLikDeltaAdd(gain []float64, cover []int32, w, h int, c geom.Ellipse) float64 {

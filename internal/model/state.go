@@ -41,6 +41,16 @@ type State struct {
 	Cfg   *Config
 	Index *BucketIndex
 
+	// tables holds each live shape's span table, indexed by ID: a shape
+	// is rasterised once when it enters the state or changes, and every
+	// evaluation that prices or removes it reads the stored table (see
+	// ShapeSpans). Tables are derived data, never serialised; they are
+	// written only by the mutation paths, on the driving goroutine.
+	tables []spanTable
+	// rowCap is the row capacity a fresh table is given: enough for any
+	// shape inside the prior's support, so recycled IDs never regrow.
+	rowCap int
+
 	logLik   float64
 	logPrior float64
 	logArea  float64
@@ -71,6 +81,7 @@ func NewState(img *imaging.Image, p Params) (*State, error) {
 
 		logLambda: math.Log(p.Lambda),
 		prior:     p.shapePrior(),
+		rowCap:    min(img.H, 2*int(math.Ceil(p.MaxRadius))+2),
 	}
 	for i, v := range img.Pix {
 		s.Gain[i] = p.PixelGain(v)
@@ -81,6 +92,80 @@ func NewState(img *imaging.Image, p Params) (*State, error) {
 	// Empty configuration: lik 0 (relative), prior = count term for n=0.
 	s.logPrior = 0 // 0·logλ − lgamma(1) − 0·logA = 0
 	return s, nil
+}
+
+// spanTable is one live shape's stored rasterisation: the spans of
+// exactly c when ok.
+type spanTable struct {
+	c     geom.Ellipse
+	ok    bool
+	spans []geom.Span
+}
+
+// ShapeSpans returns the span table of live shape id: the stored table
+// when it was rasterised from the shape's current value, otherwise a
+// fresh rasterisation appended to scratch[:0] (nil scratch allocates).
+// Read-only, so concurrent evaluations may call it; the returned stored
+// table stays valid until the state next mutates.
+func (s *State) ShapeSpans(id int, scratch []geom.Span) []geom.Span {
+	c := s.Cfg.Get(id)
+	if spans, ok := s.stored(id, c); ok {
+		return spans
+	}
+	return geom.AppendShapeSpans(scratch[:0], s.W, s.H, c)
+}
+
+// stored returns id's table if it was rasterised from exactly c.
+func (s *State) stored(id int, c geom.Ellipse) ([]geom.Span, bool) {
+	if id < len(s.tables) {
+		if t := &s.tables[id]; t.ok && t.c == c {
+			return t.spans, true
+		}
+	}
+	return nil, false
+}
+
+// table returns id's table slot, growing the table list on first use of
+// an ID. Backing arrays stay with the slot across ID recycling.
+func (s *State) table(id int) *spanTable {
+	for len(s.tables) <= id {
+		s.tables = append(s.tables, spanTable{spans: make([]geom.Span, 0, s.rowCap)})
+	}
+	return &s.tables[id]
+}
+
+// rasterise stores and returns a fresh span table of c for id.
+func (s *State) rasterise(id int, c geom.Ellipse) []geom.Span {
+	t := s.table(id)
+	t.spans = geom.AppendShapeSpans(t.spans[:0], s.W, s.H, c)
+	t.c, t.ok = c, true
+	return t.spans
+}
+
+// storeSpans stores a copy of spans, which must be c's span table, as
+// id's table.
+func (s *State) storeSpans(id int, c geom.Ellipse, spans []geom.Span) {
+	t := s.table(id)
+	t.spans = append(t.spans[:0], spans...)
+	t.c, t.ok = c, true
+}
+
+// ownSpans returns live shape id's stored table, re-rasterising it first
+// if it is missing or stale. Mutation paths only.
+func (s *State) ownSpans(id int) []geom.Span {
+	c := s.Cfg.Get(id)
+	if spans, ok := s.stored(id, c); ok {
+		return spans
+	}
+	return s.rasterise(id, c)
+}
+
+// dropSpans marks id's table dead, keeping its backing array for the
+// next shape that takes the ID.
+func (s *State) dropSpans(id int) {
+	if id < len(s.tables) {
+		s.tables[id].ok = false
+	}
 }
 
 // Bounds returns the image rectangle.
@@ -188,8 +273,8 @@ func (s *State) EvalAdd(c geom.Ellipse) (dLik, dPrior float64) {
 // ApplyAdd inserts c and updates every cache; it returns the new ID.
 // The deltas must come from a matching EvalAdd on the unchanged state.
 func (s *State) ApplyAdd(c geom.Ellipse, dLik, dPrior float64) int {
-	s.F.CoverAdd(c, +1)
 	id := s.Cfg.Add(c)
+	s.F.coverSpans(s.rasterise(id, c), +1)
 	s.Index.Insert(id, c.X, c.Y)
 	s.logLik += dLik
 	s.logPrior += dPrior
@@ -198,43 +283,27 @@ func (s *State) ApplyAdd(c geom.Ellipse, dLik, dPrior float64) int {
 
 // EvalRemove returns the posterior delta of removing circle id.
 func (s *State) EvalRemove(id int) (dLik, dPrior float64) {
-	c := s.Cfg.Get(id)
 	dPrior = s.priorDeltaRemove(id)
-	dLik = s.F.LikDeltaRemove(c)
+	dLik = -s.F.sumSpans(s.ShapeSpans(id, nil), 1)
 	return dLik, dPrior
 }
 
 // ApplyRemove deletes circle id and updates every cache.
 func (s *State) ApplyRemove(id int, dLik, dPrior float64) {
 	c := s.Cfg.Get(id)
-	s.F.CoverAdd(c, -1)
+	s.F.coverSpans(s.ownSpans(id), -1)
 	s.Index.Remove(id, c.X, c.Y)
 	s.Cfg.Remove(id)
+	s.dropSpans(id)
 	s.logLik += dLik
 	s.logPrior += dPrior
 }
 
-// EvalMove returns the posterior delta of replacing circle id with newC
-// (a shift and/or resize).
-func (s *State) EvalMove(id int, newC geom.Ellipse) (dLik, dPrior float64) {
-	oldC := s.Cfg.Get(id)
-	if !s.validPosition(newC) {
-		return 0, math.Inf(-1)
-	}
-	dPrior = s.prior.logShape(newC) - s.prior.logShape(oldC)
-	if math.IsInf(dPrior, -1) {
-		return 0, dPrior
-	}
-	dPrior -= s.P.OverlapPenalty * (s.OverlapSum(newC, id) - s.OverlapSum(oldC, id))
-	dLik = s.F.LikDeltaMove(oldC, newC)
-	return dLik, dPrior
-}
-
-// EvalMoveCached is EvalMove with span-table retention: the old and new
-// span tables computed during pricing are left in ms, so a matching
-// ApplyMoveCached replays the coverage update from the tables instead of
-// recomputing every row span. The engines thread a per-engine scratch
-// through here; the likelihood delta is bit-identical to EvalMove's.
+// EvalMoveCached returns the posterior delta of replacing circle id with
+// newC (a shift and/or resize). newC's span table computed during
+// pricing is left in ms, so a matching ApplyMoveCached replays the
+// coverage update from it instead of rasterising newC again; the
+// engines thread a per-engine scratch through here.
 func (s *State) EvalMoveCached(id int, newC geom.Ellipse, ms *MoveSpans) (dLik, dPrior float64) {
 	oldC := s.Cfg.Get(id)
 	if !s.validPosition(newC) {
@@ -245,27 +314,18 @@ func (s *State) EvalMoveCached(id int, newC geom.Ellipse, ms *MoveSpans) (dLik, 
 		return 0, dPrior
 	}
 	dPrior -= s.P.OverlapPenalty * (s.OverlapSum(newC, id) - s.OverlapSum(oldC, id))
-	dLik = s.F.LikDeltaMovePrepared(oldC, newC, ms)
+	dLik = s.F.LikDeltaMovePrepared(s.ShapeSpans(id, nil), newC, ms)
 	return dLik, dPrior
 }
 
-// ApplyMove replaces circle id with newC and updates every cache.
-func (s *State) ApplyMove(id int, newC geom.Ellipse, dLik, dPrior float64) {
-	oldC := s.Cfg.Get(id)
-	s.F.CoverMove(oldC, newC)
-	s.Index.Move(id, oldC.X, oldC.Y, newC.X, newC.Y)
-	s.Cfg.Update(id, newC)
-	s.logLik += dLik
-	s.logPrior += dPrior
-}
-
-// ApplyMoveCached is ApplyMove reusing the span tables a matching
-// EvalMoveCached left in ms; on any key mismatch (e.g. a speculative
-// executor committing a shadow's proposal) it falls back to recomputing
-// the spans, so it is always safe to call.
+// ApplyMoveCached replaces circle id with newC and updates every cache,
+// reusing the new-shape table a matching EvalMoveCached left in ms; on a
+// key mismatch (e.g. a speculative executor committing a shadow's
+// proposal) the table is rasterised afresh into ms, so it is always safe
+// to call. newC's table becomes the shape's stored table.
 func (s *State) ApplyMoveCached(id int, newC geom.Ellipse, dLik, dPrior float64, ms *MoveSpans) {
 	oldC := s.Cfg.Get(id)
-	s.F.CoverMovePrepared(oldC, newC, ms)
+	s.storeSpans(id, newC, s.F.CoverMovePrepared(s.ownSpans(id), newC, ms))
 	s.Index.Move(id, oldC.X, oldC.Y, newC.X, newC.Y)
 	s.Cfg.Update(id, newC)
 	s.logLik += dLik
@@ -274,12 +334,14 @@ func (s *State) ApplyMoveCached(id int, newC geom.Ellipse, dLik, dPrior float64,
 
 // CommitMoved records that circle id was already moved externally — its
 // coverage updates were applied directly to Cover by a partition worker —
-// and refreshes the configuration and index only. Cached totals are
-// folded in separately via AddDeltas.
-func (s *State) CommitMoved(id int, newC geom.Ellipse) {
+// and refreshes the configuration, index and stored span table only;
+// spans must be newC's span table (the worker's final copy). Cached
+// totals are folded in separately via AddDeltas.
+func (s *State) CommitMoved(id int, newC geom.Ellipse, spans []geom.Span) {
 	oldC := s.Cfg.Get(id)
 	s.Index.Move(id, oldC.X, oldC.Y, newC.X, newC.Y)
 	s.Cfg.Update(id, newC)
+	s.storeSpans(id, newC, spans)
 }
 
 // Recompute recalculates the relative log-likelihood and log-prior from

@@ -9,6 +9,20 @@ import (
 	"repro/internal/rng"
 )
 
+// EvalMove prices a move without keeping the new shape's table: the
+// reference the cached production path (EvalMoveCached) is checked
+// against.
+func (s *State) EvalMove(id int, newC geom.Ellipse) (dLik, dPrior float64) {
+	var ms MoveSpans
+	return s.EvalMoveCached(id, newC, &ms)
+}
+
+// ApplyMove commits a move priced by EvalMove, rasterising newC afresh.
+func (s *State) ApplyMove(id int, newC geom.Ellipse, dLik, dPrior float64) {
+	var ms MoveSpans
+	s.ApplyMoveCached(id, newC, dLik, dPrior, &ms)
+}
+
 func testImage(t *testing.T, w, h int, seed uint64) *imaging.Image {
 	t.Helper()
 	r := rng.New(seed)
@@ -258,7 +272,7 @@ func TestCommitMovedKeepsIndexConsistent(t *testing.T) {
 	dLik := s.F.LikDeltaMove(c, newC)
 	s.F.CoverMove(c, newC)
 	dPrior := s.LogShapePrior(newC) - s.LogShapePrior(c)
-	s.CommitMoved(id, newC)
+	s.CommitMoved(id, newC, geom.AppendShapeSpans(nil, s.W, s.H, newC))
 	s.AddDeltas(dLik, dPrior)
 	likErr, priorErr, coverOK := s.CheckConsistency()
 	if likErr > 1e-9 || priorErr > 1e-9 || !coverOK {

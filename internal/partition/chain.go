@@ -3,6 +3,8 @@ package partition
 import (
 	"context"
 	"math"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/geom"
@@ -10,7 +12,6 @@ import (
 	"repro/internal/mcmc"
 	"repro/internal/model"
 	"repro/internal/rng"
-	"repro/internal/sched"
 )
 
 // Chain is one partition's sampler as a steppable unit: it advances in
@@ -43,6 +44,11 @@ type Chain struct {
 	converged bool
 	done      bool
 	seconds   float64
+
+	// inFlight guards the one-advancer contract: a chain is a sequential
+	// sampler, so the scheduler must never hand it to two workers at
+	// once. Advance panics if it is ever entered concurrently.
+	inFlight atomic.Int32
 }
 
 // NewChain crops region out of img, estimates its prior via eq. 5 and
@@ -100,16 +106,22 @@ func (c *Chain) Iters() int64 {
 	return c.executed
 }
 
-// Advance runs up to budget further iterations. Work proceeds in
+// Advance runs up to budget further iterations and returns how many it
+// ran (fewer once the chain converges or hits its cap). Work proceeds in
 // sub-increments aligned to absolute multiples of the detector cadence,
 // so the iterations at which convergence is tested — and therefore the
 // exact point the chain stops — do not depend on how callers size or
-// split their budgets.
-func (c *Chain) Advance(budget int) {
+// split their budgets, nor on which goroutine runs them.
+func (c *Chain) Advance(budget int) int {
 	if c.done || budget <= 0 {
-		return
+		return 0
 	}
+	if c.inFlight.Add(1) != 1 {
+		panic("partition: chain advanced by two workers at once")
+	}
+	defer c.inFlight.Add(-1)
 	start := time.Now()
+	ran := 0
 	for budget > 0 && !c.done {
 		n := c.checkEvery - int(c.executed)%c.checkEvery
 		if rem := c.maxIters - int(c.executed); rem < n {
@@ -120,6 +132,7 @@ func (c *Chain) Advance(budget int) {
 		}
 		c.Eng.RunN(n)
 		c.executed += int64(n)
+		ran += n
 		budget -= n
 		atCheck := int(c.executed)%c.checkEvery == 0
 		if atCheck {
@@ -135,6 +148,7 @@ func (c *Chain) Advance(budget int) {
 		}
 	}
 	c.seconds += time.Since(start).Seconds()
+	return ran
 }
 
 // Result maps the chain's outcome back to parent-image coordinates.
@@ -209,55 +223,144 @@ func RestoreChain(img *imaging.Image, cfg Config, d ChainDump) (*Chain, error) {
 	return c, nil
 }
 
-// RoundInfo describes one Drive round over a chain set.
-type RoundInfo struct {
-	// Chains and Done count all chains and the finished ones after the
-	// round; Iters sums reported iterations across chains.
-	Chains, Done int
-	Iters        int64
-}
-
-// DriveChunk is the default per-round iteration budget used by the Run*
+// DriveChunk is the default per-chain step budget used by the Run*
 // entry points — a few milliseconds of work per region between
 // cancellation checks, mirroring the whole-image strategies.
 const DriveChunk = 5000
 
-// Drive advances every unfinished chain by chunk iterations per round,
-// running chains of a round concurrently on up to `workers` goroutines,
-// until all chains are done or ctx is cancelled. onRound, when non-nil,
-// observes progress after every round (on the caller's goroutine).
-// Chains own disjoint state and deterministic RNG streams, so results
-// are independent of workers, round sizing, and cancellation timing.
-func Drive(ctx context.Context, chains []*Chain, workers, chunk int, onRound func(RoundInfo)) error {
+// Drive steps the chains (see Step) with per-chain budget chunk until
+// all are done or ctx is cancelled. Chains own disjoint state and
+// deterministic RNG streams, so results are independent of workers,
+// step sizing, and cancellation timing.
+func Drive(ctx context.Context, chains []*Chain, workers, chunk int) error {
 	if chunk < 1 {
 		chunk = DriveChunk
 	}
-	active := make([]*Chain, 0, len(chains))
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		active = active[:0]
-		for _, c := range chains {
-			if !c.Done() {
-				active = append(active, c)
-			}
-		}
-		if len(active) == 0 {
+		if Step(chains, workers, chunk) {
 			return nil
 		}
-		sched.ForEach(len(active), workers, func(i int) { active[i].Advance(chunk) })
-		if onRound != nil {
-			info := RoundInfo{Chains: len(chains)}
-			for _, c := range chains {
-				if c.Done() {
-					info.Done++
-				}
-				info.Iters += c.Iters()
-			}
-			onRound(info)
+	}
+}
+
+// grainsPerChunk is how many grains a chain's share of one step is cut
+// into: the step's tail — the time a worker can idle at its end — is at
+// most one grain.
+const grainsPerChunk = 5
+
+// Step advances the unfinished chains by an aggregate budget of
+// n × unfinished iterations on up to workers goroutines and reports
+// whether every chain is done. It is the partitioned strategies' one
+// work-conserving scheduler: the budget is cut into grains of about
+// n/grainsPerChunk, and each worker repeatedly claims the idle
+// unfinished chain that has run least in this step, so a cheap chain
+// runs ahead whenever an expensive one is busy. No worker waits for a
+// slower chain while another chain has budget left; only the step's end
+// is a barrier, and its tail is at most one grain. A chain's result
+// depends only on its own seed and detector cadence, so the outcome is
+// independent of workers, grain size and timing — only the iteration
+// counts at which a step ends (where callers checkpoint) vary.
+func Step(chains []*Chain, workers, n int) bool {
+	if n < 1 {
+		n = 1
+	}
+	st := stepper{chains: chains, ran: make([]int, len(chains)), busy: make([]bool, len(chains))}
+	st.cond.L = &st.mu
+	unfinished := 0
+	for _, c := range chains {
+		if !c.Done() {
+			unfinished++
 		}
 	}
+	if unfinished == 0 {
+		return true
+	}
+	st.n, st.budget = n, n*unfinished
+	st.grain = max(1, n/grainsPerChunk)
+	workers = min(max(workers, 1), unfinished)
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			st.work()
+		}()
+	}
+	st.work()
+	wg.Wait()
+	for _, c := range chains {
+		if !c.Done() {
+			return false
+		}
+	}
+	return true
+}
+
+// stepper is one Step's shared claim state, guarded by mu.
+type stepper struct {
+	mu       sync.Mutex
+	cond     sync.Cond
+	chains   []*Chain
+	ran      []int  // iterations each chain ran in this step
+	busy     []bool // chain currently being advanced by a worker
+	inFlight int
+	budget   int // aggregate iterations not yet handed out
+	n        int // each unfinished chain's share of the budget
+	grain    int
+}
+
+// work claims grains until the step's budget is spent or every chain is
+// done, waiting only while all unfinished chains are busy.
+func (st *stepper) work() {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for st.budget > 0 {
+		i := st.claim()
+		if i < 0 {
+			if st.inFlight == 0 {
+				return
+			}
+			st.cond.Wait()
+			continue
+		}
+		g := min(st.grain, st.budget)
+		st.budget -= g
+		st.busy[i] = true
+		st.inFlight++
+		st.mu.Unlock()
+		ran := st.chains[i].Advance(g)
+		st.mu.Lock()
+		st.busy[i] = false
+		st.inFlight--
+		st.ran[i] += ran
+		st.budget += g - ran
+		if st.chains[i].Done() {
+			// A finished chain's unspent share of the step is withdrawn,
+			// not handed to the others: steps then do about the work of
+			// a lockstep round of n per chain, so cancellation and
+			// checkpoint granularity are what they were.
+			st.budget -= max(0, st.n-st.ran[i])
+		}
+		st.cond.Broadcast()
+	}
+}
+
+// claim returns the idle unfinished chain with the least iterations run
+// in this step (lowest index on ties), or -1 when there is none.
+func (st *stepper) claim() int {
+	best := -1
+	for i, c := range st.chains {
+		if st.busy[i] || c.Done() {
+			continue
+		}
+		if best < 0 || st.ran[i] < st.ran[best] {
+			best = i
+		}
+	}
+	return best
 }
 
 // NewChains builds one chain per region with deterministic per-region

@@ -99,13 +99,13 @@ func (r RegionResult) TimePerIter() float64 {
 
 // runRegions executes the given regions as chains on up to `workers`
 // goroutines with deterministic per-region RNG streams, checking ctx
-// between chunk-aligned rounds, and returns results in region order.
+// between steps, and returns results in region order.
 func runRegions(ctx context.Context, img *imaging.Image, regions []geom.Rect, cfg Config, workers int) ([]RegionResult, error) {
 	chains, err := NewChains(img, regions, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := Drive(ctx, chains, workers, DriveChunk, nil); err != nil {
+	if err := Drive(ctx, chains, workers, DriveChunk); err != nil {
 		return nil, err
 	}
 	results := make([]RegionResult, len(chains))
@@ -126,7 +126,7 @@ func RunSequential(ctx context.Context, img *imaging.Image, cfg Config) (RegionR
 	if err != nil {
 		return RegionResult{}, err
 	}
-	if err := Drive(ctx, []*Chain{chain}, 1, DriveChunk, nil); err != nil {
+	if err := Drive(ctx, []*Chain{chain}, 1, DriveChunk); err != nil {
 		return RegionResult{}, err
 	}
 	return chain.Result(), nil

@@ -172,6 +172,13 @@ func TestObserverInvariance(t *testing.T) {
 
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	_, w, h, cases := determinismCases(t)
+	// The region scheduler lets a cheap chain run ahead of a busy one,
+	// so partitioned checkpoints can catch unfinished chains at unequal
+	// iteration counts. Whether a step boundary does depends on timing,
+	// so each partitioned case also checkpoints such a state by
+	// construction; at least one must, and every one must resume
+	// exactly.
+	uneven := 0
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -196,6 +203,10 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if len(blobs) == 0 {
 				t.Fatal("run finished without emitting a mid-run checkpoint; enlarge the test scene")
 			}
+			if blob := unevenCheckpoint(t, pix, w, h, tc.opt); blob != nil {
+				blobs = append(blobs, blob)
+				uneven++
+			}
 			// Resume from every captured checkpoint; each continuation
 			// must reproduce the uninterrupted result bit for bit.
 			for i, blob := range blobs {
@@ -211,6 +222,57 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			}
 		})
 	}
+	if uneven == 0 {
+		t.Error("no Intelligent or Blind checkpoint caught unfinished chains at unequal iteration counts")
+	}
+}
+
+// unevenCheckpoint returns a checkpoint of a partitioned run with two
+// or more chains whose unfinished chains have run unequal iteration
+// counts (chain i advanced by (i+1)·700), or nil for any other case.
+func unevenCheckpoint(t *testing.T, pix []float64, w, h int, opt Options) []byte {
+	t.Helper()
+	env, err := newRunEnv(pix, w, h, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := strategyFor(env.opt.Strategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smp, err := def.factory(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr *regionRunner
+	switch sp := smp.(type) {
+	case *blindSampler:
+		rr = &sp.regionRunner
+	case *intelligentSampler:
+		rr = &sp.regionRunner
+	}
+	if rr == nil || len(rr.chains) < 2 {
+		return nil
+	}
+	counts := map[int64]bool{}
+	for i, c := range rr.chains {
+		c.Advance((i + 1) * 700)
+		if !c.Done() {
+			counts[c.Iters()] = true
+		}
+	}
+	if len(counts) < 2 {
+		t.Fatalf("constructed checkpoint has unfinished chains at %v iterations, want unequal counts", counts)
+	}
+	cp, err := buildCheckpoint(env, smp, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := cp.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 func TestCheckpointAfterCancellation(t *testing.T) {

@@ -8,15 +8,14 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mcmc"
 	"repro/internal/partition"
-	"repro/internal/sched"
 )
 
 // regionRunner is the shared machinery of the partitioned strategies
-// (Intelligent, Blind): a set of independent region chains advanced in
-// lockstep chunks on a bounded worker pool. Each Step is one parallel
-// round over the not-yet-converged chains, so cancellation is honoured
-// between rounds — chunk-aligned, like the whole-image strategies —
-// and every round boundary is a valid checkpoint.
+// (Intelligent, Blind): a set of independent region chains advanced on
+// a bounded worker pool. Each Step is one partition.Step over the
+// not-yet-converged chains, so cancellation is honoured between steps —
+// chunk-aligned, like the whole-image strategies — and every step
+// boundary is a valid checkpoint.
 type regionRunner struct {
 	env    *runEnv
 	cfg    partition.Config
@@ -39,28 +38,14 @@ func (rr *regionRunner) AlignChunk(n int) int {
 	return n
 }
 
-// step advances every unfinished chain by up to n iterations, in
-// parallel, and reports whether all chains are done. Chains own
+// step advances the unfinished chains by an aggregate n iterations
+// each on the partitioned strategies' work-conserving scheduler
+// (partition.Step) and reports whether all chains are done. Chains own
 // disjoint state and deterministic RNG streams, so results do not
-// depend on the worker count or on which rounds ran before a
+// depend on the worker count or on which steps ran before a
 // cancellation.
 func (rr *regionRunner) step(_ context.Context, n int) (bool, error) {
-	active := make([]*partition.Chain, 0, len(rr.chains))
-	for _, c := range rr.chains {
-		if !c.Done() {
-			active = append(active, c)
-		}
-	}
-	if len(active) == 0 {
-		return true, nil
-	}
-	sched.ForEach(len(active), rr.env.opt.Workers, func(i int) { active[i].Advance(n) })
-	for _, c := range active {
-		if !c.Done() {
-			return false, nil
-		}
-	}
-	return true, nil
+	return partition.Step(rr.chains, rr.env.opt.Workers, n), nil
 }
 
 // progress aggregates chain state into a Progress snapshot.
