@@ -45,15 +45,17 @@ test-short:
 test:
 	$(GO) test ./...
 
-# The sampler stack on one and on two cores, so a test that only holds
-# at one GOMAXPROCS fails here; internal/core runs the shared gang's
-# spin-or-park paths both ways, and internal/partition runs its region
-# chains concurrently on its work-conserving scheduler (partition.Step).
-# pkg/service joins once its
-# recovery tests stop depending on the core count.
-CPU_PKGS := ./internal/model ./internal/mcmc ./internal/spec ./internal/sched ./internal/core ./internal/partition ./pkg/parmcmc
+# The sampler stack and the service on one and on two cores, so a test
+# that only holds at one GOMAXPROCS fails here; internal/core runs the
+# shared gang's spin-or-park paths both ways, internal/partition runs its
+# region chains concurrently on its work-conserving scheduler
+# (partition.Step), and pkg/service drains running jobs into
+# checkpoints. The service's recovery tests skip under -short, so they
+# run in a second, full pass of their own.
+CPU_PKGS := ./internal/model ./internal/mcmc ./internal/spec ./internal/sched ./internal/core ./internal/partition ./pkg/parmcmc ./pkg/service
 test-cpu:
 	$(GO) test -short -cpu 1,2 $(CPU_PKGS)
+	$(GO) test -cpu 1,2 -run 'Recovery|Restarted' ./pkg/service
 
 # Full suite under the race detector (the Runner tests exercise >1
 # worker, so this is the concurrency gate).

@@ -288,7 +288,7 @@ func BenchmarkLikelihoodDelta(b *testing.B) {
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += model.LikDeltaAdd(s.Gain, s.GainSum, s.Cover, s.W, s.H, c)
+		sink += s.F.LikDeltaAdd(c)
 	}
 	_ = sink
 }

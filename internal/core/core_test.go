@@ -479,3 +479,44 @@ func TestClaimOrderLPT(t *testing.T) {
 		}
 	}
 }
+
+// Shapes far smaller than an occupancy block: the ownership margin's
+// block-disjointness floor is what keeps two concurrent cell workers off
+// each other's 8×8 occupancy counters. Run under -race (make race), a
+// shared block shows up as a data race on the field's coverage writes.
+func TestPeriodicTinyShapesBlockDisjoint(t *testing.T) {
+	const size, count, radius = 64, 90, 1.2
+	scene := imaging.Synthesize(imaging.SceneSpec{
+		W: size, H: size, Count: count, MeanRadius: radius, RadiusStdDev: 0.2, Noise: 0.06,
+	}, rng.New(21))
+	s, err := model.NewState(scene.Image, model.DefaultParams(count, radius))
+	if err != nil {
+		t.Fatal(err)
+	}
+	host := mcmc.MustNew(s, rng.New(22), mcmc.DefaultWeights(), mcmc.DefaultStepSizes(radius))
+	host.RunN(20000) // populate the scene before the parallel phases
+	pe, err := NewEngine(host, Options{LocalPhaseIters: 2000, GridXM: 16, GridYM: 16, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pe.Close()
+	var concurrentAccepts int64
+	for round := 0; round < 40; round++ {
+		pe.Run(2500)
+		if len(pe.activeBuf) < 2 {
+			continue
+		}
+		for _, w := range pe.activeBuf {
+			for _, n := range w.stats.Accepted {
+				concurrentAccepts += n
+			}
+		}
+	}
+	if concurrentAccepts == 0 {
+		t.Fatal("no local move was accepted in a concurrent phase: the test exercises nothing")
+	}
+	likErr, priorErr, coverOK := s.CheckConsistency()
+	if likErr > 1e-6 || priorErr > 1e-6 || !coverOK {
+		t.Fatalf("concurrent tiny-shape phases corrupted state: lik=%v prior=%v cover=%v", likErr, priorErr, coverOK)
+	}
+}

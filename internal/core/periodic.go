@@ -389,19 +389,16 @@ func (pe *Engine) localPhase(n int) {
 		}
 		pe.SimLocalSeconds += sched.Makespan(costs, sched.LPTAssign(costs, pe.Opt.Workers))
 	} else if pe.gang == nil || len(active) <= 1 {
-		// Nothing runs concurrently: no gang round, and the field keeps
-		// its plain occupancy counters.
+		// Nothing runs concurrently: no gang round.
 		for _, w := range active {
 			w.run()
 		}
 	} else {
-		// Concurrent workers write disjoint pixels but share occupancy
-		// blocks that straddle cell boundaries: switch the field's
-		// counter updates to atomics for the phase.
+		// Concurrent workers touch disjoint pixels and disjoint
+		// occupancy blocks of the shared field (block-disjoint ownership,
+		// see cellWorker), so they run on it with plain stores.
 		pe.sortClaimOrder()
-		s.F.SetParallel(true)
 		pe.gang.Run(len(active), pe.runCell)
-		s.F.SetParallel(false)
 	}
 
 	pe.mergeWorkers(active)

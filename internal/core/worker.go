@@ -20,7 +20,10 @@ import (
 //     partition's boundary").
 //   - Owned circles therefore touch only pixels strictly inside the
 //     cell, so concurrent workers mutate disjoint regions of the shared
-//     coverage buffer and read disjoint pixel gains.
+//     coverage buffer and read disjoint pixel gains. The margin is never
+//     below the field's block halo, so the workers also touch disjoint
+//     8×8 occupancy blocks: ownership is block-disjoint, and every
+//     coverage and counter write is a plain store (see model.Field).
 //   - Circles of other cells are visible only as read-only snapshot
 //     copies taken at the phase barrier; the margin guarantees they can
 //     never overlap an owned circle during the phase, so the overlap-

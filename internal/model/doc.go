@@ -9,10 +9,11 @@
 //
 // The package exposes two layers:
 //
-//   - Primitive delta evaluators (LikDeltaAdd, LikDeltaMove, CoverAdd, ...)
-//     that operate on raw gain/coverage buffers. The parallel engines call
-//     these directly from partition workers, which own disjoint pixel
-//     regions of the shared buffers.
+//   - Field, the batched span kernels (LikDeltaAdd, LikDeltaMovePrepared,
+//     CoverMovePrepared, ...) over the shared gain and coverage buffers.
+//     The parallel engines call these directly from partition workers,
+//     which own disjoint pixel regions — and disjoint occupancy blocks —
+//     of the shared buffers.
 //   - State, a cached full configuration (shapes + coverage + running
 //     log-posterior + spatial index) used by the sequential engine and as
 //     the merge target for parallel phases. State.Recompute provides the
@@ -22,7 +23,7 @@
 //
 // Field shadows the coverage buffer with an 8×8-block summary: for each
 // block b, occ[2b] is the total coverage mass inside the block and
-// occ[2b+1] is the count of in-image pixels. Two skip rules follow:
+// occ[2b+1] is the count of covered pixels. Two skip rules follow:
 //
 //   - mass == 0: the block is uniformly uncovered. An add prices it in
 //     O(1) from the gain prefix sums (BuildGainRowSums); a remove or
@@ -32,18 +33,17 @@
 //     there goes 1→2 (no gain change).
 //
 // Every cover commit keeps the summary exact — there is no staleness
-// window. Parallel writers (SetParallel) preserve the invariant that a
-// reader never observes mass < what the count implies: increases write
-// mass before count, decreases write count before mass, both with
-// atomic operations. A torn read can therefore only make a block look
-// *less* skippable, never more, so concurrent pricing stays
-// conservative rather than wrong.
+// window. There is one layout and plain access throughout: concurrent
+// periodic-partition workers never share a block, because the ownership
+// margin (Params.LocalityMargin) is never below blockHalo, so the pixels
+// of two workers' shapes are more than a block width apart on some axis.
 //
-// The fused kernels (LikDelta*+Cover* in one walk, and the MoveSpans
-// span-table replay for move commits) must match the separate
-// evaluators bit-for-bit on coverage and to 1e-9 on likelihood; the
-// differential tests and FuzzFusedKernelDifferential pin this against
-// the test-only naive bounding-box kernels in naive_test.go.
+// The move commit replays the new shape's span table from a MoveSpans
+// cache (LikDeltaMovePrepared, then CoverMovePrepared), so a proposal
+// rasterises each shape once. The kernels must match the test-only naive
+// bounding-box references in naive_test.go bit-for-bit on coverage and to
+// 1e-9 on likelihood; the differential tests and FuzzLikDeltaDifferential
+// pin this through occupancy-backed Fields.
 //
 // # Span tables
 //

@@ -146,13 +146,12 @@ func (s *State) Restore(d StateDump) error {
 	for i := range s.tables {
 		s.tables[i].ok = false
 	}
-	// Re-cover from freshly rasterised tables, bypassing the Field's
-	// occupancy counters, then rebuild those from the restored coverage.
-	raw := fieldView(nil, nil, s.Cover, s.W, s.H)
-	s.Cfg.ForEach(func(id int, c geom.Ellipse) {
-		raw.coverSpans(s.rasterise(id, c), +1)
-	})
+	// Re-cover from freshly rasterised tables through the Field, whose
+	// occupancy counters start from the cleared coverage.
 	s.F.InitOcc()
+	s.Cfg.ForEach(func(id int, c geom.Ellipse) {
+		s.F.coverSpans(s.rasterise(id, c), +1)
+	})
 	s.logLik = d.LogLik
 	s.logPrior = d.LogPrior
 	return nil

@@ -10,8 +10,9 @@ import (
 
 // LikDeltaMulti returns the relative log-likelihood change from removing
 // the circles in removed and adding those in added, in one read-only pass
-// over the union of their scanline spans. It generalises LikDeltaAdd /
-// LikDeltaRemove / LikDeltaMove to arbitrary exchanges (split, merge).
+// over the union of their scanline spans, with the field's occupancy
+// skip. It generalises LikDeltaAdd / LikDeltaRemove / LikDeltaMove to
+// arbitrary exchanges (split, merge).
 //
 // Per row, each circle contributes one span; span endpoints cut the row
 // into segments of constant removed/added multiplicity, each summed via
@@ -21,13 +22,6 @@ import (
 // EvalExchange guarantees): inside a segment covered by dRem removed
 // circles, cover ≥ dRem, which is what lets net-loss segments reduce to
 // a single coverage-equality sum.
-func LikDeltaMulti(gain, gsum []float64, cover []int32, w, h int, removed, added []geom.Ellipse) float64 {
-	f := fieldView(gain, gsum, cover, w, h)
-	return f.LikDeltaMulti(removed, added)
-}
-
-// LikDeltaMulti prices an atomic exchange (see the free function above)
-// with the field's occupancy skip. Read-only.
 func (f *Field) LikDeltaMulti(removed, added []geom.Ellipse) float64 {
 	return f.exchangeShapes(removed, added, true, false)
 }
@@ -153,19 +147,19 @@ func TestLikDeltaMultiMatchesComposition(t *testing.T) {
 		for i := 0; i < nAdd; i++ {
 			added = append(added, randCircle(r, s))
 		}
-		got := LikDeltaMulti(s.Gain, s.GainSum, s.Cover, s.W, s.H, circlesOf(s, remIDs), added)
+		got := s.F.LikDeltaMulti(circlesOf(s, remIDs), added)
 
-		// Compose on scratch copies of the cover buffer.
-		cover := append([]int32(nil), s.Cover...)
+		// Compose on a scratch copy of the cover buffer.
+		f := occField(s.Gain, s.GainSum, append([]int32(nil), s.Cover...), s.W, s.H)
 		want := 0.0
 		for _, id := range remIDs {
 			c := s.Cfg.Get(id)
-			want += LikDeltaRemove(s.Gain, s.GainSum, cover, s.W, s.H, c)
-			CoverAdd(cover, s.W, s.H, c, -1)
+			want += f.LikDeltaRemove(c)
+			f.CoverAdd(c, -1)
 		}
 		for _, c := range added {
-			want += LikDeltaAdd(s.Gain, s.GainSum, cover, s.W, s.H, c)
-			CoverAdd(cover, s.W, s.H, c, +1)
+			want += f.LikDeltaAdd(c)
+			f.CoverAdd(c, +1)
 		}
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("LikDeltaMulti = %v, composed = %v", got, want)
@@ -195,21 +189,21 @@ func TestLikDeltaMoveDisjointBoxes(t *testing.T) {
 			math.Mod(oldC.X+64, 128), math.Mod(oldC.Y+64, 128),
 			r.Uniform(s.P.MinRadius, s.P.MaxRadius),
 		)
-		got := LikDeltaMove(s.Gain, s.GainSum, s.Cover, s.W, s.H, oldC, newC)
+		got := s.F.LikDeltaMove(oldC, newC)
 		// Compose remove+add on a scratch buffer.
-		cover := append([]int32(nil), s.Cover...)
-		want := LikDeltaRemove(s.Gain, s.GainSum, cover, s.W, s.H, oldC)
-		CoverAdd(cover, s.W, s.H, oldC, -1)
-		want += LikDeltaAdd(s.Gain, s.GainSum, cover, s.W, s.H, newC)
-		CoverAdd(cover, s.W, s.H, newC, +1)
+		f := occField(s.Gain, s.GainSum, append([]int32(nil), s.Cover...), s.W, s.H)
+		want := f.LikDeltaRemove(oldC)
+		f.CoverAdd(oldC, -1)
+		want += f.LikDeltaAdd(newC)
+		f.CoverAdd(newC, +1)
 		if math.Abs(got-want) > 1e-9 {
 			t.Fatalf("disjoint move delta %v, composed %v", got, want)
 		}
 		// And CoverMove must equal the composition.
-		cm := append([]int32(nil), s.Cover...)
-		CoverMove(cm, s.W, s.H, oldC, newC)
-		for k := range cm {
-			if cm[k] != cover[k] {
+		cm := occField(nil, nil, append([]int32(nil), s.Cover...), s.W, s.H)
+		cm.CoverMove(oldC, newC)
+		for k := range cm.Cover {
+			if cm.Cover[k] != f.Cover[k] {
 				t.Fatal("CoverMove disagrees with remove+add composition")
 			}
 		}

@@ -1,7 +1,7 @@
 package model
 
 import (
-	"sync/atomic"
+	"slices"
 
 	"repro/internal/geom"
 )
@@ -19,9 +19,10 @@ import (
 //	occ[2b]   = Σ cover[p] over the block's pixels (total coverage mass)
 //	occ[2b+1] = #{p in block : cover[p] > 0}      (covered-pixel count)
 //
-// Both are maintained incrementally by coverAddRange, the single choke
-// point through which every coverage mutation flows. They answer the two
-// uniformity questions the kernels ask in O(blocks) instead of O(pixels):
+// Both are maintained incrementally by coverAddRange and coverCrescent,
+// the choke points through which every coverage mutation flows. They
+// answer the two uniformity questions the kernels ask in O(blocks)
+// instead of O(pixels):
 //
 //   - "is every pixel of this span uncovered?" — yes if every touched
 //     block has occ[2b] == 0;
@@ -37,30 +38,13 @@ import (
 //
 // # Parallel local phases
 //
-// During periodic-partition local phases multiple workers mutate
-// disjoint pixel regions concurrently, but an 8×8 block may straddle two
-// workers' regions. SetParallel(true) switches the occupancy counters to
-// atomic access for the duration of the phase. The update ordering makes
-// concurrent skip decisions sound without any locking:
-//
-//   - increases bump the mass counter before the covered count,
-//   - decreases drop the covered count before the mass counter,
-//
-// so an observed mass value never undershoots the true value and an
-// observed (mass, count) pair always satisfies mass ≥ count. A racing
-// observer can therefore see a spurious non-uniform block (costing one
-// unnecessary scan of pixels it owns anyway) but never a spurious
-// uniform one. occ==nil disables the occupancy layer entirely; kernels
-// then behave exactly like the historical free functions.
-//
-// In the compact sequential layout eight blocks' counters share one
-// 64-byte cache line, so neighbouring workers' atomic updates would
-// ping-pong the line even though their pixel regions are disjoint.
-// SetParallel therefore also relayouts the table: parallel phases run on
-// a padded copy with one cache line per block (parStride words), and the
-// barrier relayouts back to the compact form so the sequential kernels
-// keep their dense, prefetch-friendly indexing. Both directions reuse a
-// pooled spare buffer; steady-state phase flips allocate nothing.
+// Periodic-partition local phases run cell workers concurrently on one
+// Field with plain loads and stores, counters included. Ownership is
+// block-disjoint: a worker modifies only shapes inside its cell by at
+// least Params.LocalityMargin() ≥ blockHalo, so the pixels — and the
+// occupancy blocks of their bounding box, the most spansUniform reads —
+// of two workers' shapes are more than a block width apart on some axis.
+// No block is read or written by two workers in one phase.
 type Field struct {
 	W, H int
 
@@ -71,15 +55,10 @@ type Field struct {
 	// Cover holds the per-pixel coverage counts.
 	Cover []int32
 
-	// occ holds the per-block occupancy counters (row-major blocks, bW
-	// per block row); nil disables occupancy tracking. Stride 2 in
-	// sequential mode, parStride during parallel phases (see SetParallel).
+	// occ holds the per-block occupancy counter pairs (row-major blocks,
+	// bW per block row); InitOcc builds it.
 	occ []int32
-	// occSpare pools the inactive layout's buffer between phase flips.
-	occSpare []int32
-	bW       int
-	// par switches occ access to atomics; toggled only at phase barriers.
-	par bool
+	bW  int
 }
 
 const (
@@ -90,12 +69,13 @@ const (
 	// instead of probing the occupancy blocks first.
 	thinSpan = blockSize
 
-	// parStride is the per-block word stride of the padded parallel
-	// layout: 16 int32 = 64 bytes, one cache line per block (mass at
-	// word 0, covered count at word 1, the rest padding). Go's allocator
-	// page-aligns the large-image tables where contention matters, so
-	// block lines don't straddle.
-	parStride = 16
+	// blockHalo is the smallest ownership margin that keeps two periodic
+	// workers' occupancy blocks disjoint: shapes owned under it cover
+	// only pixels whose centres lie ≥ blockHalo inside their cells, so
+	// pixels of different workers are ≥ 2·blockHalo > blockSize apart on
+	// some axis. The pixel beyond blockSize/2 absorbs the rounding
+	// between a shape's analytic extent and its rasterised spans.
+	blockHalo = blockSize/2 + 1
 )
 
 // blocksPerRow returns the occupancy-grid width for an image width w.
@@ -127,49 +107,6 @@ func (f *Field) InitOcc() {
 			}
 		}
 	}
-	if f.par {
-		f.relayoutOcc(true)
-	}
-}
-
-// SetParallel switches the occupancy counters between plain (sequential)
-// and atomic (parallel local phase) access, relayouting the table so
-// each block owns a full cache line while workers hammer it with
-// atomics (see the false-sharing note in the type doc). It must only be
-// called at a barrier, with no kernel running concurrently.
-func (f *Field) SetParallel(on bool) {
-	if on == f.par {
-		return
-	}
-	f.par = on
-	if f.occ != nil {
-		f.relayoutOcc(on)
-	}
-}
-
-// relayoutOcc rewrites the active occupancy table from the compact
-// (stride-2) to the padded (stride-parStride) layout or back, swapping
-// with the pooled spare buffer. Padding words are never read, so they
-// are left stale.
-func (f *Field) relayoutOcc(toPadded bool) {
-	from, to := parStride, 2
-	if toPadded {
-		from, to = 2, parStride
-	}
-	nb := len(f.occ) / from
-	need := nb * to
-	buf := f.occSpare
-	if cap(buf) >= need {
-		buf = buf[:need]
-	} else {
-		buf = make([]int32, need)
-	}
-	for b := 0; b < nb; b++ {
-		buf[to*b] = f.occ[from*b]
-		buf[to*b+1] = f.occ[from*b+1]
-	}
-	f.occSpare = f.occ[:0]
-	f.occ = buf
 }
 
 // occUniform reports whether every block touched by row-y span [xa, xb)
@@ -180,19 +117,6 @@ func (f *Field) occUniform(y, xa, xb int, want int32) bool {
 	base := (y >> blockShift) * f.bW
 	b0 := base + xa>>blockShift
 	b1 := base + (xb-1)>>blockShift
-	if f.par {
-		for b := b0; b <= b1; b++ {
-			s := atomic.LoadInt32(&f.occ[parStride*b])
-			if want == 0 {
-				if s != 0 {
-					return false
-				}
-			} else if s != atomic.LoadInt32(&f.occ[parStride*b+1]) {
-				return false
-			}
-		}
-		return true
-	}
 	for b := b0; b <= b1; b++ {
 		s := f.occ[2*b]
 		if want == 0 {
@@ -218,7 +142,7 @@ func (f *Field) sumSpan(y, xa, xb int, want int32) float64 {
 	// scan outright than to probe: the probe touches the same cache
 	// lines as the scan and, for want != 0 near a live shape, almost
 	// always fails anyway. Either way the result is exact.
-	if f.occ != nil && want <= 1 && xb-xa > thinSpan && f.occUniform(y, xa, xb, want) {
+	if want <= 1 && xb-xa > thinSpan && f.occUniform(y, xa, xb, want) {
 		return total
 	}
 	a, b := y*f.W+xa, y*f.W+xb
@@ -250,29 +174,13 @@ func (f *Field) sumSpan(y, xa, xb int, want int32) float64 {
 // occupancy counters in sync, panicking if a count would go negative —
 // that means the caller's bookkeeping desynchronised. The per-pixel
 // transition counting is merged into the write loop, one flush per
-// block crossing, honouring the parallel-mode ordering discipline
-// (mass up first on increase, count down first on decrease).
+// block crossing.
 func (f *Field) coverAddRange(y, xa, xb int, d int32) {
 	if d == 0 || xa >= xb {
 		return
 	}
 	row := y * f.W
 	seg := f.Cover[row+xa : row+xb]
-	if f.occ == nil {
-		if d > 0 {
-			for i := range seg {
-				seg[i] += d
-			}
-			return
-		}
-		for i := range seg {
-			seg[i] += d
-			if seg[i] < 0 {
-				panic("model: negative coverage count")
-			}
-		}
-		return
-	}
 	base := (y >> blockShift) * f.bW
 	if bx := xa >> blockShift; bx == (xb-1)>>blockShift {
 		// Single-block segment — the overwhelmingly common case for move
@@ -297,25 +205,9 @@ func (f *Field) coverAddRange(y, xa, xb int, d int32) {
 				}
 			}
 		}
-		ds := d * int32(len(seg))
-		if f.par {
-			n := parStride * (base + bx)
-			if d > 0 {
-				atomic.AddInt32(&f.occ[n], ds)
-				if trans != 0 {
-					atomic.AddInt32(&f.occ[n+1], trans)
-				}
-			} else {
-				if trans != 0 {
-					atomic.AddInt32(&f.occ[n+1], trans)
-				}
-				atomic.AddInt32(&f.occ[n], ds)
-			}
-		} else {
-			n := 2 * (base + bx)
-			f.occ[n] += ds
-			f.occ[n+1] += trans
-		}
+		n := 2 * (base + bx)
+		f.occ[n] += d * int32(len(seg))
+		f.occ[n+1] += trans
 		return
 	}
 	for i := 0; i < len(seg); {
@@ -343,25 +235,9 @@ func (f *Field) coverAddRange(y, xa, xb int, d int32) {
 				}
 			}
 		}
-		ds := d * int32(end-i)
-		if f.par {
-			n := parStride * (base + bx)
-			if d > 0 {
-				atomic.AddInt32(&f.occ[n], ds)
-				if trans != 0 {
-					atomic.AddInt32(&f.occ[n+1], trans)
-				}
-			} else {
-				if trans != 0 {
-					atomic.AddInt32(&f.occ[n+1], trans)
-				}
-				atomic.AddInt32(&f.occ[n], ds)
-			}
-		} else {
-			n := 2 * (base + bx)
-			f.occ[n] += ds
-			f.occ[n+1] += trans
-		}
+		n := 2 * (base + bx)
+		f.occ[n] += d * int32(end-i)
+		f.occ[n+1] += trans
 		i = end
 	}
 }
@@ -385,7 +261,7 @@ func (f *Field) sumSpans(spans []geom.Span, want int32) float64 {
 	if len(spans) == 0 {
 		return 0
 	}
-	if f.occ != nil && want <= 1 && f.spansUniform(spans, want) {
+	if want <= 1 && f.spansUniform(spans, want) {
 		delta := 0.0
 		w1 := f.W + 1
 		gs := f.GainSum
@@ -407,34 +283,7 @@ func (f *Field) sumSpans(spans []geom.Span, want int32) float64 {
 // occUniform). The box is a superset of every span, so a uniform box
 // proves every span's own block set uniform.
 func (f *Field) spansUniform(spans []geom.Span, want int32) bool {
-	x0, x1 := spans[0].X0, spans[0].X1
-	for _, sp := range spans[1:] {
-		if sp.X0 < x0 {
-			x0 = sp.X0
-		}
-		if sp.X1 > x1 {
-			x1 = sp.X1
-		}
-	}
-	bx0, bx1 := int(x0)>>blockShift, int(x1-1)>>blockShift
-	by0 := int(spans[0].Y) >> blockShift
-	by1 := int(spans[len(spans)-1].Y) >> blockShift
-	if f.par {
-		for by := by0; by <= by1; by++ {
-			row := by * f.bW
-			for b := row + bx0; b <= row+bx1; b++ {
-				s := atomic.LoadInt32(&f.occ[parStride*b])
-				if want == 0 {
-					if s != 0 {
-						return false
-					}
-				} else if s != atomic.LoadInt32(&f.occ[parStride*b+1]) {
-					return false
-				}
-			}
-		}
-		return true
-	}
+	bx0, bx1, by0, by1 := spanBlocks(spans)
 	for by := by0; by <= by1; by++ {
 		row := by * f.bW
 		for b := row + bx0; b <= row+bx1; b++ {
@@ -449,6 +298,23 @@ func (f *Field) spansUniform(spans []geom.Span, want int32) bool {
 		}
 	}
 	return true
+}
+
+// spanBlocks returns the inclusive block-column and block-row ranges of
+// the bounding box of a non-empty, row-sorted span table: every
+// occupancy block a kernel pricing those spans may read.
+func spanBlocks(spans []geom.Span) (bx0, bx1, by0, by1 int) {
+	x0, x1 := spans[0].X0, spans[0].X1
+	for _, sp := range spans[1:] {
+		if sp.X0 < x0 {
+			x0 = sp.X0
+		}
+		if sp.X1 > x1 {
+			x1 = sp.X1
+		}
+	}
+	return int(x0) >> blockShift, int(x1-1) >> blockShift,
+		int(spans[0].Y) >> blockShift, int(spans[len(spans)-1].Y) >> blockShift
 }
 
 // LikDeltaAdd returns the change in relative log-likelihood from adding
@@ -515,10 +381,6 @@ func (f *Field) likDeltaMoveSpans(old, new []geom.Span) float64 {
 // prepared span tables: +1 on new \ old, −1 on old \ new, same segment
 // structure as likDeltaMoveSpans.
 func (f *Field) coverMoveSpans(old, new []geom.Span) {
-	// Shared rows dominate a move's symmetric difference; hoist the
-	// row and block-row offsets plus the occ/par dispatch out of the
-	// per-crescent calls there.
-	fast := f.occ != nil && !f.par
 	i, j := 0, 0
 	for i < len(old) && j < len(new) {
 		oy, ny := old[i].Y, new[j].Y
@@ -533,34 +395,21 @@ func (f *Field) coverMoveSpans(old, new []geom.Span) {
 			y := int(oy)
 			oa, ob := int(old[i].X0), int(old[i].X1)
 			na, nb := int(new[j].X0), int(new[j].X1)
-			if fast {
-				row := y * f.W
-				base := (y >> blockShift) * f.bW
-				if r := minInt(nb, oa); na < r {
-					f.coverCrescent(row, base, na, r, +1)
-				}
-				if l := maxInt(na, ob); l < nb {
-					f.coverCrescent(row, base, l, nb, +1)
-				}
-				if r := minInt(ob, na); oa < r {
-					f.coverCrescent(row, base, oa, r, -1)
-				}
-				if l := maxInt(oa, nb); l < ob {
-					f.coverCrescent(row, base, l, ob, -1)
-				}
-			} else {
-				if r := minInt(nb, oa); na < r {
-					f.coverAddRange(y, na, r, +1)
-				}
-				if l := maxInt(na, ob); l < nb {
-					f.coverAddRange(y, l, nb, +1)
-				}
-				if r := minInt(ob, na); oa < r {
-					f.coverAddRange(y, oa, r, -1)
-				}
-				if l := maxInt(oa, nb); l < ob {
-					f.coverAddRange(y, l, ob, -1)
-				}
+			// Shared rows dominate a move's symmetric difference; hoist
+			// the row and block-row offsets out of the crescent calls.
+			row := y * f.W
+			base := (y >> blockShift) * f.bW
+			if r := minInt(nb, oa); na < r {
+				f.coverCrescent(row, base, na, r, +1)
+			}
+			if l := maxInt(na, ob); l < nb {
+				f.coverCrescent(row, base, l, nb, +1)
+			}
+			if r := minInt(ob, na); oa < r {
+				f.coverCrescent(row, base, oa, r, -1)
+			}
+			if l := maxInt(oa, nb); l < ob {
+				f.coverCrescent(row, base, l, ob, -1)
 			}
 			i++
 			j++
@@ -575,10 +424,9 @@ func (f *Field) coverMoveSpans(old, new []geom.Span) {
 }
 
 // coverCrescent adds d to cover[row+xa : row+xb) and updates the block
-// occupancy, in sequential mode only — the caller checked occ != nil &&
-// !par once for the whole row and hoisted row (the row's pixel offset)
-// and base (its block-row offset). Semantically identical to
-// coverAddRange on the same range.
+// occupancy; the caller hoisted row (the row's pixel offset) and base
+// (its block-row offset) once for the whole row. Semantically identical
+// to coverAddRange on the same range.
 func (f *Field) coverCrescent(row, base, xa, xb int, d int32) {
 	bx := xa >> blockShift
 	if (xb-1)>>blockShift != bx {
@@ -700,120 +548,26 @@ func (f *Field) coverSpans(spans []geom.Span, d int32) {
 	}
 }
 
-// FusedAddCover adds shape c to the coverage and returns the
-// log-likelihood delta in the same span walk — one span computation and
-// one pass over the touched pixels instead of an eval walk plus an apply
-// walk. The returned delta is bit-identical to LikDeltaAdd on the
-// pre-mutation state followed by CoverAdd(+1).
-func (f *Field) FusedAddCover(c geom.Ellipse) float64 {
-	var buf [spanStack]geom.Span
-	delta := 0.0
-	for _, sp := range geom.AppendShapeSpans(buf[:0], f.W, f.H, c) {
-		y, xa, xb := int(sp.Y), int(sp.X0), int(sp.X1)
-		delta += f.sumSpan(y, xa, xb, 0)
-		f.coverAddRange(y, xa, xb, +1)
-	}
-	return delta
-}
-
-// FusedRemoveCover removes shape c (which must be covered) and returns
-// the log-likelihood delta in the same span walk; bit-identical to
-// LikDeltaRemove followed by CoverAdd(−1).
-func (f *Field) FusedRemoveCover(c geom.Ellipse) float64 {
-	var buf [spanStack]geom.Span
-	delta := 0.0
-	for _, sp := range geom.AppendShapeSpans(buf[:0], f.W, f.H, c) {
-		y, xa, xb := int(sp.Y), int(sp.X0), int(sp.X1)
-		delta -= f.sumSpan(y, xa, xb, 1)
-		f.coverAddRange(y, xa, xb, -1)
-	}
-	return delta
-}
-
-// FusedMoveCover replaces oldC (which must be covered) with newC,
-// returning the log-likelihood delta, in a single walk over the two span
-// tables. Each symmetric-difference segment is priced and then written;
-// the segments are pairwise disjoint, so the deltas are bit-identical to
-// a full LikDeltaMove evaluation followed by CoverMove.
+// FusedMoveCover replaces oldC (which must be covered) with newC and
+// returns the log-likelihood delta: each shape is rasterised once, then
+// the move is priced and committed by the same pair of span walks an
+// accepted production move runs (LikDeltaMovePrepared, then
+// CoverMovePrepared).
 func (f *Field) FusedMoveCover(oldC, newC geom.Ellipse) float64 {
 	var buf [2 * spanStack]geom.Span
 	all := geom.AppendShapeSpans(buf[:0], f.W, f.H, oldC)
 	nOld := len(all)
 	all = geom.AppendShapeSpans(all, f.W, f.H, newC)
 	old, new := all[:nOld], all[nOld:]
-	delta := 0.0
-	i, j := 0, 0
-	for i < len(old) && j < len(new) {
-		oy, ny := old[i].Y, new[j].Y
-		switch {
-		case oy < ny:
-			y, xa, xb := int(oy), int(old[i].X0), int(old[i].X1)
-			delta -= f.sumSpan(y, xa, xb, 1)
-			f.coverAddRange(y, xa, xb, -1)
-			i++
-		case ny < oy:
-			y, xa, xb := int(ny), int(new[j].X0), int(new[j].X1)
-			delta += f.sumSpan(y, xa, xb, 0)
-			f.coverAddRange(y, xa, xb, +1)
-			j++
-		default:
-			y := int(oy)
-			oa, ob := int(old[i].X0), int(old[i].X1)
-			na, nb := int(new[j].X0), int(new[j].X1)
-			if r := minInt(nb, oa); na < r {
-				delta += f.sumSpan(y, na, r, 0)
-				f.coverAddRange(y, na, r, +1)
-			}
-			if l := maxInt(na, ob); l < nb {
-				delta += f.sumSpan(y, l, nb, 0)
-				f.coverAddRange(y, l, nb, +1)
-			}
-			if r := minInt(ob, na); oa < r {
-				delta -= f.sumSpan(y, oa, r, 1)
-				f.coverAddRange(y, oa, r, -1)
-			}
-			if l := maxInt(oa, nb); l < ob {
-				delta -= f.sumSpan(y, l, ob, 1)
-				f.coverAddRange(y, l, ob, -1)
-			}
-			i++
-			j++
-		}
-	}
-	for ; i < len(old); i++ {
-		y, xa, xb := int(old[i].Y), int(old[i].X0), int(old[i].X1)
-		delta -= f.sumSpan(y, xa, xb, 1)
-		f.coverAddRange(y, xa, xb, -1)
-	}
-	for ; j < len(new); j++ {
-		y, xa, xb := int(new[j].Y), int(new[j].X0), int(new[j].X1)
-		delta += f.sumSpan(y, xa, xb, 0)
-		f.coverAddRange(y, xa, xb, +1)
-	}
+	delta := f.likDeltaMoveSpans(old, new)
+	f.coverMoveSpans(old, new)
 	return delta
 }
 
 // occConsistent reports whether the occupancy counters match a fresh
-// rebuild from the coverage buffer. Tests and CheckConsistency use it;
-// a Field without occupancy tracking is trivially consistent.
+// rebuild from the coverage buffer. Tests and CheckConsistency use it.
 func (f *Field) occConsistent() bool {
-	if f.occ == nil {
-		return true
-	}
-	stride := 2
-	if f.par {
-		stride = parStride
-	}
 	ref := Field{W: f.W, H: f.H, Cover: f.Cover}
 	ref.InitOcc()
-	nb := len(ref.occ) / 2
-	if len(f.occ) != stride*nb {
-		return false
-	}
-	for b := 0; b < nb; b++ {
-		if f.occ[stride*b] != ref.occ[2*b] || f.occ[stride*b+1] != ref.occ[2*b+1] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(f.occ, ref.occ)
 }

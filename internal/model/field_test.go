@@ -21,26 +21,21 @@ func (f *Field) CoverMove(oldC, newC geom.Ellipse) {
 	f.coverMoveSpans(all[:nOld], all[nOld:])
 }
 
-// CoverMove is the free-function view of Field.CoverMove.
-func CoverMove(cover []int32, w, h int, oldC, newC geom.Ellipse) {
-	f := fieldView(nil, nil, cover, w, h)
-	f.CoverMove(oldC, newC)
+// occField wraps raw buffers in a Field whose occupancy counters are
+// built from cover's current contents, so the kernels run with the same
+// block skip as production. Tests that mutate cover behind the field's
+// back build a fresh one per call.
+func occField(gain, gsum []float64, cover []int32, w, h int) *Field {
+	f := &Field{W: w, H: h, Gain: gain, GainSum: gsum, Cover: cover}
+	f.InitOcc()
+	return f
 }
 
 // testField builds a Field with occupancy tracking over a random gain
 // image and nCover random shapes applied through the naive reference.
 func testField(r *rng.RNG, w, h, nCover int, kind geom.ShapeKind) *Field {
-	gain := make([]float64, w*h)
-	for i := range gain {
-		gain[i] = r.Uniform(-2, 2)
-	}
-	cover := make([]int32, w*h)
-	for k := 0; k < nCover; k++ {
-		NaiveCoverAdd(cover, w, h, diffShape(r, w, h, kind), +1)
-	}
-	f := &Field{W: w, H: h, Gain: gain, GainSum: BuildGainRowSums(gain, w, h), Cover: cover}
-	f.InitOcc()
-	return f
+	gain, gsum, cover := diffBuffers(r, w, h, nCover, kind)
+	return occField(gain, gsum, cover, w, h)
 }
 
 // TestBuildGainRowSumsEdgeRows pins the prefix-table layout at the
@@ -92,26 +87,24 @@ func TestBuildGainRowSumsEdgeRows(t *testing.T) {
 	}
 	// A one-pixel span through the Field kernel: LikDeltaAdd of a
 	// sub-pixel shape covering exactly one pixel equals that pixel's gain.
-	f := &Field{W: w, H: h, Gain: gain, GainSum: sums, Cover: make([]int32, w*h)}
-	f.InitOcc()
+	f := occField(gain, sums, make([]int32, w*h), w, h)
 	c := geom.Disc(4.5, 2.5, 0.4) // covers pixel (4,2) only
 	if got, want := f.LikDeltaAdd(c), gain[2*w+4]; math.Abs(got-want) > diffTol {
 		t.Fatalf("single-pixel add = %v, want %v", got, want)
 	}
 }
 
-// TestFusedKernelsMatchSeparate drives the fused eval+apply kernels
-// against the separate eval-then-apply pair over a long random
-// trajectory: likelihood deltas within diffTol, coverage and occupancy
-// bit-exact after every step.
+// TestFusedKernelsMatchSeparate drives FusedMoveCover against the
+// separate eval-then-apply pair over a long random trajectory of adds,
+// removes and moves: likelihood deltas within diffTol, coverage and
+// occupancy bit-exact after every step.
 func TestFusedKernelsMatchSeparate(t *testing.T) {
 	const w, h = 72, 56
 	for _, kind := range diffKinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			r := rng.New(51)
-			fa := testField(r, w, h, 0, kind) // fused
-			fb := &Field{W: w, H: h, Gain: fa.Gain, GainSum: fa.GainSum, Cover: make([]int32, w*h)}
-			fb.InitOcc() // separate eval + cover
+			fa := testField(r, w, h, 0, kind)                             // fused move
+			fb := occField(fa.Gain, fa.GainSum, make([]int32, w*h), w, h) // separate eval + cover
 			live := make([]geom.Ellipse, 0, 32)
 			for trial := 0; trial < 1200; trial++ {
 				var dA, dB float64
@@ -119,7 +112,8 @@ func TestFusedKernelsMatchSeparate(t *testing.T) {
 				case len(live) == 0 || r.Intn(3) == 0:
 					c := diffShape(r, w, h, kind)
 					live = append(live, c)
-					dA = fa.FusedAddCover(c)
+					dA = fa.LikDeltaAdd(c)
+					fa.CoverAdd(c, +1)
 					dB = fb.LikDeltaAdd(c)
 					fb.CoverAdd(c, +1)
 				case r.Intn(2) == 0:
@@ -127,7 +121,8 @@ func TestFusedKernelsMatchSeparate(t *testing.T) {
 					c := live[i]
 					live[i] = live[len(live)-1]
 					live = live[:len(live)-1]
-					dA = fa.FusedRemoveCover(c)
+					dA = fa.LikDeltaRemove(c)
+					fa.CoverAdd(c, -1)
 					dB = fb.LikDeltaRemove(c)
 					fb.CoverAdd(c, -1)
 				default:
@@ -160,9 +155,9 @@ func TestFusedKernelsMatchSeparate(t *testing.T) {
 	}
 }
 
-// FuzzFusedKernelDifferential fuzzes one fused add/move/remove round
-// against the separate kernels with arbitrary shape parameters:
-// likelihood deltas within diffTol, coverage bit-exact.
+// FuzzFusedKernelDifferential fuzzes one add/move/remove round, the move
+// through FusedMoveCover, against the separate kernels with arbitrary
+// shape parameters: likelihood deltas within diffTol, coverage bit-exact.
 func FuzzFusedKernelDifferential(f *testing.F) {
 	f.Add(12.0, 20.0, 6.0, 6.0, 0.0, 3.0, -2.0, 1.0)
 	f.Add(30.0, 10.0, 9.0, 4.0, 0.7, -5.0, 4.0, -1.5)
@@ -189,9 +184,7 @@ func FuzzFusedKernelDifferential(f *testing.F) {
 		}
 		r := rng.New(7)
 		fa := testField(r, w, h, 3, geom.KindEllipse)
-		fb := &Field{W: w, H: h, Gain: fa.Gain, GainSum: fa.GainSum,
-			Cover: append([]int32(nil), fa.Cover...)}
-		fb.InitOcc()
+		fb := occField(fa.Gain, fa.GainSum, append([]int32(nil), fa.Cover...), w, h)
 
 		check := func(stage string, dA, dB float64) {
 			t.Helper()
@@ -204,17 +197,21 @@ func FuzzFusedKernelDifferential(f *testing.F) {
 				}
 			}
 		}
+		dA := fa.LikDeltaAdd(e)
+		fa.CoverAdd(e, +1)
 		dB := fb.LikDeltaAdd(e)
 		fb.CoverAdd(e, +1)
-		check("add", fa.FusedAddCover(e), dB)
+		check("add", dA, dB)
 
 		dB = fb.LikDeltaMove(e, moved)
 		fb.CoverMove(e, moved)
 		check("move", fa.FusedMoveCover(e, moved), dB)
 
+		dA = fa.LikDeltaRemove(moved)
+		fa.CoverAdd(moved, -1)
 		dB = fb.LikDeltaRemove(moved)
 		fb.CoverAdd(moved, -1)
-		check("remove", fa.FusedRemoveCover(moved), dB)
+		check("remove", dA, dB)
 
 		if !fa.occConsistent() {
 			t.Fatal("occupancy counters drifted")
@@ -231,9 +228,7 @@ func TestMoveSpansCacheReplay(t *testing.T) {
 	const w, h = 64, 48
 	r := rng.New(71)
 	fa := testField(r, w, h, 4, geom.KindEllipse)
-	fb := &Field{W: w, H: h, Gain: fa.Gain, GainSum: fa.GainSum,
-		Cover: append([]int32(nil), fa.Cover...)}
-	fb.InitOcc()
+	fb := occField(fa.Gain, fa.GainSum, append([]int32(nil), fa.Cover...), w, h)
 
 	var ms MoveSpans
 	oldC := geom.Disc(20, 20, 6)
@@ -289,45 +284,77 @@ func TestMoveSpansCacheReplay(t *testing.T) {
 	}
 }
 
-// TestSetParallelRelayout pins the padded-layout switch: toggling
-// parallel mode must preserve the counters exactly (occConsistent checks
-// the layout-appropriate stride), kernels must agree with sequential
-// mode in both layouts, and repeated flips must reuse the pooled buffers.
-func TestSetParallelRelayout(t *testing.T) {
-	r := rng.New(31)
-	f := testField(r, 120, 90, 12, geom.KindDisc)
-	if !f.occConsistent() {
-		t.Fatal("inconsistent before any toggle")
+// TestOwnershipIsBlockDisjoint checks the invariant that lets periodic
+// workers share one Field with plain stores: two shapes owned by the
+// workers on either side of a shared cell edge — each accepted by
+// ContainsEllipse(cell, LocalityMargin()) — never touch a common
+// occupancy block, counting every block of their spans' bounding box
+// (the most spansUniform reads). The shapes are pushed flush against the
+// edge, so the same generator must find a shared block once the
+// margin's blockHalo floor is removed; otherwise the test could not
+// fail.
+func TestOwnershipIsBlockDisjoint(t *testing.T) {
+	const w, h = 160, 160
+	shared := func(margin func(Params) float64) (hits, pairs int) {
+		r := rng.New(91)
+		for trial := 0; trial < 4000; trial++ {
+			maxR := r.Uniform(1, 12)
+			p := DefaultParams(5, maxR/1.8) // MaxRadius = maxR
+			m := margin(p)
+			edge := r.Uniform(64, 72)
+			cells := [2]geom.Rect{
+				{X0: edge - 48, Y0: 8, X1: edge, Y1: 152},
+				{X0: edge, Y0: 8, X1: edge + 48, Y1: 152},
+			}
+			y := r.Uniform(40, 120)
+			var boxes [2][4]int
+			ok := true
+			for side, cell := range cells {
+				c := geom.Ellipse{
+					Y:  y + r.Uniform(-4, 4),
+					Rx: r.Uniform(p.MinRadius, p.MaxRadius),
+				}
+				c.Ry = c.Rx
+				if r.Intn(2) == 0 {
+					c.Ry = r.Uniform(p.MinRadius, p.MaxRadius)
+					c.Theta = r.Uniform(0, math.Pi)
+				}
+				b := c.Bounds()
+				ex := (b.X1 - b.X0) / 2
+				if side == 0 {
+					c.X = edge - m - ex - r.Uniform(0, 1)
+				} else {
+					c.X = edge + m + ex + r.Uniform(0, 1)
+				}
+				spans := geom.AppendShapeSpans(nil, w, h, c)
+				if !cell.ContainsEllipse(c, m) || len(spans) == 0 {
+					ok = false
+					break
+				}
+				bx0, bx1, by0, by1 := spanBlocks(spans)
+				boxes[side] = [4]int{bx0, bx1, by0, by1}
+			}
+			if !ok {
+				continue
+			}
+			pairs++
+			a, b := boxes[0], boxes[1]
+			if a[0] <= b[1] && b[0] <= a[1] && a[2] <= b[3] && b[2] <= a[3] {
+				hits++
+			}
+		}
+		return hits, pairs
 	}
-	c := diffShape(r, 120, 90, geom.KindDisc)
-	wantAdd := f.LikDeltaAdd(c)
-	for round := 0; round < 3; round++ {
-		f.SetParallel(true)
-		if !f.occConsistent() {
-			t.Fatalf("round %d: inconsistent after SetParallel(true)", round)
-		}
-		if got := f.LikDeltaAdd(c); math.Float64bits(got) != math.Float64bits(wantAdd) {
-			t.Fatalf("round %d: padded LikDeltaAdd %v, sequential %v", round, got, wantAdd)
-		}
-		// Mutate while padded so the relayout back carries real updates.
-		mv := diffShape(r, 120, 90, geom.KindDisc)
-		f.CoverAdd(mv, +1)
-		f.CoverAdd(mv, -1)
-		if !f.occConsistent() {
-			t.Fatalf("round %d: inconsistent after padded mutations", round)
-		}
-		f.SetParallel(false)
-		if !f.occConsistent() {
-			t.Fatalf("round %d: inconsistent after SetParallel(false)", round)
-		}
-		if got := f.LikDeltaAdd(c); math.Float64bits(got) != math.Float64bits(wantAdd) {
-			t.Fatalf("round %d: compact LikDeltaAdd %v, want %v", round, got, wantAdd)
-		}
+	hits, pairs := shared(Params.LocalityMargin)
+	if pairs < 1000 {
+		t.Fatalf("only %d shape pairs generated", pairs)
 	}
-	// Redundant toggles are no-ops.
-	f.SetParallel(false)
-	f.SetParallel(false)
-	if !f.occConsistent() {
-		t.Fatal("inconsistent after redundant toggles")
+	if hits != 0 {
+		t.Fatalf("%d of %d owned shape pairs across a cell edge share an occupancy block", hits, pairs)
 	}
+	hits, pairs = shared(func(p Params) float64 { return p.MaxRadius + 1 })
+	if hits == 0 {
+		t.Fatal("without the blockHalo floor no pair shared a block: the generator cannot detect a violation")
+	}
+	t.Logf("without the floor %d of %d pairs share a block", hits, pairs)
 }

@@ -1,11 +1,7 @@
 package model
 
-import (
-	"repro/internal/geom"
-)
-
-// The likelihood primitives below operate on two flat buffers shared by
-// all engines:
+// The likelihood kernels operate on two flat buffers shared by all
+// engines:
 //
 //   - gain: per-pixel log-likelihood gain of being covered (Params.
 //     PixelGain applied to the filtered image), immutable after setup;
@@ -13,9 +9,9 @@ import (
 //     circles are added, removed or moved.
 //
 // A pixel contributes its gain exactly when cover > 0, so the relative
-// log-likelihood is Σ_{cover>0} gain. All functions touch only pixels
-// inside the bounding box of the circle(s) involved, which is what makes
-// local moves partition-parallel: workers whose circles live in disjoint
+// log-likelihood is Σ_{cover>0} gain. Every kernel touches only pixels
+// inside the bounding box of the shape(s) involved, which is what makes
+// local moves partition-parallel: workers whose shapes live in disjoint
 // regions mutate disjoint slices of cover.
 //
 // A pixel (x, y) is covered by circle c when its centre (x+0.5, y+0.5)
@@ -42,12 +38,9 @@ import (
 //     unchanged — owned circles still touch only pixels strictly inside
 //     their cell.
 //
-// The batched kernel bodies live on Field (field.go), which adds the 8×8
-// block occupancy skip and the fused eval+apply walks. The free
-// functions below are thin views over the same buffers with occupancy
-// tracking disabled; they produce bit-identical results and keep
-// external callers and the historical differential tests compiling
-// unchanged.
+// The kernel bodies live on Field (field.go), together with the 8×8
+// block occupancy summary that lets them skip uniform coverage; this file
+// holds the gain prefix sums they price spans from.
 
 // BuildGainRowSums returns per-row prefix sums of gain with stride w+1:
 // sums[y*(w+1)+x] = Σ_{x'<x} gain[y*w+x']. Gain is immutable, so the
@@ -73,43 +66,6 @@ func BuildGainRowSums(gain []float64, w, h int) []float64 {
 // shapes up to r ≈ 47 px stay allocation-free; larger ones spill to the
 // heap, where the O(r²) pixel work amortises the allocation.
 const spanStack = 96
-
-// fieldView wraps raw buffers in a Field without occupancy tracking.
-func fieldView(gain, gsum []float64, cover []int32, w, h int) Field {
-	return Field{W: w, H: h, Gain: gain, GainSum: gsum, Cover: cover}
-}
-
-// LikDeltaAdd returns the change in relative log-likelihood from adding
-// circle c, given the current coverage. Read-only. gsum must be the
-// BuildGainRowSums table of gain.
-func LikDeltaAdd(gain, gsum []float64, cover []int32, w, h int, c geom.Ellipse) float64 {
-	f := fieldView(gain, gsum, cover, w, h)
-	return f.LikDeltaAdd(c)
-}
-
-// LikDeltaRemove returns the change in relative log-likelihood from
-// removing circle c (which must currently be part of the coverage).
-func LikDeltaRemove(gain, gsum []float64, cover []int32, w, h int, c geom.Ellipse) float64 {
-	f := fieldView(gain, gsum, cover, w, h)
-	return f.LikDeltaRemove(c)
-}
-
-// LikDeltaMove returns the change in relative log-likelihood from
-// replacing old with new (old must be covered). The two span tables are
-// merge-walked by row, so only the symmetric difference of the shapes is
-// scanned and the cost is O(area of the two discs), never O(image).
-func LikDeltaMove(gain, gsum []float64, cover []int32, w, h int, oldC, newC geom.Ellipse) float64 {
-	f := fieldView(gain, gsum, cover, w, h)
-	return f.LikDeltaMove(oldC, newC)
-}
-
-// CoverAdd adjusts the coverage counts for circle c by d (+1 to add the
-// circle, -1 to remove it). It panics if a count would go negative — that
-// means the caller's bookkeeping desynchronised.
-func CoverAdd(cover []int32, w, h int, c geom.Ellipse, d int32) {
-	f := fieldView(nil, nil, cover, w, h)
-	f.CoverAdd(c, d)
-}
 
 func minInt(a, b int) int {
 	if a < b {

@@ -262,9 +262,9 @@ func BenchmarkCoverMoveEllipse(b *testing.B) {
 	})
 }
 
-// BenchmarkFusedMoveCover tracks the one-shot fused eval+apply walk
-// (unconditional moves price and write each symmetric-difference segment
-// once) against its split equivalent.
+// BenchmarkFusedMoveCover tracks the one-rasterisation move commit (the
+// production LikDeltaMovePrepared + CoverMovePrepared pair of span walks)
+// against the split equivalent that rasterises both shapes twice.
 func BenchmarkFusedMoveCover(b *testing.B) {
 	f, _, _ := benchField(b, 512, 512)
 	oldC := geom.Disc(256.3, 255.7, 10)

@@ -83,7 +83,7 @@ func TestLikDeltaAddMatchesNaive(t *testing.T) {
 			gain, gsum, cover := diffBuffers(r, w, h, 6, kind)
 			for trial := 0; trial < 1500; trial++ {
 				c := diffShape(r, w, h, kind)
-				got := LikDeltaAdd(gain, gsum, cover, w, h, c)
+				got := occField(gain, gsum, cover, w, h).LikDeltaAdd(c)
 				want := NaiveLikDeltaAdd(gain, cover, w, h, c)
 				if math.Abs(got-want) > diffTol {
 					t.Fatalf("LikDeltaAdd(%+v) = %v, naive = %v", c, got, want)
@@ -103,7 +103,7 @@ func TestLikDeltaRemoveMatchesNaive(t *testing.T) {
 				c := diffShape(r, w, h, kind)
 				// Make c part of the coverage so removal is well-defined.
 				NaiveCoverAdd(cover, w, h, c, +1)
-				got := LikDeltaRemove(gain, gsum, cover, w, h, c)
+				got := occField(gain, gsum, cover, w, h).LikDeltaRemove(c)
 				want := NaiveLikDeltaRemove(gain, cover, w, h, c)
 				NaiveCoverAdd(cover, w, h, c, -1)
 				if math.Abs(got-want) > diffTol {
@@ -137,7 +137,7 @@ func TestLikDeltaMoveMatchesNaive(t *testing.T) {
 					newC = diffShape(r, w, h, kind)
 				}
 				NaiveCoverAdd(cover, w, h, oldC, +1)
-				got := LikDeltaMove(gain, gsum, cover, w, h, oldC, newC)
+				got := occField(gain, gsum, cover, w, h).LikDeltaMove(oldC, newC)
 				want := NaiveLikDeltaMove(gain, cover, w, h, oldC, newC)
 				NaiveCoverAdd(cover, w, h, oldC, -1)
 				if math.Abs(got-want) > diffTol {
@@ -165,7 +165,7 @@ func TestLikDeltaMultiMatchesNaive(t *testing.T) {
 				for i := range added {
 					added[i] = diffShape(r, w, h, kind)
 				}
-				got := LikDeltaMulti(gain, gsum, cover, w, h, removed, added)
+				got := occField(gain, gsum, cover, w, h).LikDeltaMulti(removed, added)
 				want := NaiveLikDeltaMulti(gain, cover, w, h, removed, added)
 				for i := range removed {
 					NaiveCoverAdd(cover, w, h, removed[i], -1)
@@ -185,7 +185,8 @@ func TestCoverKernelsMatchNaiveExactly(t *testing.T) {
 	for _, kind := range diffKinds {
 		t.Run(kind.String(), func(t *testing.T) {
 			r := rng.New(46)
-			coverA := make([]int32, w*h) // scanline
+			fa := occField(nil, nil, make([]int32, w*h), w, h) // scanline
+			coverA := fa.Cover
 			coverB := make([]int32, w*h) // naive
 			live := make([]geom.Ellipse, 0, 32)
 			for trial := 0; trial < 1200; trial++ {
@@ -193,14 +194,14 @@ func TestCoverKernelsMatchNaiveExactly(t *testing.T) {
 				case len(live) == 0 || r.Intn(3) == 0: // add
 					c := diffShape(r, w, h, kind)
 					live = append(live, c)
-					CoverAdd(coverA, w, h, c, +1)
+					fa.CoverAdd(c, +1)
 					NaiveCoverAdd(coverB, w, h, c, +1)
 				case r.Intn(2) == 0: // remove
 					i := r.Intn(len(live))
 					c := live[i]
 					live[i] = live[len(live)-1]
 					live = live[:len(live)-1]
-					CoverAdd(coverA, w, h, c, -1)
+					fa.CoverAdd(c, -1)
 					NaiveCoverAdd(coverB, w, h, c, -1)
 				default: // move
 					i := r.Intn(len(live))
@@ -212,7 +213,7 @@ func TestCoverKernelsMatchNaiveExactly(t *testing.T) {
 						newC = diffShape(r, w, h, kind)
 					}
 					live[i] = newC
-					CoverMove(coverA, w, h, oldC, newC)
+					fa.CoverMove(oldC, newC)
 					NaiveCoverMove(coverB, w, h, oldC, newC)
 				}
 				for i := range coverA {
@@ -221,6 +222,9 @@ func TestCoverKernelsMatchNaiveExactly(t *testing.T) {
 							trial, i%w, i/w, coverA[i], coverB[i])
 					}
 				}
+			}
+			if !fa.occConsistent() {
+				t.Fatal("occupancy counters drifted from the coverage buffer")
 			}
 		})
 	}
@@ -248,7 +252,7 @@ func TestScanlineDeltasAreExactSums(t *testing.T) {
 						want += gain[y*w+x]
 					}
 				})
-				if got := LikDeltaAdd(gain, gsum, cover, w, h, c); math.Abs(got-want) > diffTol {
+				if got := occField(gain, gsum, cover, w, h).LikDeltaAdd(c); math.Abs(got-want) > diffTol {
 					t.Fatalf("LikDeltaAdd(%+v) = %v, span sum = %v", c, got, want)
 				}
 			}
@@ -288,7 +292,7 @@ func FuzzLikDeltaDifferential(f *testing.F) {
 		gsum := BuildGainRowSums(gain, w, h)
 		cover := make([]int32, w*h)
 
-		got := LikDeltaAdd(gain, gsum, cover, w, h, e)
+		got := occField(gain, gsum, cover, w, h).LikDeltaAdd(e)
 		want := NaiveLikDeltaAdd(gain, cover, w, h, e)
 		if math.Abs(got-want) > diffTol {
 			t.Fatalf("LikDeltaAdd(%+v) = %v, naive = %v", e, got, want)
@@ -300,14 +304,14 @@ func FuzzLikDeltaDifferential(f *testing.F) {
 			Rx: clamp(e.Rx+dr, 0, float64(w)), Ry: clamp(e.Ry+dr, 0, float64(h)),
 			Theta: e.Theta,
 		}
-		gotM := LikDeltaMove(gain, gsum, cover, w, h, e, moved)
+		gotM := occField(gain, gsum, cover, w, h).LikDeltaMove(e, moved)
 		wantM := NaiveLikDeltaMove(gain, cover, w, h, e, moved)
 		if math.Abs(gotM-wantM) > diffTol {
 			t.Fatalf("LikDeltaMove(%+v -> %+v) = %v, naive = %v", e, moved, gotM, wantM)
 		}
 
 		coverSpan := make([]int32, w*h)
-		CoverAdd(coverSpan, w, h, e, +1)
+		occField(nil, nil, coverSpan, w, h).CoverAdd(e, +1)
 		coverNaive := make([]int32, w*h)
 		NaiveCoverAdd(coverNaive, w, h, e, +1)
 		for i := range coverSpan {

@@ -172,5 +172,8 @@ func (p Params) PixelGain(v float64) float64 {
 // radius within which its prior/likelihood evaluation can depend on other
 // image content: MaxRadius for the pairwise overlap term plus one pixel of
 // antialiasing slack. §V uses this to decide which features a partition
-// worker may modify.
-func (p Params) LocalityMargin() float64 { return p.MaxRadius + 1 }
+// worker may modify; any margin at least that large keeps the chain
+// exact. It is never below blockHalo, so concurrent workers also never
+// share an occupancy block of the Field (see its type doc) — a floor that
+// binds only for MaxRadius < blockHalo−1 px.
+func (p Params) LocalityMargin() float64 { return max(p.MaxRadius+1, blockHalo) }

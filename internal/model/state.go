@@ -374,11 +374,12 @@ func (s *State) Recompute() (logLik, logPrior float64) {
 // RecomputeCover rebuilds a coverage buffer from the configuration alone;
 // tests compare it with the incrementally maintained Cover.
 func (s *State) RecomputeCover() []int32 {
-	cover := make([]int32, len(s.Cover))
+	ref := Field{W: s.W, H: s.H, Cover: make([]int32, len(s.Cover))}
+	ref.InitOcc()
 	s.Cfg.ForEach(func(_ int, c geom.Ellipse) {
-		CoverAdd(cover, s.W, s.H, c, +1)
+		ref.CoverAdd(c, +1)
 	})
-	return cover
+	return ref.Cover
 }
 
 // CheckConsistency recomputes everything and reports the maximum absolute

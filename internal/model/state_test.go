@@ -344,13 +344,16 @@ func TestCoverAddNegativePanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	cover := make([]int32, 64*64)
-	CoverAdd(cover, 64, 64, geom.Disc(30, 30, 5), -1)
+	occField(nil, nil, make([]int32, 64*64), 64, 64).CoverAdd(geom.Disc(30, 30, 5), -1)
 }
 
 func TestLocalityMargin(t *testing.T) {
 	p := DefaultParams(5, 10)
 	if p.LocalityMargin() <= p.MaxRadius {
 		t.Fatal("margin must exceed MaxRadius")
+	}
+	// Small shapes: the block-disjointness floor binds.
+	if got := DefaultParams(5, 1.2).LocalityMargin(); got != blockHalo {
+		t.Fatalf("MeanRadius 1.2 margin = %v, want the blockHalo floor %v", got, blockHalo)
 	}
 }

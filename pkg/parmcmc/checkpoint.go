@@ -231,9 +231,6 @@ func DetectResume(ctx context.Context, pix []float64, w, h int, opt Options, cp 
 		return nil, fmt.Errorf("parmcmc: checkpoint does not match this image (%dx%d, hash %x; checkpoint %dx%d, hash %x)",
 			env.im.W, env.im.H, env.hash(), cp.W, cp.H, cp.PixHash)
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	smp, err := def.factory(env)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,8 @@ package parmcmc
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
@@ -303,6 +305,62 @@ func TestCheckpointAfterCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustEqualResults(t, "periodic-cancel", baseline, resumed)
+}
+
+// A cancelled run drains losslessly: with no periodic checkpoint due, it
+// still hands OnCheckpoint exactly one checkpoint, at the boundary where
+// it stopped — also when ctx ended before the first chunk — and resuming
+// from it lands the uninterrupted result.
+func TestCancelledRunCheckpointsWhereItStops(t *testing.T) {
+	pix, w, h, _ := determinismCases(t)
+	for _, opt := range []Options{
+		{Strategy: Sequential, MeanRadius: 7, Iterations: 16000, Seed: 11},
+		{Strategy: Periodic, MeanRadius: 7, Iterations: 16000, Seed: 11, Workers: 2},
+		{Strategy: Intelligent, MeanRadius: 7, Iterations: 16000, Seed: 11, Workers: 2},
+	} {
+		baseline, err := Detect(pix, w, h, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, stopAfter := range []int{0, 1} { // chunks before the stop
+			ctx, cancel := context.WithCancel(context.Background())
+			if stopAfter == 0 {
+				cancel()
+			}
+			var cps []*Checkpoint
+			var stoppedAt int64
+			run := opt
+			run.CheckpointEvery = 100 * opt.Iterations
+			run.OnCheckpoint = func(cp *Checkpoint) { cps = append(cps, cp) }
+			run.Observer = func(p Progress) {
+				stoppedAt = p.Iter
+				cancel()
+			}
+			if _, err := DetectContext(ctx, pix, w, h, run); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%v stop after %d: err = %v", opt.Strategy, stopAfter, err)
+			}
+			cancel()
+			if len(cps) != 1 {
+				t.Fatalf("%v stop after %d: %d checkpoints, want 1", opt.Strategy, stopAfter, len(cps))
+			}
+			first := int64(-1)
+			resumed, err := DetectResume(context.Background(), pix, w, h, Options{
+				Observer: func(p Progress) {
+					if first < 0 {
+						first = p.Iter
+					}
+				},
+			}, cps[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if first <= stoppedAt {
+				t.Fatalf("%v stop after %d: resume's first chunk ended at %d, not past the stop at %d",
+					opt.Strategy, stopAfter, first, stoppedAt)
+			}
+			mustEqualResults(t, fmt.Sprintf("%v-drain-%d", opt.Strategy, stopAfter), baseline, resumed)
+		}
+	}
 }
 
 func TestResumeRejectsWrongImage(t *testing.T) {

@@ -159,9 +159,11 @@ type Options struct {
 
 	// OnCheckpoint, when non-nil, receives resumable Checkpoints at
 	// chunk boundaries — every CheckpointEvery aggregate iterations, or
-	// at every chunk when CheckpointEvery is 0. Capturing a checkpoint
-	// is read-only; pass the blob to DetectResume to continue the run
-	// bit-identically. Not serialized into checkpoints.
+	// at every chunk when CheckpointEvery is 0 — and once more at the
+	// boundary where a cancelled run stops, so draining a run loses no
+	// work. Capturing a checkpoint is read-only; pass the blob to
+	// DetectResume to continue the run bit-identically. Not serialized
+	// into checkpoints.
 	OnCheckpoint func(*Checkpoint)
 	// CheckpointEvery is the approximate number of aggregate iterations
 	// between OnCheckpoint calls (0 = every chunk).
@@ -299,9 +301,10 @@ func Detect(pix []float64, w, h int, opt Options) (*Result, error) {
 // aligned to the strategy's natural cadence, checking ctx between
 // chunks. Every strategy — including the convergence-driven partitioned
 // ones — stops at its next chunk boundary on cancellation, returning
-// ctx's error; chain results are bit-identical to an uninterrupted run
-// regardless of when (or whether) cancellation, observation or
-// checkpointing happen.
+// ctx's error after handing that boundary to OnCheckpoint (even when ctx
+// ended before the first chunk); chain results are bit-identical to an
+// uninterrupted run regardless of when (or whether) cancellation,
+// observation or checkpointing happen.
 func DetectContext(ctx context.Context, pix []float64, w, h int, opt Options) (*Result, error) {
 	env, err := newRunEnv(pix, w, h, opt)
 	if err != nil {
@@ -309,9 +312,6 @@ func DetectContext(ctx context.Context, pix []float64, w, h int, opt Options) (*
 	}
 	def, err := strategyFor(env.opt.Strategy)
 	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	smp, err := def.factory(env)

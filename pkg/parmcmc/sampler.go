@@ -115,6 +115,12 @@ func newRunEnv(pix []float64, w, h int, opt Options) (*runEnv, error) {
 // and emitting checkpoints between chunks, then let the sampler score
 // its final state. prior carries wall-clock accumulated by earlier
 // segments of a resumed run.
+//
+// A run whose ctx ends drains losslessly: before returning ctx's error
+// it hands OnCheckpoint the chunk boundary it stopped at (the sampler
+// contract makes every Step exit resumable), unless that boundary was
+// just checkpointed. A caller that does not want the final checkpoint —
+// a client's cancel rather than a shutdown — drops it in OnCheckpoint.
 func drive(ctx context.Context, env *runEnv, smp sampler, prior time.Duration) (*Result, error) {
 	// Samplers backed by persistent worker goroutines (the periodic
 	// engine's gang, the speculative executor's eval lanes) release them
@@ -132,8 +138,25 @@ func drive(ctx context.Context, env *runEnv, smp sampler, prior time.Duration) (
 	if o.OnCheckpoint != nil && o.CheckpointEvery > 0 {
 		nextCheckpoint = smp.Snapshot().Iter + int64(o.CheckpointEvery)
 	}
+	lastCheckpoint := int64(-1)
+	checkpoint := func(iter int64) error {
+		cp, err := buildCheckpoint(env, smp, prior+time.Since(start))
+		if err != nil {
+			return err
+		}
+		o.OnCheckpoint(cp)
+		lastCheckpoint = iter
+		return nil
+	}
 	for {
 		if err := ctx.Err(); err != nil {
+			if o.OnCheckpoint != nil {
+				if iter := smp.Snapshot().Iter; iter != lastCheckpoint {
+					if cerr := checkpoint(iter); cerr != nil {
+						return nil, cerr
+					}
+				}
+			}
 			return nil, err
 		}
 		done, err := smp.Step(ctx, chunk)
@@ -147,11 +170,9 @@ func drive(ctx context.Context, env *runEnv, smp sampler, prior time.Duration) (
 			}
 			if o.OnCheckpoint != nil && !done &&
 				(o.CheckpointEvery <= 0 || snap.Iter >= nextCheckpoint) {
-				cp, err := buildCheckpoint(env, smp, prior+time.Since(start))
-				if err != nil {
+				if err := checkpoint(snap.Iter); err != nil {
 					return nil, err
 				}
-				o.OnCheckpoint(cp)
 				if o.CheckpointEvery > 0 {
 					nextCheckpoint = snap.Iter + int64(o.CheckpointEvery)
 				}

@@ -282,8 +282,9 @@ func (m *Manager) dispatch() {
 
 // run executes one job to a terminal state — unless the manager itself
 // is shutting down, in which case the job is left resumable: its spool
-// record stays non-terminal and its latest checkpoint stays in place,
-// so the next NewManager over the same spool re-queues it.
+// record stays non-terminal and the run checkpoints the chunk boundary
+// it stopped at, so the next NewManager over the same spool re-queues
+// it and resumes with no work lost.
 func (m *Manager) run(job *Job) {
 	ctx, cancel := context.WithCancel(m.ctx)
 	defer cancel()
@@ -308,6 +309,12 @@ func (m *Manager) run(job *Job) {
 	}
 	if m.spooling() {
 		opt.OnCheckpoint = func(cp *parmcmc.Checkpoint) {
+			// A client's cancel ends the job: its final (drain)
+			// checkpoint is dropped. A shutdown keeps it, so the job
+			// resumes exactly where it stopped.
+			if job.userCancelled() {
+				return
+			}
 			if err := m.spoolCheckpoint(job, cp); err != nil {
 				m.cfg.Logf("service: checkpointing %s: %v", job.id, err)
 			}
@@ -379,9 +386,9 @@ func (m *Manager) terminate(job *Job, state api.JobState, msg string) {
 }
 
 // Stop shuts the manager down: no new submissions, running jobs are
-// interrupted at their next chunk boundary (their spool state stays
-// resumable), and the call waits — bounded by ctx — for in-flight
-// workers to drain via the pool's quiesce hook.
+// interrupted at their next chunk boundary and checkpointed there (their
+// spool state stays resumable), and the call waits — bounded by ctx —
+// for in-flight workers to drain via the pool's quiesce hook.
 func (m *Manager) Stop(ctx context.Context) error {
 	m.mu.Lock()
 	m.closed = true

@@ -85,7 +85,8 @@ func TestParseJobSeqStrict(t *testing.T) {
 
 // interruptRunningJob runs one spooled job long enough to claim a
 // worker, then stops the manager mid-run (the daemon-shutdown path, so
-// the spool stays resumable) and returns the job id.
+// the spool stays resumable and holds the drain checkpoint of wherever
+// the run stopped) and returns the job id.
 func interruptRunningJob(t *testing.T, spool string, cfg Config, iters int) string {
 	t.Helper()
 	cfg.SpoolDir = spool
@@ -135,25 +136,18 @@ func TestScratchRecoveryMarksRestarted(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spool := t.TempDir()
-			// A checkpoint cadence beyond the job length means the crash
-			// window never has a checkpoint; the corrupt variant writes
-			// one and then mangles it.
-			cfg := Config{Workers: 1, CheckpointEvery: 10 * iters}
-			if tc.corrupt {
-				cfg.CheckpointEvery = 10_000
-			}
-			id := interruptRunningJob(t, spool, cfg, iters)
+			// Stop drains the run into a checkpoint wherever it lands;
+			// the no-checkpoint variant deletes it (a crash before the
+			// first checkpoint), the corrupt variant mangles it.
+			id := interruptRunningJob(t, spool, Config{Workers: 1, CheckpointEvery: 10 * iters}, iters)
 
 			ckpt := filepath.Join(spool, id, spoolCheckpointFile)
 			if tc.corrupt {
-				if _, err := os.Stat(ckpt); err != nil {
-					t.Fatalf("expected a checkpoint to corrupt: %v", err)
-				}
 				if err := os.WriteFile(ckpt, []byte("not a gob checkpoint"), 0o644); err != nil {
 					t.Fatal(err)
 				}
-			} else if _, err := os.Stat(ckpt); err == nil {
-				t.Fatal("test premise broken: a checkpoint exists")
+			} else if err := os.Remove(ckpt); err != nil {
+				t.Fatalf("drain left no checkpoint: %v", err)
 			}
 
 			m2 := newTestManager(t, Config{Workers: 1, SpoolDir: spool})
@@ -216,15 +210,18 @@ func TestRecoveryOverV1CheckpointRestartsFromScratch(t *testing.T) {
 }
 
 // A checkpoint-resumed recovery must NOT be marked Restarted — the
-// client's dedup depends on the distinction.
+// client's dedup depends on the distinction. The checkpoint is Stop's
+// drain checkpoint: the periodic cadence is beyond the job length, so
+// the test holds however early the stop lands.
 func TestCheckpointRecoveryNotMarkedRestarted(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full chains")
 	}
+	const iters = 2_000_000
 	spool := t.TempDir()
-	id := interruptRunningJob(t, spool, Config{Workers: 1, CheckpointEvery: 10_000}, 2_000_000)
+	id := interruptRunningJob(t, spool, Config{Workers: 1, CheckpointEvery: 10 * iters}, iters)
 	if _, err := os.Stat(filepath.Join(spool, id, spoolCheckpointFile)); err != nil {
-		t.Fatalf("no checkpoint to resume from: %v", err)
+		t.Fatalf("drain left no checkpoint to resume from: %v", err)
 	}
 	m2 := newTestManager(t, Config{Workers: 1, SpoolDir: spool, CheckpointEvery: 10_000})
 	job, err := m2.Job(id)
@@ -233,5 +230,31 @@ func TestCheckpointRecoveryNotMarkedRestarted(t *testing.T) {
 	}
 	if job.Status().Restarted {
 		t.Fatal("checkpoint-resumed job wrongly marked Restarted")
+	}
+}
+
+// A client's cancel ends the job for good: unlike a shutdown, it leaves
+// no drain checkpoint in the spool.
+func TestUserCancelLeavesNoCheckpoint(t *testing.T) {
+	spool := t.TempDir()
+	m := newTestManager(t, Config{Workers: 1, SpoolDir: spool, CheckpointEvery: 100_000_000})
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	st := submitJSON(t, srv.URL, api.JobSpec{Scene: &testScene, Options: testOptions(5, 100_000_000)})
+	deadline := time.Now().Add(30 * time.Second)
+	for getJob(t, srv.URL, st.ID).State != api.StateRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("job never started")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := m.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := waitDone(t, srv.URL, st.ID); got.State != api.StateCancelled {
+		t.Fatalf("state %q, want cancelled", got.State)
+	}
+	if _, err := os.Stat(filepath.Join(spool, st.ID, spoolCheckpointFile)); !os.IsNotExist(err) {
+		t.Fatalf("cancelled job left a checkpoint (stat err %v)", err)
 	}
 }

@@ -262,7 +262,7 @@ func (w *Worker) runLease(ctx context.Context, grant api.LeaseGrant) {
 	w.cfg.Logf("worker: lease %s: running %s (resume %v, restarted %v)",
 		lease.ID, lease.JobID, len(grant.Checkpoint) > 0, grant.Restarted)
 
-	raw, runErr := w.detect(runCtx, grant)
+	raw, runErr := w.detect(ctx, runCtx, grant)
 	switch {
 	case errors.Is(runErr, errLeaseExpired):
 		// The job is someone else's now; report nothing.
@@ -270,7 +270,8 @@ func (w *Worker) runLease(ctx context.Context, grant api.LeaseGrant) {
 		return
 	case runErr != nil && runCtx.Err() != nil && ctx.Err() != nil:
 		// Whole-worker shutdown (SIGTERM): leave the job resumable —
-		// the checkpoint is on disk and the lease will expire.
+		// the run checkpointed where it stopped and the lease will
+		// expire.
 		w.cfg.Logf("worker: shutdown interrupted %s; checkpoint stays for re-lease", lease.JobID)
 		return
 	}
@@ -287,9 +288,12 @@ func (w *Worker) runLease(ctx context.Context, grant api.LeaseGrant) {
 	w.complete(ctx, lease, report)
 }
 
-// detect runs the chain. It returns errLeaseExpired when the
-// coordinator disowned the lease mid-run.
-func (w *Worker) detect(ctx context.Context, grant api.LeaseGrant) (json.RawMessage, error) {
+// detect runs the chain under the lease's ctx. It returns
+// errLeaseExpired when the coordinator disowned the lease mid-run.
+// workerCtx is the whole worker's: when it ends, the run drains and its
+// last checkpoint is written; a run stopped by a client's cancel or a
+// lost lease writes none.
+func (w *Worker) detect(workerCtx, ctx context.Context, grant api.LeaseGrant) (json.RawMessage, error) {
 	pix, width, height, opt, err := service.MaterializeRecord(grant.Record, w.cfg.SpoolDir)
 	if err != nil {
 		return nil, err
@@ -300,6 +304,9 @@ func (w *Worker) detect(ctx context.Context, grant api.LeaseGrant) (json.RawMess
 
 	opt.CheckpointEvery = grant.CheckpointEvery
 	opt.OnCheckpoint = func(cp *parmcmc.Checkpoint) {
+		if expired || (runCtx.Err() != nil && workerCtx.Err() == nil) {
+			return
+		}
 		blob, err := cp.MarshalBinary()
 		if err != nil {
 			w.cfg.Logf("worker: encoding checkpoint of %s: %v", grant.Record.ID, err)

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -82,6 +84,12 @@ func submitJob(t *testing.T, url string, spec api.JobSpec) api.JobStatus {
 
 func waitDone(t *testing.T, url, id string) api.JobStatus {
 	t.Helper()
+	return waitFor(t, url, id, api.JobState.Terminal)
+}
+
+// waitFor polls job id until its state satisfies ok.
+func waitFor(t *testing.T, url, id string, ok func(api.JobState) bool) api.JobStatus {
+	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(url + "/v1/jobs/" + id)
@@ -94,12 +102,12 @@ func waitDone(t *testing.T, url, id string) api.JobStatus {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if view.State.Terminal() {
+		if ok(view.State) {
 			return view
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
-	t.Fatalf("job %s did not finish", id)
+	t.Fatalf("job %s never reached the awaited state", id)
 	return api.JobStatus{}
 }
 
@@ -206,26 +214,7 @@ func TestWorkerCancelMidRun(t *testing.T) {
 	view := submitJob(t, url, spec)
 
 	// Wait for it to start running, then cancel.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		resp, err := http.Get(url + "/v1/jobs/" + view.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v api.JobStatus
-		err = json.NewDecoder(resp.Body).Decode(&v)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.State == api.StateRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never started running (state %q)", v.State)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitFor(t, url, view.ID, isRunning)
 	req, err := http.NewRequest(http.MethodDelete, url+"/v1/jobs/"+view.ID, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -239,5 +228,63 @@ func TestWorkerCancelMidRun(t *testing.T) {
 	final := waitDone(t, url, view.ID)
 	if final.State != api.StateCancelled {
 		t.Fatalf("state %q (error %q), want cancelled", final.State, final.Error)
+	}
+}
+
+func isRunning(s api.JobState) bool { return s == api.StateRunning }
+
+// A worker's shutdown drains its run: the chunk boundary where it
+// stopped lands in the spool as a checkpoint, although no periodic
+// checkpoint is due, so the re-leased job loses no work.
+func TestWorkerShutdownDrainsCheckpoint(t *testing.T) {
+	spool := t.TempDir()
+	c, err := coordinator.New(coordinator.Config{
+		Service: service.Config{SpoolDir: spool, CheckpointEvery: 1 << 30, Logf: t.Logf},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(c.Handler())
+	t.Cleanup(srv.Close)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := c.Stop(ctx); err != nil {
+			t.Errorf("Stop: %v", err)
+		}
+	})
+	registered := make(chan api.WorkerIdentity, 1)
+	w, err := New(Config{
+		Coordinator: srv.URL, SpoolDir: spool, Logf: t.Logf,
+		OnRegister: func(id api.WorkerIdentity) { registered <- id },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stopped := make(chan struct{})
+	go func() {
+		w.Run(ctx)
+		close(stopped)
+	}()
+	select {
+	case <-registered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never registered")
+	}
+
+	spec := testSpec
+	spec.Options.Iterations = 100_000_000
+	view := submitJob(t, srv.URL, spec)
+	waitFor(t, srv.URL, view.ID, isRunning)
+	cancel()
+	select {
+	case <-stopped:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker did not stop")
+	}
+	if _, err := os.Stat(filepath.Join(spool, view.ID, api.SpoolCheckpointFile)); err != nil {
+		t.Fatalf("worker shutdown left no checkpoint: %v", err)
 	}
 }
