@@ -9,17 +9,18 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"os"
 	"runtime"
 
+	"repro/internal/geom"
 	"repro/internal/imaging"
-	"repro/internal/partition"
 	"repro/internal/rng"
+	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/pkg/parmcmc"
 )
 
 func main() {
@@ -30,45 +31,55 @@ func main() {
 		MeanRadius: 9, RadiusStdDev: 0.3, Noise: 0.04, MinSeparation: 1.02,
 	}, rng.New(3))
 	meanR := 9.0
-
-	cfg := partition.DefaultConfig(meanR, 2024)
-	cfg.MaxIters = 80000
 	workers := runtime.GOMAXPROCS(0)
 
-	seq, err := partition.RunSequential(context.Background(), scene.Image, cfg)
-	if err != nil {
-		log.Fatal(err)
+	detect := func(opt parmcmc.Options) *parmcmc.Result {
+		opt.MeanRadius = meanR
+		opt.Iterations = 80000
+		opt.Seed = 2024
+		opt.Workers = workers
+		res, err := parmcmc.Detect(scene.Image.Pix, scene.Image.W, scene.Image.H, opt)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	intel, err := partition.RunIntelligent(context.Background(), scene.Image, cfg, int(2.2*meanR), workers)
-	if err != nil {
-		log.Fatal(err)
-	}
-	blind, err := partition.RunBlind(context.Background(), scene.Image, cfg, partition.BlindOptions{
-		NX: 2, NY: 2, Margin: 1.1 * meanR, MergeRadius: 5, KeepDisputed: true,
-	}, workers)
-	if err != nil {
-		log.Fatal(err)
-	}
+	seq := detect(parmcmc.Options{Strategy: parmcmc.Sequential, Converge: true})
+	intel := detect(parmcmc.Options{Strategy: parmcmc.Intelligent})
+	blind := detect(parmcmc.Options{Strategy: parmcmc.Blind})
 
 	tb := &trace.Table{Header: []string{
 		"method", "partitions", "runtime_s", "rel_runtime", "found", "F1", "dup_pairs",
 	}}
-	intelTime := partition.Makespan(intel.Regions, workers)
-	blindTime := partition.Makespan(blind.Regions, workers)
-	mSeq := stats.MatchCircles(seq.Circles, scene.Truth, meanR/2)
-	mInt := stats.MatchCircles(intel.Circles, scene.Truth, meanR/2)
-	mBld := stats.MatchCircles(blind.Circles, scene.Truth, meanR/2)
-
-	tb.Add("sequential", 1, seq.Seconds, 1.0, len(seq.Circles), mSeq.F1(),
-		stats.DuplicatePairs(seq.Circles, meanR/2))
-	tb.Add("intelligent", len(intel.Regions), intelTime, intelTime/seq.Seconds,
-		len(intel.Circles), mInt.F1(), stats.DuplicatePairs(intel.Circles, meanR/2))
-	tb.Add("blind 2x2", len(blind.Regions), blindTime, blindTime/seq.Seconds,
-		len(blind.Circles), mBld.F1(), stats.DuplicatePairs(blind.Circles, meanR/2))
+	seqTime := seq.Regions[0].Seconds
+	for _, row := range []struct {
+		name string
+		res  *parmcmc.Result
+	}{{"sequential", seq}, {"intelligent", intel}, {"blind 2x2", blind}} {
+		secs := makespan(row.res.Regions, workers)
+		found := make([]geom.Ellipse, len(row.res.Circles))
+		for i, c := range row.res.Circles {
+			found[i] = geom.Disc(c.X, c.Y, c.R)
+		}
+		m := stats.MatchCircles(found, scene.Truth, meanR/2)
+		tb.Add(row.name, len(row.res.Regions), secs, secs/seqTime,
+			len(found), m.F1(), stats.DuplicatePairs(found, meanR/2))
+	}
 	if err := tb.Write(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nblind merge: %d cross-partition pairs averaged, %d disputed artifacts\n",
 		blind.Merged, blind.Disputed)
 	fmt.Printf("ground truth: %d beads in 3 clusters\n", len(scene.Truth))
+}
+
+// makespan is the paper's runtime of a partitioned run on p processors:
+// "the longest time taken to process any of the partitions" when
+// processors suffice, with LPT load balancing otherwise (§IX).
+func makespan(regions []parmcmc.RegionInfo, p int) float64 {
+	costs := make([]float64, len(regions))
+	for i, r := range regions {
+		costs[i] = r.Seconds
+	}
+	return sched.Makespan(costs, sched.LPTAssign(costs, p))
 }

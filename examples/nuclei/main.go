@@ -65,6 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	defer periodic.Close()
 
 	const total = 400000
 	periodic.Run(total)

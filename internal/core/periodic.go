@@ -40,10 +40,6 @@ type Options struct {
 	// costs (see spec.Config). It overrides SpecWidth.
 	SpecAdaptive bool
 
-	// SpecMaxWidth caps the adaptive width search; 0 means
-	// spec.DefaultMaxWidth. Ignored unless SpecAdaptive is set.
-	SpecMaxWidth int
-
 	// LocalSpecWidth > 1 additionally runs speculative batches *inside*
 	// each partition worker (the §VI suggestion for spare threads,
 	// eq. 4). With SimulateParallel the per-cell cost is credited with
@@ -92,9 +88,6 @@ func (o Options) Validate() error {
 	}
 	if o.SpecWidth < 0 {
 		return fmt.Errorf("core: SpecWidth must be >= 0")
-	}
-	if o.SpecMaxWidth < 0 {
-		return fmt.Errorf("core: SpecMaxWidth must be >= 0")
 	}
 	if o.LocalSpecWidth < 0 {
 		return fmt.Errorf("core: LocalSpecWidth must be >= 0")
@@ -195,9 +188,7 @@ func NewEngine(host *mcmc.Engine, opt Options) (*Engine, error) {
 			Simulate: opt.SimulateParallel,
 			Gang:     pe.gang,
 		}
-		if opt.SpecAdaptive {
-			cfg.MaxWidth = opt.SpecMaxWidth
-		} else {
+		if !opt.SpecAdaptive {
 			cfg.Width = opt.SpecWidth
 		}
 		pe.exec = spec.NewExecutorOpts(host, cfg, globals)

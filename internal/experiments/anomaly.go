@@ -4,17 +4,14 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/imaging"
-	"repro/internal/mcmc"
-	"repro/internal/model"
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/stats"
 	"repro/internal/trace"
+	"repro/pkg/parmcmc"
 )
 
 // Anomaly quantifies the §II motivation: naively bisecting an image and
@@ -22,9 +19,10 @@ import (
 // processing the entire image at once" — artifacts on partition
 // boundaries are duplicated, misplaced or missed. The experiment plants
 // artifacts exactly on the naive grid lines and scores naive, blind and
-// periodic processing against ground truth. The naive baseline needs
-// partition internals the public API deliberately does not expose, so
-// this experiment alone stays off the Runner.
+// periodic processing against ground truth. One timed Runner batch: the
+// blind and periodic rows are parmcmc strategies, and the naive baseline,
+// which the public API deliberately does not offer, is a Func job over
+// partition's region chains.
 func Anomaly(ctx context.Context, o Options) (*Result, error) {
 	w, h := 320, 320
 	if o.Quick {
@@ -54,43 +52,31 @@ func Anomaly(ctx context.Context, o Options) (*Result, error) {
 	}
 	im.Clamp()
 
-	cfg := partition.DefaultConfig(meanR, o.Seed+301)
-	cfg.MaxIters = 40000
-
-	naive, err := partition.RunNaive(ctx, im, cfg, 2, 2, o.workers())
-	if err != nil {
-		return nil, err
+	const iters = 40000
+	naive := partition.DefaultConfig(meanR, o.Seed+301)
+	naive.MaxIters = iters
+	blind := parmcmc.Options{
+		Strategy: parmcmc.Blind, MeanRadius: meanR, Iterations: iters,
+		Workers: o.workers(), PartitionGrid: 2, Seed: o.Seed + 301,
 	}
-	blind, err := partition.RunBlind(ctx, im, cfg, partition.BlindOptions{
-		NX: 2, NY: 2, Margin: 1.1 * meanR, MergeRadius: 5, KeepDisputed: true,
-	}, o.workers())
-	if err != nil {
-		return nil, err
-	}
-
 	// Periodic partitioning on the same scene (statistically valid
 	// parallelism for contrast).
-	params := model.DefaultParams(float64(len(truth)), meanR)
-	st, err := model.NewState(im, params)
-	if err != nil {
-		return nil, err
+	periodic := parmcmc.Options{
+		Strategy: parmcmc.Periodic, MeanRadius: meanR, Iterations: iters,
+		ExpectedCount: float64(len(truth)), Workers: o.workers(),
+		PartitionGrid: 1, GridSlack: 0.75, Seed: o.Seed + 302,
 	}
-	e, err := mcmc.New(st, rng.New(o.Seed+302), mcmc.DefaultWeights(), mcmc.DefaultStepSizes(meanR))
-	if err != nil {
-		return nil, err
-	}
-	pe, err := core.NewEngine(e, core.Options{
-		LocalPhaseIters: 300,
-		GridXM:          fw * 0.75, GridYM: fh * 0.75,
-		Workers: o.workers(),
+	out, err := runBatch(ctx, o, true, []parmcmc.Job{
+		{Name: "anomaly/naive", Func: func(ctx context.Context) (any, error) {
+			return runNaive(ctx, im, naive, o.workers())
+		}},
+		{Name: "anomaly/blind", Pix: im.Pix, W: w, H: h, Opt: blind},
+		{Name: "anomaly/periodic", Pix: im.Pix, W: w, H: h, Opt: periodic},
 	})
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	pe.Run(cfg.MaxIters)
-	periodicSecs := time.Since(start).Seconds()
-	periodicCircles := st.Cfg.Circles()
+	periodicRes := out[2].Result
 
 	xs, ys := partition.BoundaryLines(im.Bounds(), 2, 2)
 	score := func(name string, found []geom.Ellipse) []any {
@@ -105,9 +91,9 @@ func Anomaly(ctx context.Context, o Options) (*Result, error) {
 	tb := &trace.Table{Header: []string{
 		"method", "found", "TP", "FP", "FN", "dup_pairs", "excess_near_boundary", "F1",
 	}}
-	tb.Add(score("naive", naive.Circles)...)
-	tb.Add(score("blind", blind.Circles)...)
-	tb.Add(score("periodic", periodicCircles)...)
+	tb.Add(score("naive", out[0].Value.([]geom.Ellipse))...)
+	tb.Add(score("blind", toGeom(out[1].Result.Circles))...)
+	tb.Add(score("periodic", toGeom(periodicRes.Circles))...)
 	var sb strings.Builder
 	if err := tb.Write(&sb); err != nil {
 		return nil, err
@@ -118,9 +104,32 @@ func Anomaly(ctx context.Context, o Options) (*Result, error) {
 		Body:  sb.String(),
 		Notes: []string{
 			fmt.Sprintf("%d of %d truth artifacts sit exactly on the naive 2x2 grid lines", 4, len(truth)),
-			fmt.Sprintf("periodic run: %d iterations in %.3fs (statistically exact)", cfg.MaxIters, periodicSecs),
+			fmt.Sprintf("periodic run: %d iterations in %.3fs (statistically exact)",
+				periodicRes.Iterations, periodicRes.Elapsed.Seconds()),
 			"paper shape: naive splitting duplicates or loses the boundary artifacts;",
 			"blind partitioning's overlap+merge and periodic partitioning do not.",
 		},
 	}, nil
+}
+
+// runNaive is the §II baseline: split the image into a plain 2×2 grid
+// with no overlap, run an independent chain per cell, and take the
+// unmerged union of the cells' detections.
+func runNaive(ctx context.Context, im *imaging.Image, cfg partition.Config, workers int) ([]geom.Ellipse, error) {
+	chains, err := partition.NewChains(im, geom.UniformSplit(im.Bounds(), 2, 2), cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Steps of 5000 iterations per chain: a few milliseconds of work
+	// between cancellation checks. Results do not depend on the size.
+	for done := false; !done; done = partition.Step(chains, workers, 5000) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	var found []geom.Ellipse
+	for _, c := range chains {
+		found = append(found, c.Result().Circles...)
+	}
+	return found, nil
 }

@@ -75,12 +75,6 @@ type Rect struct {
 	X0, Y0, X1, Y1 float64
 }
 
-// RectWH returns a rectangle with origin (x, y) and the given width and
-// height.
-func RectWH(x, y, w, h float64) Rect {
-	return Rect{X0: x, Y0: y, X1: x + w, Y1: y + h}
-}
-
 // W returns the rectangle's width (never negative for a valid Rect).
 func (r Rect) W() float64 { return r.X1 - r.X0 }
 
@@ -117,20 +111,6 @@ func (r Rect) Intersect(o Rect) Rect {
 		return Rect{}
 	}
 	return out
-}
-
-// Union returns the smallest rectangle containing both r and o.
-func (r Rect) Union(o Rect) Rect {
-	if r.Empty() {
-		return o
-	}
-	if o.Empty() {
-		return r
-	}
-	return Rect{
-		X0: math.Min(r.X0, o.X0), Y0: math.Min(r.Y0, o.Y0),
-		X1: math.Max(r.X1, o.X1), Y1: math.Max(r.Y1, o.Y1),
-	}
 }
 
 // Expand returns the rectangle grown by m on every side.

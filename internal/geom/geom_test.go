@@ -104,9 +104,9 @@ func TestIntersectsConsistentWithOverlap(t *testing.T) {
 }
 
 func TestRectBasics(t *testing.T) {
-	r := RectWH(1, 2, 3, 4)
+	r := Rect{X0: 1, Y0: 2, X1: 4, Y1: 6}
 	if r.W() != 3 || r.H() != 4 || r.Area() != 12 {
-		t.Fatalf("RectWH wrong: %+v", r)
+		t.Fatalf("W/H/Area wrong: %+v", r)
 	}
 	if r.Empty() {
 		t.Fatal("non-empty rect reported empty")
@@ -137,17 +137,13 @@ func TestRectContainsCircleMargin(t *testing.T) {
 	}
 }
 
-func TestRectIntersectUnion(t *testing.T) {
+func TestRectIntersect(t *testing.T) {
 	a := Rect{X0: 0, Y0: 0, X1: 10, Y1: 10}
 	b := Rect{X0: 5, Y0: 5, X1: 15, Y1: 15}
 	got := a.Intersect(b)
 	want := Rect{X0: 5, Y0: 5, X1: 10, Y1: 10}
 	if got != want {
 		t.Fatalf("Intersect = %+v", got)
-	}
-	u := a.Union(b)
-	if u != (Rect{X0: 0, Y0: 0, X1: 15, Y1: 15}) {
-		t.Fatalf("Union = %+v", u)
 	}
 	disjoint := a.Intersect(Rect{X0: 20, Y0: 20, X1: 30, Y1: 30})
 	if !disjoint.Empty() {
@@ -174,7 +170,7 @@ func TestGridCellsTileBounds(t *testing.T) {
 		xm := r.Uniform(5, 150)
 		ym := r.Uniform(5, 150)
 		g := NewGrid(bounds, xm, ym, r.Uniform(0, xm), r.Uniform(0, ym))
-		cells := g.Cells()
+		cells := g.AppendCells(nil)
 		total := 0.0
 		for i, c := range cells {
 			if c.Empty() {
@@ -197,7 +193,7 @@ func TestGridCellAtMatchesCells(t *testing.T) {
 	bounds := Rect{X0: 0, Y0: 0, X1: 50, Y1: 50}
 	g := NewGrid(bounds, 17, 13, 5, 9)
 	r := rng.New(4)
-	cells := g.Cells()
+	cells := g.AppendCells(nil)
 	for i := 0; i < 2000; i++ {
 		x, y := r.Uniform(0, 50), r.Uniform(0, 50)
 		cell, ok := g.CellAt(x, y)
@@ -215,7 +211,7 @@ func TestGridCellAtMatchesCells(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Fatalf("CellAt returned %+v not present in Cells()", cell)
+			t.Fatalf("CellAt returned %+v not present in AppendCells", cell)
 		}
 	}
 }
@@ -240,7 +236,7 @@ func TestGridOffsetNormalised(t *testing.T) {
 func TestGridSpacingLargerThanBounds(t *testing.T) {
 	bounds := Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}
 	g := NewGrid(bounds, 150, 150, 60, 40)
-	cells := g.Cells()
+	cells := g.AppendCells(nil)
 	// Offset inside the image with spacing > image produces exactly 4
 	// partitions meeting at a single point (the paper's fig. 2 layout).
 	if len(cells) != 4 {
@@ -255,25 +251,6 @@ func TestNewGridPanicsOnBadSpacing(t *testing.T) {
 		}
 	}()
 	NewGrid(Rect{X1: 10, Y1: 10}, 0, 5, 0, 0)
-}
-
-func TestQuarterSplit(t *testing.T) {
-	bounds := Rect{X0: 0, Y0: 0, X1: 100, Y1: 100}
-	quads := QuarterSplit(bounds, 30, 70)
-	if len(quads) != 4 {
-		t.Fatalf("got %d quadrants", len(quads))
-	}
-	total := 0.0
-	for _, q := range quads {
-		total += q.Area()
-	}
-	if !almostEq(total, bounds.Area(), 1e-9) {
-		t.Fatalf("quadrants cover %v", total)
-	}
-	// Degenerate cut along an edge drops empty slivers.
-	if got := QuarterSplit(bounds, 0, 50); len(got) != 2 {
-		t.Fatalf("edge cut produced %d parts, want 2", len(got))
-	}
 }
 
 func TestUniformSplit(t *testing.T) {

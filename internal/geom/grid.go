@@ -58,15 +58,12 @@ func (g Grid) CellAt(x, y float64) (Rect, bool) {
 	return cell.Clip(g.Bounds), true
 }
 
-// Cells returns every non-empty cell of the grid clipped to the bounds,
-// in row-major order. Together the cells tile Bounds exactly (see the
-// property tests): they are pairwise disjoint and their areas sum to the
-// bounds area.
-func (g Grid) Cells() []Rect { return g.AppendCells(nil) }
-
-// AppendCells appends the grid's non-empty clipped cells to dst and
-// returns it; the periodic engine passes a reusable buffer so re-gridding
-// before every local phase stays allocation-free.
+// AppendCells appends every non-empty cell of the grid, clipped to the
+// bounds, to dst in row-major order and returns it. Together the cells
+// tile Bounds exactly (see the property tests): they are pairwise
+// disjoint and their areas sum to the bounds area. The periodic engine
+// passes a reusable buffer so re-gridding before every local phase stays
+// allocation-free.
 func (g Grid) AppendCells(dst []Rect) []Rect {
 	if g.Bounds.Empty() {
 		return dst
@@ -96,27 +93,6 @@ func (g Grid) AppendCells(dst []Rect) []Rect {
 		}
 	}
 	return cells
-}
-
-// QuarterSplit returns the four rectangles produced by cutting bounds at
-// the single interior point (x, y) — the partitioning used in the paper's
-// fig. 2 experiment ("four rectangular partitions using a single
-// coordinate where all partitions meet"). Degenerate slivers are dropped
-// when the point lies on the boundary.
-func QuarterSplit(bounds Rect, x, y float64) []Rect {
-	quads := []Rect{
-		{X0: bounds.X0, Y0: bounds.Y0, X1: x, Y1: y},
-		{X0: x, Y0: bounds.Y0, X1: bounds.X1, Y1: y},
-		{X0: bounds.X0, Y0: y, X1: x, Y1: bounds.Y1},
-		{X0: x, Y0: y, X1: bounds.X1, Y1: bounds.Y1},
-	}
-	out := quads[:0]
-	for _, q := range quads {
-		if !q.Empty() {
-			out = append(out, q)
-		}
-	}
-	return out
 }
 
 // UniformSplit divides bounds into an nx × ny lattice of equal cells, in

@@ -427,58 +427,11 @@ func (e Ellipse) rowSpanQuadExact(A, B, C, F, inv2A, dy float64, x0, x1 int) (xa
 	return xa, xb
 }
 
-// RowSpanner is the hoisted form of Ellipse.RowSpan for kernels that
-// walk several rows of one shape (move/exchange kernels intersect two
-// shapes' spans row by row): the per-shape constants — nothing for a
-// disc, the quadratic coefficients for an ellipse — are computed once
-// instead of per row. Spans returned are bit-identical to RowSpan's.
-type RowSpanner struct {
-	e          Ellipse
-	circ       Circle
-	circular   bool
-	empty      bool
-	A, B, C, F float64
-	inv2A      float64
-}
-
-// Spanner returns the hoisted row-span evaluator for e.
-func (e Ellipse) Spanner() RowSpanner {
-	s := RowSpanner{e: e}
-	if e.Rx < 0 || e.Ry < 0 {
-		s.empty = true
-		return s
-	}
-	if e.Circular() {
-		s.circular = true
-		s.circ = e.AsCircle()
-		return s
-	}
-	if e.Rx == 0 || e.Ry == 0 {
-		s.empty = true
-		return s
-	}
-	s.A, s.B, s.C, s.F = e.quad()
-	s.inv2A = 1 / (2 * s.A)
-	return s
-}
-
-// RowSpan returns the covered pixel x-range [xa, xb) of row y, clipped
-// to [x0, x1), exactly as Ellipse.RowSpan would.
-func (s *RowSpanner) RowSpan(y, x0, x1 int) (xa, xb int) {
-	if s.circular {
-		return s.circ.RowSpan(y, x0, x1)
-	}
-	if s.empty {
-		return 0, 0
-	}
-	return s.e.rowSpanQuad(s.A, s.B, s.C, s.F, s.inv2A, y, x0, x1)
-}
-
 // EllipseSpans calls fn(y, xa, xb) for every image row y on which e
 // covers at least one pixel centre, with [xa, xb) the covered x-range
 // clipped to an image of width w and height h. Rows arrive in
-// increasing order. It is the ellipse analogue of DiscSpans (to which
-// the circular case dispatches row by row).
+// increasing order. The circular case dispatches to Circle.RowSpan row
+// by row.
 func EllipseSpans(w, h int, e Ellipse, fn func(y, xa, xb int)) {
 	x0, x1 := e.PixelCols(w)
 	y0, y1 := e.PixelRows(h)

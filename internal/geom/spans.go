@@ -127,19 +127,6 @@ func (c Circle) rowSpanExact(dy2, r2 float64, x0, x1 int) (xa, xb int) {
 	return xa, xb
 }
 
-// DiscSpans calls fn(y, xa, xb) for every image row y on which c covers
-// at least one pixel centre, with [xa, xb) the covered x-range clipped to
-// an image of width w and height h. Rows arrive in increasing order.
-func DiscSpans(w, h int, c Circle, fn func(y, xa, xb int)) {
-	x0, x1 := c.PixelCols(w)
-	y0, y1 := c.PixelRows(h)
-	for y := y0; y < y1; y++ {
-		if xa, xb := c.RowSpan(y, x0, x1); xa < xb {
-			fn(y, xa, xb)
-		}
-	}
-}
-
 // Span is one covered pixel interval [X0, X1) of image row Y. int32
 // fields keep the batched span tables compact (12 bytes per row), which
 // matters for the stack buffers the kernels iterate; image dimensions
@@ -217,71 +204,6 @@ func AppendDiscSpans(dst []Span, w, h int, c Circle) []Span {
 		n++
 	}
 	return out[:n]
-}
-
-// UnionSpans calls fn(y, xa, xb) for every maximal run of pixels covered
-// by at least one circle in cs, row by row in increasing y, spans in
-// increasing x. It allocates only when len(cs) exceeds a small internal
-// limit.
-//
-// Like DiscSpans, this is the general-purpose iterator form of the span
-// machinery — rasterisation, region accounting, tests. The likelihood
-// kernels do not call it: they need per-pixel coverage *multiplicities*,
-// so the model package's exchange walk cuts rows into
-// constant-multiplicity segments itself (and the single-disc kernels
-// batch via AppendDiscSpans).
-func UnionSpans(w, h int, cs []Circle, fn func(y, xa, xb int)) {
-	if len(cs) == 0 {
-		return
-	}
-	// Union row range.
-	y0, y1 := h, 0
-	for _, c := range cs {
-		cy0, cy1 := c.PixelRows(h)
-		if cy0 < y0 {
-			y0 = cy0
-		}
-		if cy1 > y1 {
-			y1 = cy1
-		}
-	}
-	var buf [8][2]int
-	spans := buf[:0]
-	if len(cs) > len(buf) {
-		spans = make([][2]int, 0, len(cs))
-	}
-	for y := y0; y < y1; y++ {
-		spans = spans[:0]
-		for _, c := range cs {
-			x0, x1 := c.PixelCols(w)
-			if xa, xb := c.RowSpan(y, x0, x1); xa < xb {
-				// Insertion sort by start; len(cs) is tiny.
-				i := len(spans)
-				spans = append(spans, [2]int{xa, xb})
-				for i > 0 && spans[i-1][0] > xa {
-					spans[i] = spans[i-1]
-					i--
-				}
-				spans[i] = [2]int{xa, xb}
-			}
-		}
-		if len(spans) == 0 {
-			continue
-		}
-		// Merge overlapping/adjacent spans and emit.
-		curA, curB := spans[0][0], spans[0][1]
-		for _, sp := range spans[1:] {
-			if sp[0] > curB {
-				fn(y, curA, curB)
-				curA, curB = sp[0], sp[1]
-				continue
-			}
-			if sp[1] > curB {
-				curB = sp[1]
-			}
-		}
-		fn(y, curA, curB)
-	}
 }
 
 func clampSpan(v, lo, hi int) int {

@@ -91,64 +91,18 @@ func TestRowSpanClipped(t *testing.T) {
 	}
 }
 
-// TestDiscSpansCountsArea sanity-checks the span iterator against the
-// analytic disc area for a well-resolved interior circle.
+// TestDiscSpansCountsArea sanity-checks the batched span tables against
+// the analytic disc area for a well-resolved interior circle.
 func TestDiscSpansCountsArea(t *testing.T) {
 	c := Circle{X: 50.3, Y: 48.7, R: 20}
 	pixels := 0
-	DiscSpans(128, 128, c, func(y, xa, xb int) {
-		if xa >= xb {
-			t.Fatalf("empty span emitted at row %d", y)
+	for _, sp := range AppendDiscSpans(nil, 128, 128, c) {
+		if sp.X0 >= sp.X1 {
+			t.Fatalf("empty span emitted at row %d", sp.Y)
 		}
-		pixels += xb - xa
-	})
+		pixels += int(sp.X1 - sp.X0)
+	}
 	if math.Abs(float64(pixels)-c.Area()) > 0.05*c.Area() {
 		t.Fatalf("disc spans cover %d pixels, analytic area %.1f", pixels, c.Area())
-	}
-}
-
-// TestUnionSpansMatchesPerPixel compares UnionSpans against a brute-force
-// membership raster for random circle sets.
-func TestUnionSpansMatchesPerPixel(t *testing.T) {
-	const w, h = 40, 36
-	rng := &spanRNG{s: 99}
-	for trial := 0; trial < 300; trial++ {
-		n := int(rng.next()%4) + 1
-		cs := make([]Circle, n)
-		for i := range cs {
-			cs[i] = randCircle(rng, w, h)
-		}
-		want := make([]bool, w*h)
-		for _, c := range cs {
-			x0, x1 := c.PixelCols(w)
-			y0, y1 := c.PixelRows(h)
-			for y := y0; y < y1; y++ {
-				xa, xb := c.RowSpan(y, x0, x1)
-				for x := xa; x < xb; x++ {
-					want[y*w+x] = true
-				}
-			}
-		}
-		got := make([]bool, w*h)
-		lastY, lastB := -1, -1
-		UnionSpans(w, h, cs, func(y, xa, xb int) {
-			if xa >= xb {
-				t.Fatalf("empty union span at row %d", y)
-			}
-			if y < lastY || (y == lastY && xa <= lastB) {
-				t.Fatalf("union spans out of order or overlapping: row %d span [%d,%d) after row %d end %d",
-					y, xa, xb, lastY, lastB)
-			}
-			lastY, lastB = y, xb
-			for x := xa; x < xb; x++ {
-				got[y*w+x] = true
-			}
-		})
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("trial %d: union mismatch at pixel (%d,%d): want %v",
-					trial, i%w, i/w, want[i])
-			}
-		}
 	}
 }

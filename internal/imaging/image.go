@@ -133,27 +133,6 @@ func (im *Image) CountAbove(theta float64) int {
 	return n
 }
 
-// CountAboveIn restricts CountAbove to the pixels whose centres lie in
-// rect.
-func (im *Image) CountAboveIn(theta float64, rect geom.Rect) int {
-	x0 := clampInt(int(math.Floor(rect.X0)), 0, im.W)
-	y0 := clampInt(int(math.Floor(rect.Y0)), 0, im.H)
-	x1 := clampInt(int(math.Ceil(rect.X1)), 0, im.W)
-	y1 := clampInt(int(math.Ceil(rect.Y1)), 0, im.H)
-	n := 0
-	for y := y0; y < y1; y++ {
-		row := im.Pix[y*im.W : (y+1)*im.W]
-		for x := x0; x < x1; x++ {
-			if float64(x)+0.5 >= rect.X0 && float64(x)+0.5 < rect.X1 &&
-				float64(y)+0.5 >= rect.Y0 && float64(y)+0.5 < rect.Y1 &&
-				row[x] > theta {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // EstimateCount implements eq. 5: the expected number of circular
 // artifacts of mean radius r in the region where intensity exceeds theta,
 //
@@ -163,15 +142,6 @@ func (im *Image) EstimateCount(theta, meanRadius float64) float64 {
 		return 0
 	}
 	return float64(im.CountAbove(theta)) / (math.Pi * meanRadius * meanRadius)
-}
-
-// EstimateCountIn applies eq. 5 to a sub-rectangle, which is how the
-// partitioning methods assign per-partition prior knowledge.
-func (im *Image) EstimateCountIn(theta, meanRadius float64, rect geom.Rect) float64 {
-	if meanRadius <= 0 {
-		return 0
-	}
-	return float64(im.CountAboveIn(theta, rect)) / (math.Pi * meanRadius * meanRadius)
 }
 
 // Emphasize applies the colour-of-interest filter of §III in grayscale
@@ -189,22 +159,6 @@ func (im *Image) Emphasize(target, sigma float64) *Image {
 		out.Pix[i] = math.Exp(-d * d * inv)
 	}
 	return out
-}
-
-// BlankOutside zeroes every pixel whose centre is outside rect. Intelligent
-// partitioning uses this to hide neighbouring partitions' data from the
-// likelihood ("the pixel data for neighbouring partitions will be blanked
-// out", §IX).
-func (im *Image) BlankOutside(rect geom.Rect) {
-	for y := 0; y < im.H; y++ {
-		cy := float64(y) + 0.5
-		for x := 0; x < im.W; x++ {
-			cx := float64(x) + 0.5
-			if !rect.ContainsPoint(cx, cy) {
-				im.Pix[y*im.W+x] = 0
-			}
-		}
-	}
 }
 
 // Equal reports whether two images have identical dimensions and pixels

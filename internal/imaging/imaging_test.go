@@ -99,15 +99,17 @@ func TestEstimateCountEq5(t *testing.T) {
 	}
 }
 
+// TestEstimateCountInPartition applies eq. 5 to a cropped partition, the
+// way each region chain assigns its own prior.
 func TestEstimateCountInPartition(t *testing.T) {
 	im := New(100, 100)
 	RenderShape(im, geom.Disc(25, 25, 8), 1)
 	RenderShape(im, geom.Disc(75, 75, 8), 1)
-	left := im.EstimateCountIn(0.5, 8, geom.Rect{X0: 0, Y0: 0, X1: 50, Y1: 100})
-	if math.Abs(left-1) > 0.3 {
+	crop, _ := im.SubImage(geom.Rect{X0: 0, Y0: 0, X1: 50, Y1: 100})
+	if left := crop.EstimateCount(0.5, 8); math.Abs(left-1) > 0.3 {
 		t.Fatalf("left-half estimate %v, want ~1", left)
 	}
-	if im.EstimateCountIn(0.5, 0, geom.Rect{X1: 50, Y1: 100}) != 0 {
+	if crop.EstimateCount(0.5, 0) != 0 {
 		t.Fatal("zero radius must yield 0")
 	}
 }
@@ -131,18 +133,6 @@ func TestEmphasizePanics(t *testing.T) {
 		}
 	}()
 	New(1, 1).Emphasize(0.5, 0)
-}
-
-func TestBlankOutside(t *testing.T) {
-	im := New(10, 10)
-	im.Fill(1)
-	im.BlankOutside(geom.Rect{X0: 2, Y0: 2, X1: 5, Y1: 5})
-	if im.At(0, 0) != 0 || im.At(7, 7) != 0 {
-		t.Fatal("outside pixels not blanked")
-	}
-	if im.At(3, 3) != 1 {
-		t.Fatal("inside pixel blanked")
-	}
 }
 
 func TestRenderDiscCoversExpectedArea(t *testing.T) {

@@ -99,97 +99,3 @@ func (d PlateauDetector) Converged(tr *Trace) (int64, bool) {
 	}
 	return 0, false
 }
-
-// RunUntilConverged advances the engine until the detector fires or
-// maxIter iterations have been performed, whichever comes first. It
-// returns the iterations consumed and whether convergence was declared.
-// A fresh trace is attached if none is present.
-func (e *Engine) RunUntilConverged(maxIter int, d PlateauDetector) (int64, bool) {
-	if e.trace == nil {
-		e.AttachTrace(NewTrace(maxIter/1000 + 1))
-	}
-	start := e.Iter
-	checkEvery := (2*d.Window + 1) * e.trace.Every
-	if checkEvery < 1 {
-		checkEvery = 1
-	}
-	for e.Iter-start < int64(maxIter) {
-		n := checkEvery
-		if rem := int64(maxIter) - (e.Iter - start); rem < int64(n) {
-			n = int(rem)
-		}
-		e.RunN(n)
-		if it, ok := d.Converged(e.trace); ok {
-			return it - start, true
-		}
-	}
-	return e.Iter - start, false
-}
-
-// GewekeZ computes the Geweke (1992) convergence z-score of a series:
-// the standardised difference between the mean of the first fracA of the
-// samples and the mean of the last fracB. |z| ≲ 2 is consistent with the
-// two segments sharing a stationary mean. Variance estimation here is
-// the naive iid form — adequate for the thinned traces the detectors
-// consume, where autocorrelation is weak.
-func GewekeZ(xs []float64, fracA, fracB float64) float64 {
-	n := len(xs)
-	na := int(fracA * float64(n))
-	nb := int(fracB * float64(n))
-	if na < 2 || nb < 2 || na+nb > n {
-		return math.Inf(1)
-	}
-	meanVar := func(seg []float64) (m, v float64) {
-		for _, x := range seg {
-			m += x
-		}
-		m /= float64(len(seg))
-		for _, x := range seg {
-			d := x - m
-			v += d * d
-		}
-		v /= float64(len(seg) - 1)
-		return
-	}
-	ma, va := meanVar(xs[:na])
-	mb, vb := meanVar(xs[n-nb:])
-	denom := math.Sqrt(va/float64(na) + vb/float64(nb))
-	if denom == 0 {
-		if ma == mb {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return (ma - mb) / denom
-}
-
-// GewekeDetector declares convergence when the Geweke z-score of the
-// most recent Window trace observations (first 25% vs last 50%, the
-// conventional split) falls below ZThreshold in magnitude.
-type GewekeDetector struct {
-	// Window is the number of trailing observations tested (>= 8).
-	Window int
-	// ZThreshold is the |z| acceptance bound (default-style value: 2).
-	ZThreshold float64
-	// MinIters suppresses convergence before that many iterations.
-	MinIters int64
-}
-
-// Converged scans the trace and returns the first iteration at which the
-// criterion held, or (0, false).
-func (d GewekeDetector) Converged(tr *Trace) (int64, bool) {
-	w := d.Window
-	if w < 8 || len(tr.LogPost) < w {
-		return 0, false
-	}
-	for end := w; end <= len(tr.LogPost); end++ {
-		if tr.Iters[end-1] < d.MinIters {
-			continue
-		}
-		z := GewekeZ(tr.LogPost[end-w:end], 0.25, 0.5)
-		if math.Abs(z) < d.ZThreshold {
-			return tr.Iters[end-1], true
-		}
-	}
-	return 0, false
-}

@@ -91,14 +91,6 @@ func (st *Stats) RejectionRate() float64 {
 	return 1 - float64(acc)/float64(prop)
 }
 
-// RejectionRateOf returns the rejection rate restricted to one move kind.
-func (st *Stats) RejectionRateOf(m Move) float64 {
-	if st.Proposed[m] == 0 {
-		return 0
-	}
-	return 1 - float64(st.Accepted[m])/float64(st.Proposed[m])
-}
-
 // GlobalLocalRates returns the rejection rates over M_g and M_l
 // separately (p_gr and p_lr in eq. 4).
 func (st *Stats) GlobalLocalRates() (pgr, plr float64) {
@@ -155,7 +147,7 @@ type Engine struct {
 
 	// partners is the reusable merge-candidate buffer: proposeMerge
 	// appends into it instead of allocating a fresh slice per proposal.
-	// Shadow engines get their own (see Shadow), so concurrent
+	// Shadow engines get their own (see ShadowScratch), so concurrent
 	// speculative Propose calls never share scratch.
 	partners []int
 
@@ -213,25 +205,14 @@ func MustNew(s *model.State, r *rng.RNG, w Weights, steps StepSizes) *Engine {
 	return e
 }
 
-// Shadow returns a copy of e that shares the model state and weights but
-// owns a private RNG stream (split off e's) and private scratch buffers.
-// The speculative executor evaluates proposals concurrently on shadows;
-// sharing scratch across them would race.
-func (e *Engine) Shadow() *Engine {
-	s := *e
-	s.R = e.R.Split()
-	s.kindR = e.kindR.Split()
-	s.partners = nil
-	s.ms = model.MoveSpans{}
-	return &s
-}
-
-// ShadowScratch is Shadow without the stream split: the copy's RNGs are
-// placeholders the caller must Reseed before every use. Because it draws
-// nothing from the host's streams, the host chain is invariant to how
-// many scratch shadows exist — the property the speculative executor
-// needs so that speculation width (and worker count) can never alter the
-// realized chain.
+// ShadowScratch returns a copy of e that shares the model state and
+// weights but owns private scratch buffers; the speculative executor
+// evaluates proposals concurrently on such shadows, and sharing scratch
+// across them would race. The copy's RNGs are placeholders the caller
+// must Reseed before every use. Because it draws nothing from the host's
+// streams, the host chain is invariant to how many scratch shadows exist
+// — the property the speculative executor needs so that speculation
+// width (and worker count) can never alter the realized chain.
 func (e *Engine) ShadowScratch() *Engine {
 	s := *e
 	s.R = rng.New(0)
@@ -244,13 +225,6 @@ func (e *Engine) ShadowScratch() *Engine {
 // PickMove draws a move kind from the proposal mixture.
 func (e *Engine) PickMove() Move {
 	return Move(e.R.Pick(e.wNorm[:]))
-}
-
-// Step performs one MCMC iteration: draw a kind, propose, decide. It
-// returns whether the proposal was accepted.
-func (e *Engine) Step() bool {
-	p := e.Propose(e.PickMove())
-	return e.Decide(p)
 }
 
 // RunN performs n iterations and returns the number accepted. Move

@@ -1,12 +1,9 @@
 package partition
 
 import (
-	"context"
-	"fmt"
 	"math"
 
 	"repro/internal/geom"
-	"repro/internal/imaging"
 )
 
 // BlindOptions configures blind partitioning (§VIII, fig. 4).
@@ -22,34 +19,10 @@ type BlindOptions struct {
 	// overlap-area detections from different partitions are merged by
 	// averaging.
 	MergeRadius float64
-	// KeepDisputed controls artifacts in an overlap area with no
-	// counterpart: true accepts them (avoid missing artifacts), false
-	// discards them (avoid false positives).
-	KeepDisputed bool
 }
 
-// Validate reports whether the options are usable.
-func (o BlindOptions) Validate() error {
-	if o.NX < 1 || o.NY < 1 {
-		return fmt.Errorf("partition: blind grid must be at least 1x1")
-	}
-	if o.Margin < 0 {
-		return fmt.Errorf("partition: negative overlap margin")
-	}
-	if o.MergeRadius <= 0 {
-		return fmt.Errorf("partition: MergeRadius must be positive")
-	}
-	return nil
-}
-
-// BlindResult is the outcome of a blind-partitioning run.
+// BlindResult is the outcome of the blind merge.
 type BlindResult struct {
-	// Cores are the non-overlapping grid cells; Expanded the overlap-
-	// extended regions actually processed.
-	Cores    []geom.Rect
-	Expanded []geom.Rect
-	Regions  []RegionResult
-
 	// Circles is the merged final model.
 	Circles []geom.Ellipse
 	// Merged counts cross-partition pairs averaged together; Disputed
@@ -69,32 +42,13 @@ func BlindRegions(bounds geom.Rect, opt BlindOptions) (cores, expanded []geom.Re
 	return cores, expanded
 }
 
-// RunBlind partitions img into an overlapping grid, runs an independent
-// chain per expanded cell (honouring ctx between chunk-aligned rounds),
-// then merges per the paper's procedure: delete detections whose centre
-// falls outside their own core cell, take the union, and average close
-// cross-partition pairs in the overlap areas.
-func RunBlind(ctx context.Context, img *imaging.Image, cfg Config, opt BlindOptions, workers int) (BlindResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return BlindResult{}, err
-	}
-	if err := opt.Validate(); err != nil {
-		return BlindResult{}, err
-	}
-	cores, expanded := BlindRegions(img.Bounds(), opt)
-	results, err := runRegions(ctx, img, expanded, cfg, workers)
-	if err != nil {
-		return BlindResult{}, err
-	}
-	return MergeBlind(cores, expanded, results, opt), nil
-}
-
 // MergeBlind applies the paper's blind-merge procedure to per-region
 // results: keep detections whose centre lies in their own core cell,
 // average close cross-partition pairs in the overlap areas, and accept
-// or drop counterpart-less overlap detections per opt.KeepDisputed.
+// counterpart-less overlap detections as disputed (missing an artifact
+// is the worse error).
 func MergeBlind(cores, expanded []geom.Rect, results []RegionResult, opt BlindOptions) BlindResult {
-	res := BlindResult{Cores: cores, Expanded: expanded, Regions: results}
+	var res BlindResult
 
 	// Keep only detections whose centre lies in the partition's own core
 	// ("beads whose centre is not inside the dotted line ... are
@@ -154,11 +108,9 @@ func MergeBlind(cores, expanded []geom.Rect, results []RegionResult, opt BlindOp
 			res.Merged++
 			continue
 		}
-		// Disputable artifact.
+		// Disputable artifact: kept.
 		res.Disputed++
-		if opt.KeepDisputed {
-			res.Circles = append(res.Circles, ci.c)
-		}
+		res.Circles = append(res.Circles, ci.c)
 		used[i] = true
 	}
 	return res

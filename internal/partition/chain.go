@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"context"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -16,9 +15,9 @@ import (
 
 // Chain is one partition's sampler as a steppable unit: it advances in
 // bounded increments, checks its convergence detector on a fixed
-// absolute cadence, and can be dumped/restored mid-run. All the Run*
-// entry points of this package, and the strategy samplers in
-// pkg/parmcmc, drive regions through Chains — which is what makes
+// absolute cadence, and can be dumped/restored mid-run. The strategy
+// samplers in pkg/parmcmc drive regions through Chains (via Step, or
+// Advance for a whole-image Converge run) — which is what makes
 // partitioned runs cancellable between increments and checkpointable at
 // any increment boundary, with results bit-identical to an
 // uninterrupted run (the detector cadence is anchored to absolute
@@ -221,29 +220,6 @@ func RestoreChain(img *imaging.Image, cfg Config, d ChainDump) (*Chain, error) {
 	c.done = d.Done
 	c.seconds = d.Seconds
 	return c, nil
-}
-
-// DriveChunk is the default per-chain step budget used by the Run*
-// entry points — a few milliseconds of work per region between
-// cancellation checks, mirroring the whole-image strategies.
-const DriveChunk = 5000
-
-// Drive steps the chains (see Step) with per-chain budget chunk until
-// all are done or ctx is cancelled. Chains own disjoint state and
-// deterministic RNG streams, so results are independent of workers,
-// step sizing, and cancellation timing.
-func Drive(ctx context.Context, chains []*Chain, workers, chunk int) error {
-	if chunk < 1 {
-		chunk = DriveChunk
-	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if Step(chains, workers, chunk) {
-			return nil
-		}
-	}
 }
 
 // grainsPerChunk is how many grains a chain's share of one step is cut

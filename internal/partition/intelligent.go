@@ -1,8 +1,6 @@
 package partition
 
 import (
-	"context"
-
 	"repro/internal/geom"
 	"repro/internal/imaging"
 )
@@ -98,34 +96,4 @@ func cutRegion(it *imaging.Integral, x0, y0, x1, y1, minGap, pad int, out *[]geo
 		X1: float64(x1 + pad), Y1: float64(y1 + pad),
 	}.Clip(geom.Rect{X1: float64(it.W), Y1: float64(it.H)})
 	*out = append(*out, r)
-}
-
-// IntelligentResult is the outcome of an intelligent-partitioning run.
-type IntelligentResult struct {
-	Regions []RegionResult
-	// Circles is the union of the per-region detections (merging is
-	// trivial because the pre-processor guarantees no artifact spans a
-	// boundary, §IX).
-	Circles []geom.Ellipse
-}
-
-// RunIntelligent applies the pre-processor and processes every region
-// with an independent chain on up to `workers` goroutines, honouring
-// ctx between chunk-aligned rounds. The pad is fixed at 2 px of
-// context; minGap should be at least the expected artifact diameter so
-// cuts cannot bisect an artifact.
-func RunIntelligent(ctx context.Context, img *imaging.Image, cfg Config, minGap, workers int) (IntelligentResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return IntelligentResult{}, err
-	}
-	regions := IntelligentRegions(img, cfg.Theta, minGap, 2)
-	results, err := runRegions(ctx, img, regions, cfg, workers)
-	if err != nil {
-		return IntelligentResult{}, err
-	}
-	res := IntelligentResult{Regions: results}
-	for _, r := range results {
-		res.Circles = append(res.Circles, r.Circles...)
-	}
-	return res, nil
 }

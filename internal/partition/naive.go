@@ -1,43 +1,12 @@
 package partition
 
-import (
-	"context"
-
-	"repro/internal/geom"
-	"repro/internal/imaging"
-)
-
-// NaiveResult is the outcome of the naive divide-and-conquer baseline.
-type NaiveResult struct {
-	Cells   []geom.Rect
-	Regions []RegionResult
-	Circles []geom.Ellipse
-}
-
-// RunNaive is the baseline §II warns about: split the image into a plain
-// grid with no overlap, run an independent chain per cell, and take the
-// unmerged union. Artifacts that straddle a cell boundary are found
-// twice (once per side, both clipped), poorly positioned, or missed —
-// the anomalies the ANOM experiment quantifies against blind and
-// periodic partitioning.
-func RunNaive(ctx context.Context, img *imaging.Image, cfg Config, nx, ny, workers int) (NaiveResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return NaiveResult{}, err
-	}
-	cells := geom.UniformSplit(img.Bounds(), nx, ny)
-	results, err := runRegions(ctx, img, cells, cfg, workers)
-	if err != nil {
-		return NaiveResult{}, err
-	}
-	res := NaiveResult{Cells: cells, Regions: results}
-	for _, r := range results {
-		res.Circles = append(res.Circles, r.Circles...)
-	}
-	return res, nil
-}
+import "repro/internal/geom"
 
 // BoundaryLines returns the interior grid line coordinates of an nx×ny
-// split of bounds — where naive partitioning concentrates its anomalies.
+// split of bounds — where the §II naive baseline (a plain grid with no
+// overlap, one independent chain per cell, unmerged union) concentrates
+// its anomalies: artifacts that straddle a cell boundary are found twice,
+// poorly positioned, or missed.
 func BoundaryLines(bounds geom.Rect, nx, ny int) (xs, ys []float64) {
 	for i := 1; i < nx; i++ {
 		xs = append(xs, bounds.X0+bounds.W()*float64(i)/float64(nx))

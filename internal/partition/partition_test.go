@@ -1,14 +1,12 @@
 package partition
 
 import (
-	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/imaging"
-	"repro/internal/mcmc"
-	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/stats"
 )
@@ -55,25 +53,46 @@ func testConfig(seed uint64) Config {
 	return cfg
 }
 
-func TestConfigValidate(t *testing.T) {
-	if err := testConfig(1).Validate(); err != nil {
+// drive steps the chains with per-chain budget n until every one is
+// done, as pkg/parmcmc's region samplers do.
+func drive(chains []*Chain, workers, n int) {
+	for !Step(chains, workers, n) {
+	}
+}
+
+// runRegions runs one chain per region to completion on up to workers
+// goroutines and returns the region results in order.
+func runRegions(t *testing.T, img *imaging.Image, regions []geom.Rect, cfg Config, workers int) []RegionResult {
+	t.Helper()
+	chains, err := NewChains(img, regions, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	bad := testConfig(1)
-	bad.MaxIters = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("MaxIters=0 accepted")
+	drive(chains, workers, 5000)
+	results := make([]RegionResult, len(chains))
+	for i, c := range chains {
+		results[i] = c.Result()
 	}
-	bad = testConfig(1)
-	bad.Theta = 0
-	if err := bad.Validate(); err == nil {
-		t.Fatal("Theta=0 accepted")
+	return results
+}
+
+// union is the unmerged union of the regions' detections.
+func union(results []RegionResult) []geom.Ellipse {
+	var out []geom.Ellipse
+	for _, r := range results {
+		out = append(out, r.Circles...)
 	}
-	bad = testConfig(1)
-	bad.BaseParams = model.Params{}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("bad params accepted")
-	}
+	return out
+}
+
+// runBlind runs blind partitioning (the paper's 1.1× radius margin,
+// 5 px merge radius) on an nx×nx grid and merges the regions.
+func runBlind(t *testing.T, img *imaging.Image, cfg Config, nx int, radius float64, workers int) ([]RegionResult, BlindResult) {
+	t.Helper()
+	opt := BlindOptions{NX: nx, NY: nx, Margin: 1.1 * radius, MergeRadius: 5}
+	cores, expanded := BlindRegions(img.Bounds(), opt)
+	results := runRegions(t, img, expanded, cfg, workers)
+	return results, MergeBlind(cores, expanded, results, opt)
 }
 
 func TestIntelligentRegionsSeparatesClusters(t *testing.T) {
@@ -143,27 +162,25 @@ func TestIntelligentRegionsNeverSplitsArtifacts(t *testing.T) {
 
 func TestRunIntelligentEndToEnd(t *testing.T) {
 	scene := clusteredScene(t)
-	res, err := RunIntelligent(context.Background(), scene.Image, testConfig(42), 14, 4)
-	if err != nil {
-		t.Fatal(err)
+	cfg := testConfig(42)
+	regions := runRegions(t, scene.Image, IntelligentRegions(scene.Image, cfg.Theta, 14, 2), cfg, 4)
+	if len(regions) != 3 {
+		t.Fatalf("processed %d regions", len(regions))
 	}
-	if len(res.Regions) != 3 {
-		t.Fatalf("processed %d regions", len(res.Regions))
-	}
-	m := stats.MatchCircles(res.Circles, scene.Truth, 4)
+	m := stats.MatchCircles(union(regions), scene.Truth, 4)
 	if m.F1() < 0.85 {
 		t.Fatalf("intelligent partitioning F1 = %v (TP=%d FP=%d FN=%d)",
 			m.F1(), m.TP, m.FP, m.FN)
 	}
 	// Lambda estimates should roughly match per-cluster truth counts.
 	totalLambda := 0.0
-	for _, r := range res.Regions {
+	for _, r := range regions {
 		totalLambda += r.Lambda
 	}
 	if math.Abs(totalLambda-float64(len(scene.Truth))) > float64(len(scene.Truth))/2 {
 		t.Fatalf("eq.5 total estimate %v for %d artifacts", totalLambda, len(scene.Truth))
 	}
-	for _, r := range res.Regions {
+	for _, r := range regions {
 		if r.Iters == 0 || r.Seconds <= 0 {
 			t.Fatalf("region missing measurements: %+v", r)
 		}
@@ -172,14 +189,9 @@ func TestRunIntelligentEndToEnd(t *testing.T) {
 
 func TestRunBlindEndToEnd(t *testing.T) {
 	scene := clusteredScene(t)
-	cfg := testConfig(43)
-	opt := BlindOptions{NX: 2, NY: 2, Margin: 1.1 * 6, MergeRadius: 5, KeepDisputed: true}
-	res, err := RunBlind(context.Background(), scene.Image, cfg, opt, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Regions) != 4 {
-		t.Fatalf("processed %d regions", len(res.Regions))
+	regions, res := runBlind(t, scene.Image, testConfig(43), 2, 6, 4)
+	if len(regions) != 4 {
+		t.Fatalf("processed %d regions", len(regions))
 	}
 	m := stats.MatchCircles(res.Circles, scene.Truth, 4)
 	if m.F1() < 0.85 {
@@ -189,17 +201,6 @@ func TestRunBlindEndToEnd(t *testing.T) {
 	// The merge must not leave near-coincident duplicates.
 	if d := stats.DuplicatePairs(res.Circles, 5); d != 0 {
 		t.Fatalf("%d duplicate pairs survived the blind merge", d)
-	}
-}
-
-func TestRunBlindValidates(t *testing.T) {
-	scene := clusteredScene(t)
-	if _, err := RunBlind(context.Background(), scene.Image, testConfig(1), BlindOptions{}, 1); err == nil {
-		t.Fatal("zero options accepted")
-	}
-	bad := BlindOptions{NX: 2, NY: 2, Margin: -1, MergeRadius: 5}
-	if _, err := RunBlind(context.Background(), scene.Image, testConfig(1), bad, 1); err == nil {
-		t.Fatal("negative margin accepted")
 	}
 }
 
@@ -226,24 +227,16 @@ func TestNaiveAnomalyVsBlind(t *testing.T) {
 
 	cfg := testConfig(44)
 	cfg.MaxIters = 40000
-	naive, err := RunNaive(context.Background(), im, cfg, 2, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blind, err := RunBlind(context.Background(), im, cfg, BlindOptions{
-		NX: 2, NY: 2, Margin: 1.1 * 7, MergeRadius: 5, KeepDisputed: true,
-	}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mN := stats.MatchCircles(naive.Circles, truth, 4)
+	naive := union(runRegions(t, im, geom.UniformSplit(im.Bounds(), 2, 2), cfg, 4))
+	_, blind := runBlind(t, im, cfg, 2, 7, 4)
+	mN := stats.MatchCircles(naive, truth, 4)
 	mB := stats.MatchCircles(blind.Circles, truth, 4)
 	if mB.F1() < 0.85 {
 		t.Fatalf("blind F1 = %v on boundary scene", mB.F1())
 	}
 	// Naive must be visibly worse: either duplicates near boundaries or
 	// missed/false detections.
-	anomaliesN := stats.DuplicatePairs(naive.Circles, 8) + mN.FP + mN.FN
+	anomaliesN := stats.DuplicatePairs(naive, 8) + mN.FP + mN.FN
 	anomaliesB := stats.DuplicatePairs(blind.Circles, 8) + mB.FP + mB.FN
 	if anomaliesN <= anomaliesB {
 		t.Fatalf("naive (%d anomalies) not worse than blind (%d)", anomaliesN, anomaliesB)
@@ -260,42 +253,30 @@ func TestBoundaryLines(t *testing.T) {
 	}
 }
 
-func TestMakespanUsesLPT(t *testing.T) {
-	results := []RegionResult{
-		{Seconds: 0.9}, {Seconds: 0.07}, {Seconds: 0.02},
-	}
-	// With 3 processors: longest partition dominates.
-	if got := Makespan(results, 3); got != 0.9 {
-		t.Fatalf("3 procs makespan = %v", got)
-	}
-	// With 2 processors LPT packs 0.07+0.02 on the second: still 0.9 —
-	// the paper's exact observation ("0.07 + 0.02 < 0.97").
-	if got := Makespan(results, 2); got != 0.9 {
-		t.Fatalf("2 procs makespan = %v", got)
-	}
-	// One processor: sequential sum.
-	if got := Makespan(results, 1); math.Abs(got-0.99) > 1e-12 {
-		t.Fatalf("1 proc makespan = %v", got)
-	}
-	if got := Makespan(results, 0); math.Abs(got-0.99) > 1e-12 {
-		t.Fatalf("0 procs not clamped: %v", got)
-	}
-}
-
+// TestRunSequentialWholeImage runs the whole image as one chain, the
+// Converge-mode Sequential baseline of Table I, and checks that the
+// plateau detector stops it before its cap.
 func TestRunSequentialWholeImage(t *testing.T) {
 	scene := clusteredScene(t)
 	cfg := testConfig(48)
 	cfg.MaxIters = 30000
-	res, err := RunSequential(context.Background(), scene.Image, cfg)
+	chain, err := NewChain(scene.Image, scene.Image.Bounds(), cfg, rng.New(cfg.Seed))
 	if err != nil {
 		t.Fatal(err)
 	}
+	for !chain.Done() {
+		chain.Advance(5000)
+	}
+	res := chain.Result()
 	m := stats.MatchCircles(res.Circles, scene.Truth, 4)
 	if m.F1() < 0.85 {
 		t.Fatalf("sequential F1 = %v", m.F1())
 	}
 	if res.Area != scene.Image.Bounds().Area() {
 		t.Fatalf("area = %v", res.Area)
+	}
+	if !res.Converged || res.Iters >= int64(cfg.MaxIters) {
+		t.Fatalf("chain did not converge before its cap: %d iterations (converged %v)", res.Iters, res.Converged)
 	}
 }
 
@@ -314,56 +295,41 @@ func TestRunRegionEmptyRegion(t *testing.T) {
 	if len(res.Circles) != 0 || res.Iters != 0 {
 		t.Fatalf("empty region produced %+v", res)
 	}
-	if res.TimePerIter() != 0 {
-		t.Fatal("TimePerIter on empty region")
-	}
 }
 
+// TestBlindDisputedPolicy pins the merge on hand-placed detections in a
+// 2×1 grid: a detection outside its own core is dropped, a close
+// cross-partition pair in the overlap is averaged, a lone overlap
+// detection is kept as disputed, and one outside the overlap is kept.
 func TestBlindDisputedPolicy(t *testing.T) {
-	// Construct candidates manually through a full run on a scene with a
-	// boundary artifact; with KeepDisputed=false the disputed count must
-	// not add circles.
-	im := imaging.New(120, 120)
-	im.Fill(0.1)
-	truth := []geom.Ellipse{geom.Disc(60, 60, 7), geom.Disc(25, 25, 7)}
-	for _, c := range truth {
-		imaging.RenderShape(im, c, 0.9)
+	opt := BlindOptions{NX: 2, NY: 1, Margin: 8, MergeRadius: 5}
+	cores, expanded := BlindRegions(geom.Rect{X1: 100, Y1: 50}, opt)
+	results := []RegionResult{
+		{Circles: []geom.Ellipse{geom.Disc(45, 25, 4), geom.Disc(48, 10, 4)}},
+		{Circles: []geom.Ellipse{geom.Disc(90, 25, 4), geom.Disc(51, 10, 6), geom.Disc(45, 40, 4)}},
 	}
-	cfg := testConfig(46)
-	keep, err := RunBlind(context.Background(), im, cfg, BlindOptions{NX: 2, NY: 2, Margin: 8, MergeRadius: 5, KeepDisputed: true}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	drop, err := RunBlind(context.Background(), im, cfg, BlindOptions{NX: 2, NY: 2, Margin: 8, MergeRadius: 5, KeepDisputed: false}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(drop.Circles) > len(keep.Circles) {
-		t.Fatalf("dropping disputed produced more circles (%d > %d)",
-			len(drop.Circles), len(keep.Circles))
+	res := MergeBlind(cores, expanded, results, opt)
+	want := []geom.Ellipse{geom.Disc(45, 25, 4), geom.Disc(49.5, 10, 5), geom.Disc(90, 25, 4)}
+	if !reflect.DeepEqual(res.Circles, want) || res.Merged != 1 || res.Disputed != 1 {
+		t.Fatalf("merge = %+v (merged %d, disputed %d), want %+v (merged 1, disputed 1)",
+			res.Circles, res.Merged, res.Disputed, want)
 	}
 }
 
-// Determinism: identical config and seed give identical detections.
+// Determinism: identical config and seed give identical detections on
+// one worker and on four.
 func TestPartitionDeterminism(t *testing.T) {
 	scene := clusteredScene(t)
 	cfg := testConfig(47)
-	a, err := RunIntelligent(context.Background(), scene.Image, cfg, 14, 1)
-	if err != nil {
-		t.Fatal(err)
+	regions := IntelligentRegions(scene.Image, cfg.Theta, 14, 2)
+	a := union(runRegions(t, scene.Image, regions, cfg, 1))
+	b := union(runRegions(t, scene.Image, regions, cfg, 4))
+	if len(a) != len(b) {
+		t.Fatalf("worker count changed results: %d vs %d circles", len(a), len(b))
 	}
-	b, err := RunIntelligent(context.Background(), scene.Image, cfg, 14, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Circles) != len(b.Circles) {
-		t.Fatalf("worker count changed results: %d vs %d circles", len(a.Circles), len(b.Circles))
-	}
-	for i := range a.Circles {
-		if a.Circles[i] != b.Circles[i] {
-			t.Fatalf("circle %d differs: %+v vs %+v", i, a.Circles[i], b.Circles[i])
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("circle %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }
-
-var _ = mcmc.DefaultWeights // keep import when tests are trimmed

@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -54,9 +53,7 @@ func TestStepResultsIndependentOfSchedule(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := Drive(context.Background(), chains, workers, budget); err != nil {
-					t.Fatal(err)
-				}
+				drive(chains, workers, budget)
 				got := outcomes(chains)
 				if want == nil {
 					want = got
@@ -149,9 +146,7 @@ func TestStepNeverSharesAChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Drive(context.Background(), chains, 8, 100); err != nil {
-		t.Fatal(err)
-	}
+	drive(chains, 8, 100)
 	// The guard itself: a chain already being advanced refuses a second
 	// advancer.
 	fresh, err := NewChains(scene.Image, regions[:1], cfg)

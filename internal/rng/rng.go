@@ -13,8 +13,8 @@
 //   - Cheap value-type state: the whole state is four uint64 words, so
 //     every worker can own its generator without sharing or locking.
 //
-// All distribution samplers (Normal, Poisson, Exponential, truncated
-// Normal) are implemented here so that no hot path depends on math/rand's
+// All distribution samplers (Normal, truncated Normal, weighted Pick)
+// are implemented here so that no hot path depends on math/rand's
 // global state.
 package rng
 
@@ -297,61 +297,6 @@ func (r *RNG) TruncNormal(mean, stddev, lo, hi float64) float64 {
 	return r.Uniform(lo, hi)
 }
 
-// Exponential returns an Exponential(rate) variate. It panics if rate <= 0.
-func (r *RNG) Exponential(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exponential with non-positive rate")
-	}
-	return -math.Log(r.Positive()) / rate
-}
-
-// Poisson returns a Poisson(lambda) variate. Knuth's product method is
-// used for small lambda and the PTRS transformed-rejection method of
-// Hörmann for large lambda, so the cost is O(1) in both regimes.
-func (r *RNG) Poisson(lambda float64) int {
-	switch {
-	case lambda <= 0:
-		return 0
-	case lambda < 30:
-		l := math.Exp(-lambda)
-		k := 0
-		p := 1.0
-		for {
-			p *= r.Float64()
-			if p <= l {
-				return k
-			}
-			k++
-		}
-	default:
-		return r.poissonPTRS(lambda)
-	}
-}
-
-// poissonPTRS implements Hörmann's PTRS algorithm for lambda >= 10.
-func (r *RNG) poissonPTRS(lambda float64) int {
-	b := 0.931 + 2.53*math.Sqrt(lambda)
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
-	for {
-		u := r.Float64() - 0.5
-		v := r.Float64()
-		us := 0.5 - math.Abs(u)
-		k := math.Floor((2*a/us+b)*u + lambda + 0.43)
-		if us >= 0.07 && v <= vr {
-			return int(k)
-		}
-		if k < 0 || (us < 0.013 && v > us) {
-			continue
-		}
-		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*math.Log(lambda)-lambda-lg {
-			return int(k)
-		}
-	}
-}
-
 // Perm returns a uniformly random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -361,15 +306,6 @@ func (r *RNG) Perm(n int) []int {
 		p[j] = i
 	}
 	return p
-}
-
-// Shuffle randomises the order of n elements using the provided swap
-// function, as in math/rand.Shuffle.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Pick returns a uniformly random element index weighted by the given

@@ -49,11 +49,6 @@ func ForEach(n, workers int, fn func(i int)) {
 	wg.Wait()
 }
 
-// RunTasks executes the given closures on up to `workers` goroutines.
-func RunTasks(tasks []func(), workers int) {
-	ForEach(len(tasks), workers, func(i int) { tasks[i]() })
-}
-
 // LPTAssign distributes tasks with the given costs over `workers` bins
 // using the longest-processing-time heuristic: sort descending, place
 // each task on the currently least-loaded bin. The result maps each bin
@@ -97,13 +92,4 @@ func Makespan(costs []float64, bins [][]int) float64 {
 		}
 	}
 	return worst
-}
-
-// SumCosts returns the total cost — the sequential makespan.
-func SumCosts(costs []float64) float64 {
-	total := 0.0
-	for _, c := range costs {
-		total += c
-	}
-	return total
 }

@@ -53,19 +53,6 @@ func TestForEachActuallyParallel(t *testing.T) {
 	<-done
 }
 
-func TestRunTasks(t *testing.T) {
-	var total int32
-	tasks := make([]func(), 10)
-	for i := range tasks {
-		v := int32(i)
-		tasks[i] = func() { atomic.AddInt32(&total, v) }
-	}
-	RunTasks(tasks, 3)
-	if total != 45 {
-		t.Fatalf("total = %d", total)
-	}
-}
-
 func TestLPTAssignCoversAllTasks(t *testing.T) {
 	costs := []float64{5, 3, 8, 1, 9, 2, 7}
 	bins := LPTAssign(costs, 3)
@@ -103,15 +90,16 @@ func TestLPTBoundProperty(t *testing.T) {
 		n := int(nTasks%20) + 1
 		m := int(nWorkers%8) + 1
 		costs := make([]float64, n)
-		maxCost := 0.0
+		maxCost, total := 0.0, 0.0
 		for i := range costs {
 			costs[i] = r.Uniform(0.1, 10)
 			maxCost = math.Max(maxCost, costs[i])
+			total += costs[i]
 		}
 		bins := LPTAssign(costs, m)
 		ms := Makespan(costs, bins)
-		lower := math.Max(SumCosts(costs)/float64(m), maxCost)
-		upper := SumCosts(costs)/float64(m) + maxCost
+		lower := math.Max(total/float64(m), maxCost)
+		upper := total/float64(m) + maxCost
 		return ms >= lower-1e-9 && ms <= upper+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {

@@ -47,8 +47,7 @@ const DefaultMaxWidth = 8
 
 // DefaultSimOverhead is the modelled per-batch dispatch+barrier cost
 // charged by Simulate mode, in seconds. The value is the measured cost
-// of one persistent-gang round trip on commodity hardware; Config can
-// override it.
+// of one persistent-gang round trip on commodity hardware.
 const DefaultSimOverhead = 1e-6
 
 // Config configures an Executor beyond the basic fixed-width case.
@@ -78,8 +77,6 @@ type Config struct {
 	// reporting multi-core numbers from a host with fewer cores (README.md,
 	// "Speculative execution").
 	Simulate bool
-	// SimOverhead overrides DefaultSimOverhead (seconds per batch).
-	SimOverhead float64
 }
 
 // Executor evaluates proposals speculatively against a host engine.
@@ -112,9 +109,8 @@ type Executor struct {
 
 	ctl *controller // nil for fixed width
 
-	simulate    bool
-	simOverhead float64
-	workers     int
+	simulate bool
+	workers  int
 
 	// Batches and Consumed accumulate how many speculative rounds ran
 	// and how many chain iterations they covered; their ratio is the
@@ -126,7 +122,8 @@ type Executor struct {
 	// the serial-equivalent cost of the consumed iterations (what a
 	// sequential chain would have evaluated) and the modelled parallel
 	// cost of each batch (LPT makespan of all evaluations over Workers
-	// lanes, plus SimOverhead). Their ratio is the simulated speedup.
+	// lanes, plus DefaultSimOverhead). Their ratio is the simulated
+	// speedup.
 	SimSeqSeconds  float64
 	SimSpecSeconds float64
 
@@ -170,14 +167,10 @@ func NewExecutorOpts(host *mcmc.Engine, cfg Config, moves []mcmc.Move) *Executor
 		}
 	}
 	x := &Executor{
-		host:        host,
-		moves:       moves,
-		simulate:    cfg.Simulate,
-		simOverhead: cfg.SimOverhead,
-		workers:     workers,
-	}
-	if x.simOverhead <= 0 {
-		x.simOverhead = DefaultSimOverhead
+		host:     host,
+		moves:    moves,
+		simulate: cfg.Simulate,
+		workers:  workers,
 	}
 	if moves != nil {
 		if len(moves) == 0 {
@@ -324,7 +317,7 @@ func (x *Executor) StepBatch(width int) (consumed int, applied bool) {
 		for _, s := range secs[:consumed] {
 			x.SimSeqSeconds += s
 		}
-		batchSecs = sched.Makespan(secs, sched.LPTAssign(secs, x.workers)) + x.simOverhead
+		batchSecs = sched.Makespan(secs, sched.LPTAssign(secs, x.workers)) + DefaultSimOverhead
 		x.SimSpecSeconds += batchSecs
 	} else if x.ctl != nil {
 		batchSecs = time.Since(t0).Seconds()

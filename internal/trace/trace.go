@@ -199,19 +199,3 @@ func (t *Table) Write(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteCSV renders the table as CSV (no quoting — the harness emits only
-// plain numbers and identifiers).
-func (t *Table) WriteCSV(w io.Writer) error {
-	if len(t.Header) > 0 {
-		if _, err := fmt.Fprintln(w, strings.Join(t.Header, ",")); err != nil {
-			return err
-		}
-	}
-	for _, r := range t.Rows {
-		if _, err := fmt.Fprintln(w, strings.Join(r, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -93,18 +93,6 @@ func TestTableWrite(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := &Table{Header: []string{"a", "b"}}
-	tb.Add(1, 2)
-	var buf bytes.Buffer
-	if err := tb.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != "a,b\n1,2\n" {
-		t.Fatalf("CSV = %q", buf.String())
-	}
-}
-
 func TestTrimFloat(t *testing.T) {
 	cases := map[float64]string{
 		1.5:    "1.5",

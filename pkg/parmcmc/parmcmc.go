@@ -32,6 +32,7 @@ package parmcmc
 
 import (
 	"context"
+	"fmt"
 	"image"
 	"math"
 	"runtime"
@@ -193,6 +194,60 @@ func (o Options) withDefaults() Options {
 		o.GridSlack = 1.01
 	}
 	return o
+}
+
+// OptionError reports an Options field whose value no strategy can run
+// with. Detect, DetectContext and DetectResume return it before any work
+// starts.
+type OptionError struct {
+	// Field is the Options field name, e.g. "Iterations".
+	Field string
+	// Value is the rejected value.
+	Value any
+	// Want describes the accepted values.
+	Want string
+}
+
+func (e *OptionError) Error() string {
+	return fmt.Sprintf("parmcmc: Options.%s = %v, want %s", e.Field, e.Value, e.Want)
+}
+
+// validate checks the caller's options before defaults apply, so a zero
+// still means "default": counts must not be negative, scalars must be
+// finite and not negative, MeanRadius positive and Threshold in [0, 1].
+func (o Options) validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"Iterations", o.Iterations}, {"Workers", o.Workers},
+		{"LocalPhaseIters", o.LocalPhaseIters}, {"PartitionGrid", o.PartitionGrid},
+		{"SpecWidth", o.SpecWidth}, {"LocalSpecWidth", o.LocalSpecWidth},
+		{"CheckpointEvery", o.CheckpointEvery}, {"Chains", o.Chains},
+		{"SwapEvery", o.SwapEvery},
+	} {
+		if f.v < 0 {
+			return &OptionError{Field: f.name, Value: f.v, Want: ">= 0"}
+		}
+	}
+	if !(o.MeanRadius > 0) || math.IsInf(o.MeanRadius, 1) {
+		return &OptionError{Field: "MeanRadius", Value: o.MeanRadius, Want: "a finite value > 0 (required)"}
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"ExpectedCount", o.ExpectedCount}, {"GridSlack", o.GridSlack},
+		{"OverlapPenalty", o.OverlapPenalty}, {"HeatStep", o.HeatStep},
+	} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) {
+			return &OptionError{Field: f.name, Value: f.v, Want: "a finite value >= 0"}
+		}
+	}
+	if !(o.Threshold >= 0 && o.Threshold <= 1) {
+		return &OptionError{Field: "Threshold", Value: o.Threshold, Want: "a value in [0, 1]"}
+	}
+	return nil
 }
 
 // RegionInfo describes one partition of a partitioned (or convergent

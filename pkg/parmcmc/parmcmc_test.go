@@ -1,6 +1,7 @@
 package parmcmc
 
 import (
+	"errors"
 	"image"
 	"image/color"
 	"math"
@@ -240,6 +241,65 @@ func TestDiscRunsHaveCircularEllipses(t *testing.T) {
 		}
 		if res.Circles[i].R != e.Rx {
 			t.Fatalf("circle/ellipse radius mismatch at %d", i)
+		}
+	}
+}
+
+// TestInvalidOptionsRejected runs every strategy on a flat 64×64 image
+// with each kind of invalid option: Detect must return an *OptionError
+// naming the field before any work starts — never panic, and never
+// report a negative iteration count.
+func TestInvalidOptionsRejected(t *testing.T) {
+	pix := make([]float64, 64*64)
+	for i := range pix {
+		pix[i] = 0.1
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		field string
+		set   func(*Options)
+	}{
+		{"Iterations", func(o *Options) { o.Iterations = -5 }},
+		{"Workers", func(o *Options) { o.Workers = -3 }},
+		{"LocalPhaseIters", func(o *Options) { o.LocalPhaseIters = -1 }},
+		{"PartitionGrid", func(o *Options) { o.PartitionGrid = -1 }},
+		{"SpecWidth", func(o *Options) { o.SpecWidth = -2 }},
+		{"LocalSpecWidth", func(o *Options) { o.LocalSpecWidth = -1 }},
+		{"CheckpointEvery", func(o *Options) { o.CheckpointEvery = -1 }},
+		{"Chains", func(o *Options) { o.Chains = -1 }},
+		{"SwapEvery", func(o *Options) { o.SwapEvery = -1 }},
+		{"MeanRadius", func(o *Options) { o.MeanRadius = 0 }},
+		{"MeanRadius", func(o *Options) { o.MeanRadius = nan }},
+		{"MeanRadius", func(o *Options) { o.MeanRadius = inf }},
+		{"ExpectedCount", func(o *Options) { o.ExpectedCount = -1 }},
+		{"ExpectedCount", func(o *Options) { o.ExpectedCount = nan }},
+		{"GridSlack", func(o *Options) { o.GridSlack = -0.5 }},
+		{"GridSlack", func(o *Options) { o.GridSlack = inf }},
+		{"OverlapPenalty", func(o *Options) { o.OverlapPenalty = nan }},
+		{"HeatStep", func(o *Options) { o.HeatStep = -1 }},
+		{"Threshold", func(o *Options) { o.Threshold = -0.1 }},
+		{"Threshold", func(o *Options) { o.Threshold = 1.5 }},
+		{"Threshold", func(o *Options) { o.Threshold = nan }},
+	}
+	for _, st := range Strategies() {
+		for _, c := range cases {
+			opt := Options{Strategy: st, MeanRadius: 6, Iterations: 2000, Workers: 2}
+			c.set(&opt)
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%v %s: Detect panicked: %v", st, c.field, p)
+					}
+				}()
+				res, err := Detect(pix, 64, 64, opt)
+				var oe *OptionError
+				switch {
+				case err == nil:
+					t.Errorf("%v %s: accepted (Iterations %d)", st, c.field, res.Iterations)
+				case !errors.As(err, &oe) || oe.Field != c.field:
+					t.Errorf("%v %s: error %v does not name the field", st, c.field, err)
+				}
+			}()
 		}
 	}
 }

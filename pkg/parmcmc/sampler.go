@@ -81,8 +81,8 @@ func newRunEnv(pix []float64, w, h int, opt Options) (*runEnv, error) {
 	if w <= 0 || h <= 0 || len(pix) != w*h {
 		return nil, fmt.Errorf("parmcmc: bad image dimensions %dx%d for %d pixels", w, h, len(pix))
 	}
-	if opt.MeanRadius <= 0 {
-		return nil, fmt.Errorf("parmcmc: MeanRadius is required")
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 	o := opt.withDefaults()
 	im := &imaging.Image{W: w, H: h, Pix: append([]float64(nil), pix...)}
@@ -194,15 +194,13 @@ func drive(ctx context.Context, env *runEnv, smp sampler, prior time.Duration) (
 // the partitioned strategies and Converge-mode Sequential runs.
 func (env *runEnv) partitionConfig() partition.Config {
 	o := env.opt
-	return partition.Config{
-		Theta:      o.Threshold,
-		BaseParams: env.params,
-		Weights:    env.weights,
-		Steps:      env.steps,
-		MaxIters:   o.Iterations,
-		Plateau:    mcmc.PlateauDetector{Window: 12, Tol: 0.5, MinIters: 1500},
-		Seed:       o.Seed,
-	}
+	cfg := partition.DefaultConfig(o.MeanRadius, o.Seed)
+	cfg.Theta = o.Threshold
+	cfg.BaseParams = env.params
+	cfg.Weights = env.weights
+	cfg.Steps = env.steps
+	cfg.MaxIters = o.Iterations
+	return cfg
 }
 
 // scoreCircles evaluates a final merged configuration against the whole

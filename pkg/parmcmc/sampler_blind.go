@@ -17,9 +17,8 @@ func init() {
 func blindOptions(o Options) partition.BlindOptions {
 	return partition.BlindOptions{
 		NX: o.PartitionGrid, NY: o.PartitionGrid,
-		Margin:       1.1 * o.MeanRadius,
-		MergeRadius:  5,
-		KeepDisputed: true,
+		Margin:      1.1 * o.MeanRadius,
+		MergeRadius: 5,
 	}
 }
 
@@ -48,11 +47,12 @@ func (sp *blindSampler) Step(ctx context.Context, n int) (bool, error) {
 func (sp *blindSampler) Snapshot() Progress { return sp.progress() }
 
 func (sp *blindSampler) Finish(res *Result) error {
-	merged := partition.MergeBlind(sp.cores, sp.expanded, sp.results(), sp.opt)
+	results := sp.results()
+	merged := partition.MergeBlind(sp.cores, sp.expanded, results, sp.opt)
 	// Score the merged model against the whole image for a cross-
 	// strategy-comparable log-posterior.
 	fill(res, merged.Circles, sp.env.scoreCircles(merged.Circles), 0)
-	sp.finishRegions(res, merged.Regions)
+	sp.finishRegions(res, results)
 	res.Merged = merged.Merged
 	res.Disputed = merged.Disputed
 	return nil
