@@ -45,8 +45,9 @@ test-short:
 test:
 	$(GO) test ./...
 
-# The sampler stack and the service on one and on two cores, so a test
-# that only holds at one GOMAXPROCS fails here; internal/core runs the
+# The sampler stack and the service on one, two and four cores, so a
+# test that only holds at one GOMAXPROCS fails here (four oversubscribes
+# a two-core runner, which is the point); internal/core runs the
 # shared gang's spin-or-park paths both ways, internal/partition runs its
 # region chains concurrently on its work-conserving scheduler
 # (partition.Step), and pkg/service drains running jobs into
@@ -54,8 +55,8 @@ test:
 # run in a second, full pass of their own.
 CPU_PKGS := ./internal/model ./internal/mcmc ./internal/spec ./internal/sched ./internal/core ./internal/partition ./pkg/parmcmc ./pkg/service
 test-cpu:
-	$(GO) test -short -cpu 1,2 $(CPU_PKGS)
-	$(GO) test -cpu 1,2 -run 'Recovery|Restarted' ./pkg/service
+	$(GO) test -short -cpu 1,2,4 $(CPU_PKGS)
+	$(GO) test -cpu 1,2,4 -run 'Recovery|Restarted' ./pkg/service
 
 # Full suite under the race detector (the Runner tests exercise >1
 # worker, so this is the concurrency gate).

@@ -212,10 +212,12 @@ func (e *OptionError) Error() string {
 	return fmt.Sprintf("parmcmc: Options.%s = %v, want %s", e.Field, e.Value, e.Want)
 }
 
-// validate checks the caller's options before defaults apply, so a zero
+// Validate checks the caller's options before defaults apply, so a zero
 // still means "default": counts must not be negative, scalars must be
 // finite and not negative, MeanRadius positive and Threshold in [0, 1].
-func (o Options) validate() error {
+// It returns an *OptionError naming the first field that fails; Detect,
+// DetectContext and DetectResume call it before any work starts.
+func (o Options) Validate() error {
 	for _, f := range []struct {
 		name string
 		v    int

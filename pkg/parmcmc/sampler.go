@@ -81,7 +81,7 @@ func newRunEnv(pix []float64, w, h int, opt Options) (*runEnv, error) {
 	if w <= 0 || h <= 0 || len(pix) != w*h {
 		return nil, fmt.Errorf("parmcmc: bad image dimensions %dx%d for %d pixels", w, h, len(pix))
 	}
-	if err := opt.validate(); err != nil {
+	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
 	o := opt.withDefaults()

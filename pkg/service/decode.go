@@ -365,25 +365,19 @@ func optionsFromSpec(spec *api.OptionsSpec) (parmcmc.Options, *apiError) {
 		return parmcmc.Options{}, badRequest("unknown shape %q", spec.Shape)
 	}
 	spec.Shape = shape.String()
+	// The service's own workload caps; every other bound is
+	// parmcmc's (Options.Validate below).
 	switch {
-	case !isFinite(spec.MeanRadius, spec.ExpectedCount, spec.Threshold,
-		spec.GridSlack, spec.OverlapPenalty, spec.HeatStep):
-		return parmcmc.Options{}, badRequest("non-finite option value")
-	case spec.MeanRadius <= 0:
-		return parmcmc.Options{}, badRequest("mean_radius must be positive")
-	case spec.Iterations < 0 || spec.Iterations > maxIterations:
-		return parmcmc.Options{}, badRequest("iterations %d outside [0, %d]", spec.Iterations, maxIterations)
-	case spec.Workers < 0 || spec.Workers > 1024:
-		return parmcmc.Options{}, badRequest("workers %d outside [0, 1024]", spec.Workers)
-	case spec.ExpectedCount < 0 || spec.Threshold < 0 || spec.Threshold > 1:
-		return parmcmc.Options{}, badRequest("expected_count/threshold out of range")
-	case spec.LocalPhaseIters < 0 || spec.PartitionGrid < 0 || spec.PartitionGrid > 64 ||
-		spec.SpecWidth < 0 || spec.LocalSpecWidth < 0 || spec.GridSlack < 0 ||
-		spec.OverlapPenalty < 0 || spec.Chains < 0 || spec.Chains > 64 ||
-		spec.HeatStep < 0 || spec.SwapEvery < 0:
-		return parmcmc.Options{}, badRequest("option out of range")
+	case spec.Iterations > maxIterations:
+		return parmcmc.Options{}, badRequest("iterations %d above %d", spec.Iterations, maxIterations)
+	case spec.Workers > 1024:
+		return parmcmc.Options{}, badRequest("workers %d above 1024", spec.Workers)
+	case spec.PartitionGrid > 64:
+		return parmcmc.Options{}, badRequest("partition_grid %d above 64", spec.PartitionGrid)
+	case spec.Chains > 64:
+		return parmcmc.Options{}, badRequest("chains %d above 64", spec.Chains)
 	}
-	return parmcmc.Options{
+	opt := parmcmc.Options{
 		Strategy:        strat,
 		Shape:           shape,
 		MeanRadius:      spec.MeanRadius,
@@ -402,5 +396,10 @@ func optionsFromSpec(spec *api.OptionsSpec) (parmcmc.Options, *apiError) {
 		Chains:          spec.Chains,
 		HeatStep:        spec.HeatStep,
 		SwapEvery:       spec.SwapEvery,
-	}, nil
+	}
+	if err := opt.Validate(); err != nil {
+		// An *OptionError, whose message names the offending field.
+		return parmcmc.Options{}, badRequest("%v", err)
+	}
+	return opt, nil
 }

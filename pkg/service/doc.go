@@ -2,21 +2,22 @@
 // long-running daemon, layered so one job-lifecycle core serves three
 // process roles (see docs/architecture.md):
 //
-//   - Standalone (the default): NewManager runs a bounded pending
-//     queue feeding an in-process worker pool over
-//     parmcmc.DetectContext, with per-job derived seeds and the
-//     pending/running/done/failed/cancelled lifecycle — one binary
-//     doing everything, exactly the pre-split behavior.
-//   - Coordinator: NewExternal builds the same Manager but starts no
-//     dispatcher; the returned Remote is the execution seam the
-//     pkg/service/coordinator sub-package drains to lease jobs to
-//     external workers, feed their streamed progress back into the SSE
-//     fan-out, land their results, and requeue jobs whose lease
-//     expired (from the latest spooled checkpoint, or from scratch
-//     with Restarted flagged).
+// Every Manager runs its jobs through one seam, Remote, and every chain
+// through RunChain, which owns the checkpoint-and-drain policy:
+//
+//   - Standalone (the default): NewManager is NewExternal plus an
+//     in-process executor that takes a pool slot, then the next job
+//     from the Remote, runs it with RunChain and lands it with
+//     Remote.Complete.
+//   - Coordinator: NewExternal builds the same Manager without the
+//     executor; the pkg/service/coordinator sub-package drains the
+//     returned Remote to lease jobs to external workers, feed their
+//     streamed progress back into the SSE fan-out, land their results,
+//     and requeue jobs whose lease expired (from the latest spooled
+//     checkpoint, or from scratch with Restarted flagged).
 //   - Worker: the pkg/service/worker sub-package runs no Manager at
 //     all — it leases jobs from a coordinator, materialises their
-//     inputs via MaterializeRecord, and runs them through pkg/parmcmc
+//     inputs via MaterializeRecord, and runs them through RunChain
 //     with checkpoints written to the shared spool.
 //
 // The wire contract — every request/response type, the route table and
@@ -32,9 +33,10 @@
 //
 // Durability: with Config.SpoolDir set, every job's input and options
 // are recorded at submission and a resumable parmcmc Checkpoint is
-// spooled every Config.CheckpointEvery iterations — by the manager's
-// own pool standalone, by the leased worker (into the shared spool)
-// distributed. A restarted manager rebuilds terminal jobs from their
+// spooled every Config.CheckpointEvery iterations by RunChain — in the
+// manager's own process standalone, in the leased worker (into the
+// shared spool) distributed. A job that ends done, failed or cancelled
+// keeps no checkpoint. A restarted manager rebuilds terminal jobs from their
 // spooled results and re-queues interrupted ones from their latest
 // checkpoint; because checkpoints resume bit-identically, a job that
 // survives a daemon crash — or, distributed, the death of the worker

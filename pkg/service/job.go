@@ -47,14 +47,11 @@ type Job struct {
 	spoolMu sync.Mutex
 
 	mu sync.Mutex
-	// resume, when non-nil, is the spooled checkpoint the job's next
-	// run continues from: set at recovery for interrupted jobs, and at
-	// re-lease (Remote.Requeue) for jobs whose worker died.
-	resume *parmcmc.Checkpoint
-	// resumeBlob is resume's encoded form, retained only under an
-	// external manager: lease grants ship the exact spooled bytes to
-	// the worker instead of re-encoding.
-	resumeBlob []byte
+	// resume, when non-nil, is the spooled checkpoint (its exact bytes,
+	// already checked to parse) the job's next run continues from: set
+	// at recovery for interrupted jobs, and at re-lease (Remote.Requeue)
+	// for jobs whose worker died.
+	resume []byte
 	// restarted marks a job recovered or re-leased without a usable
 	// checkpoint: its prior iterations are lost and the run starts
 	// over from zero. Exposed on the wire (JobStatus.Restarted) so
@@ -72,6 +69,7 @@ type Job struct {
 	progress        *parmcmc.Progress
 	conv            *stats.Stream // streamed log-posterior window for diag
 	lastIter        int64
+	lastObs         time.Time // when the lastIter snapshot was observed
 	resultJSON      json.RawMessage
 	errMsg          string
 	cancelRequested bool
@@ -128,25 +126,22 @@ func (j *Job) pixels() ([]float64, int, int, error) {
 	return nil, 0, 0, errors.New("service: job has no input")
 }
 
-// releaseInput drops the decoded pixels and raw upload bytes. Called
-// after the terminal spool writes: the job can never run again in this
-// process, and recovery re-reads the spooled input file.
+// releaseInput drops the decoded pixels, raw upload bytes and resume
+// checkpoint. Called after the terminal spool writes: the job can never
+// run again in this process, and recovery re-reads the spooled input
+// file.
 func (j *Job) releaseInput() {
 	j.mu.Lock()
 	j.pix = nil
 	j.input = nil
+	j.resume = nil
 	j.mu.Unlock()
 }
 
-// claim moves a pending job to running; it fails when the job was
-// cancelled while queued. On success it returns the time the job spent
-// queued (for the queue-wait histogram).
-func (j *Job) claim(cancel func()) (time.Duration, bool) {
-	return j.claimFor("", cancel)
-}
-
-// claimFor is claim with the leasing worker's identity attached (the
-// coordinator path; standalone claims pass "").
+// claimFor moves a pending job to running under the named worker
+// (standalone runs pass ""); it fails when the job was cancelled while
+// queued. On success it returns the time the job spent queued (for the
+// queue-wait histogram).
 func (j *Job) claimFor(worker string, cancel func()) (time.Duration, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -192,8 +187,8 @@ func (j *Job) requestCancel() bool {
 	switch j.state {
 	case api.StatePending:
 		j.state = api.StateCancelled
-		// Same wire contract as a running job cancelled by the manager
-		// (see Manager.run): the queued path must not report an empty
+		// Same wire contract as a running job cancelled mid-run (see
+		// Remote.Complete): the queued path must not report an empty
 		// Error for the same outcome.
 		j.errMsg = "cancelled"
 		j.finished = time.Now()
@@ -215,19 +210,25 @@ func (j *Job) userCancelled() bool {
 	return j.cancelRequested
 }
 
-// observe records a progress snapshot, returning the iteration delta
-// since the previous one (for the manager's aggregate counters). Each
-// finite log-posterior sample also feeds the job's convergence window.
-func (j *Job) observe(p parmcmc.Progress) int64 {
+// observe records a progress snapshot taken at now. It returns the
+// iteration delta since the previous snapshot (for the manager's
+// aggregate counters) and the wall time per iteration between the two
+// (0 for a run's first snapshot). Each finite log-posterior sample also
+// feeds the job's convergence window.
+func (j *Job) observe(p parmcmc.Progress, now time.Time) (delta int64, perIter float64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if !j.lastObs.IsZero() && p.Iter > j.lastIter {
+		perIter = now.Sub(j.lastObs).Seconds() / float64(p.Iter-j.lastIter)
+	}
+	j.lastObs = now
 	j.progress = &p
 	if !math.IsNaN(p.LogPost) && !math.IsInf(p.LogPost, 0) {
 		j.conv.Add(p.LogPost)
 	}
-	delta := j.accountItersLocked(p.Iter)
+	delta = j.accountItersLocked(p.Iter)
 	j.publishLocked("progress", api.NewProgressEvent(p))
-	return delta
+	return delta, perIter
 }
 
 // accountIters advances the job's iteration watermark and returns the

@@ -76,24 +76,20 @@ var (
 	errNotFound = errors.New("service: no such job")
 )
 
-// Manager owns the job lifecycle: a bounded pending queue feeding a
-// worker pool that drives parmcmc detections, with spool-backed
-// durability and crash recovery. Construct with NewManager; always
-// Stop it.
+// Manager owns the job lifecycle: a bounded pending queue, spool-backed
+// durability and crash recovery, and the Remote seam its jobs are run
+// through — by an in-process executor (NewManager) or by leased
+// workers (NewExternal). Always Stop it.
 type Manager struct {
 	cfg  Config
 	pool *sched.Pool
 
-	queue        chan *Job
-	ctx          context.Context
-	cancelRun    context.CancelFunc
-	dispatchDone chan struct{}
-
-	// external marks a manager whose jobs are run by external workers
-	// through a Remote (see NewExternal) instead of the in-process
-	// dispatcher; it changes only what recovery retains (checkpoint
-	// blobs for lease grants), never the job lifecycle.
-	external bool
+	queue     chan *Job
+	ctx       context.Context
+	cancelRun context.CancelFunc
+	// executed is closed once the in-process executor has exited; nil
+	// under NewExternal, which runs none.
+	executed chan struct{}
 
 	mu     sync.Mutex
 	jobs   map[string]*Job
@@ -115,13 +111,15 @@ type Manager struct {
 
 // NewManager builds a manager, recovers any spooled jobs (terminal
 // jobs are re-exposed read-only; interrupted ones are re-queued from
-// their latest checkpoint) and starts the dispatcher.
+// their latest checkpoint) and starts its executor, which runs the
+// jobs in-process through the same Remote a coordinator leases from.
 func NewManager(cfg Config) (*Manager, error) {
-	m, err := newManager(cfg, false)
+	m, r, err := NewExternal(cfg)
 	if err != nil {
 		return nil, err
 	}
-	go m.dispatch()
+	m.executed = make(chan struct{})
+	go m.execute(r)
 	return m, nil
 }
 
@@ -131,33 +129,21 @@ func NewManager(cfg Config) (*Manager, error) {
 // leases. Everything else — the /v1 API, the spool, SSE fan-out,
 // recovery — behaves exactly as in NewManager.
 func NewExternal(cfg Config) (*Manager, *Remote, error) {
-	m, err := newManager(cfg, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	// No dispatcher: the Remote is the sole consumer of the queue.
-	close(m.dispatchDone)
-	return m, newRemote(m), nil
-}
-
-func newManager(cfg Config, external bool) (*Manager, error) {
 	cfg = cfg.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:          cfg,
-		pool:         sched.NewPool(cfg.Workers),
-		external:     external,
-		ctx:          ctx,
-		cancelRun:    cancel,
-		dispatchDone: make(chan struct{}),
-		jobs:         make(map[string]*Job),
-		started:      time.Now(),
-		tel:          newTelemetry(),
+		cfg:       cfg,
+		pool:      sched.NewPool(cfg.Workers),
+		ctx:       ctx,
+		cancelRun: cancel,
+		jobs:      make(map[string]*Job),
+		started:   time.Now(),
+		tel:       newTelemetry(),
 	}
 	recovered, err := m.recoverSpool()
 	if err != nil {
 		cancel()
-		return nil, err
+		return nil, nil, err
 	}
 	// The queue is sized to admit every recovered job on top of the
 	// configured bound, so a restart can never lose work to its own
@@ -166,7 +152,7 @@ func newManager(cfg Config, external bool) (*Manager, error) {
 	for _, job := range recovered {
 		m.queue <- job
 	}
-	return m, nil
+	return m, newRemote(m), nil
 }
 
 // AddMetrics registers an extra exposition block appended to the
@@ -248,7 +234,8 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 		return nil, err
 	}
 	if job.requestCancel() {
-		// Cancelled straight from the queue: record the terminal state.
+		// Cancelled straight from the queue: record the terminal state,
+		// which also drops the checkpoint a recovered job resumes from.
 		if err := m.spoolRecord(job); err != nil {
 			m.cfg.Logf("service: spooling %s: %v", id, err)
 		}
@@ -257,121 +244,64 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	return job, nil
 }
 
-// dispatch feeds queued jobs to the worker pool until shutdown. The
-// worker slot is acquired before a job leaves the queue: a popped job
-// always has a worker, so queue depth is exactly the number of waiting
-// jobs and the 429 bound holds strictly.
-func (m *Manager) dispatch() {
-	defer close(m.dispatchDone)
-	for {
-		if err := m.pool.Acquire(m.ctx); err != nil {
-			return
-		}
-		select {
-		case <-m.ctx.Done():
+// execute is the standalone executor: it takes jobs from r exactly as
+// a coordinator's lease handler does and runs each in-process. The pool
+// slot is acquired before a job leaves the queue: a taken job always
+// has a worker, so queue depth is exactly the number of waiting jobs
+// and the 429 bound holds strictly.
+func (m *Manager) execute(r *Remote) {
+	defer close(m.executed)
+	for m.pool.Acquire(m.ctx) == nil {
+		job, err := r.Next(m.ctx)
+		if err != nil {
 			m.pool.Release()
 			return
-		case job := <-m.queue:
-			go func() {
-				defer m.pool.Release()
-				m.run(job)
-			}()
 		}
+		go func() {
+			defer m.pool.Release()
+			m.runLocal(r, job)
+		}()
 	}
 }
 
-// run executes one job to a terminal state — unless the manager itself
-// is shutting down, in which case the job is left resumable: its spool
-// record stays non-terminal and the run checkpoints the chunk boundary
-// it stopped at, so the next NewManager over the same spool re-queues
-// it and resumes with no work lost.
-func (m *Manager) run(job *Job) {
+// runLocal runs one job from its in-memory input and lands the outcome
+// through r — unless the manager is shutting down and the client did
+// not cancel first. Then it lands nothing: the spool record stays
+// non-terminal and RunChain has checkpointed the stop point, so the
+// next manager over the same spool resumes the job with no work lost.
+func (m *Manager) runLocal(r *Remote, job *Job) {
 	ctx, cancel := context.WithCancel(m.ctx)
 	defer cancel()
-	wait, ok := job.claim(cancel)
-	if !ok {
+	if !r.Start(job, "", cancel) {
 		return // cancelled while queued
 	}
-	m.tel.queueWait.Observe(wait.Seconds())
-	opt := job.opt
-	// Per-iteration latency is derived from consecutive progress
-	// snapshots: chunk wall time over chunk iterations. The observer
-	// runs on the job's own goroutine, so the tracking state is local.
-	var lastT time.Time
-	var lastI int64
-	opt.Observer = func(p parmcmc.Progress) {
-		now := time.Now()
-		if !lastT.IsZero() && p.Iter > lastI {
-			m.tel.iterLatency.Observe(now.Sub(lastT).Seconds() / float64(p.Iter-lastI))
-		}
-		lastT, lastI = now, p.Iter
-		m.itersTotal.Add(job.observe(p))
-	}
-	if m.spooling() {
-		opt.OnCheckpoint = func(cp *parmcmc.Checkpoint) {
-			// A client's cancel ends the job: its final (drain)
-			// checkpoint is dropped. A shutdown keeps it, so the job
-			// resumes exactly where it stopped.
-			if job.userCancelled() {
-				return
-			}
-			if err := m.spoolCheckpoint(job, cp); err != nil {
-				m.cfg.Logf("service: checkpointing %s: %v", job.id, err)
-			}
-		}
-		opt.CheckpointEvery = m.cfg.CheckpointEvery
-	}
-
-	pix, w, h, err := job.pixels()
 	job.mu.Lock()
-	resume := job.resume
+	checkpoint := job.resume
 	job.mu.Unlock()
-	var res *parmcmc.Result
+	opt := job.opt
+	opt.CheckpointEvery = m.cfg.CheckpointEvery
+	opt.Observer = func(p parmcmc.Progress) { r.observe(job, p) }
+	pix, w, h, err := job.pixels()
+	var raw json.RawMessage
 	if err == nil {
-		if resume != nil {
-			res, err = parmcmc.DetectResume(ctx, pix, w, h, opt, resume)
-		} else {
-			res, err = parmcmc.DetectContext(ctx, pix, w, h, opt)
-		}
+		raw, err = RunChain(ctx, m.ctx, job.id, pix, w, h, opt, checkpoint, m.cfg.SpoolDir, m.cfg.Logf)
 	}
-
 	switch {
 	case err == nil:
-		m.finish(job, res)
-	case ctx.Err() != nil && errors.Is(err, ctx.Err()):
-		if job.userCancelled() {
-			m.terminate(job, api.StateCancelled, "cancelled")
-		}
-		// else: daemon shutdown — leave the job resumable.
+		r.Complete(job, raw, "")
+	case m.ctx.Err() != nil && errors.Is(err, m.ctx.Err()) && !job.userCancelled():
+		// A shutdown: land nothing, so the job stays resumable.
 	default:
-		m.terminate(job, api.StateFailed, err.Error())
+		r.Complete(job, nil, err.Error()) // a client's cancel lands as "cancelled"
 	}
 }
 
-// finish lands a successful result.
-func (m *Manager) finish(job *Job, res *parmcmc.Result) {
-	m.itersTotal.Add(job.accountIters(res.Iterations))
-	view := api.NewResultView(res)
-	raw, err := json.Marshal(view)
-	if err != nil {
-		m.terminate(job, api.StateFailed, fmt.Sprintf("encoding result: %v", err))
-		return
-	}
-	ran, ok := job.finishTerminal(api.StateDone, raw, "")
-	if !ok {
-		return
-	}
-	m.tel.jobDuration.Observe(ran.Seconds())
-	if err := m.spoolResult(job, raw); err != nil {
-		m.cfg.Logf("service: spooling result of %s: %v", job.id, err)
-	}
-	job.releaseInput()
-	job.publish("state", job.Status())
-}
-
-// terminate lands a failure or cancellation.
-func (m *Manager) terminate(job *Job, state api.JobState, msg string) {
-	ran, ok := job.finishTerminal(state, nil, msg)
+// terminate lands a job's terminal state for either role — done with
+// its encoded result, or failed or cancelled with msg: the duration
+// histogram, the terminal spool record (which drops the checkpoint),
+// the input release and the SSE state event.
+func (m *Manager) terminate(job *Job, state api.JobState, result json.RawMessage, msg string) {
+	ran, ok := job.finishTerminal(state, result, msg)
 	if !ok {
 		return
 	}
@@ -388,13 +318,16 @@ func (m *Manager) terminate(job *Job, state api.JobState, msg string) {
 // Stop shuts the manager down: no new submissions, running jobs are
 // interrupted at their next chunk boundary and checkpointed there (their
 // spool state stays resumable), and the call waits — bounded by ctx —
-// for in-flight workers to drain via the pool's quiesce hook.
+// for the executor's in-flight runs to drain via the pool's quiesce
+// hook.
 func (m *Manager) Stop(ctx context.Context) error {
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()
 	m.cancelRun()
-	<-m.dispatchDone
+	if m.executed != nil {
+		<-m.executed
+	}
 	return m.pool.Quiesce(ctx)
 }
 

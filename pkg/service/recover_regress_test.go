@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -257,4 +258,132 @@ func TestUserCancelLeavesNoCheckpoint(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(spool, st.ID, spoolCheckpointFile)); !os.IsNotExist(err) {
 		t.Fatalf("cancelled job left a checkpoint (stat err %v)", err)
 	}
+}
+
+// A client's cancel that lands just before a shutdown still ends the
+// job: the drain keeps nothing resumable, the job is cancelled on the
+// wire and on disk, and a restart over the spool does not run it again.
+func TestCancelRacingStopEndsCancelled(t *testing.T) {
+	spool := t.TempDir()
+	m, err := NewManager(Config{Workers: 1, SpoolDir: spool, CheckpointEvery: 100_000_000, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(m.Handler())
+	defer srv.Close()
+	st := submitJSON(t, srv.URL, api.JobSpec{Scene: &testScene, Options: testOptions(9, 100_000_000)})
+	deadline := time.Now().Add(30 * time.Second)
+	for getJob(t, srv.URL, st.ID).State != api.StateRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("job never started")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := m.Cancel(st.ID); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := m.Stop(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := getJob(t, srv.URL, st.ID); got.State != api.StateCancelled || got.Error != "cancelled" {
+		t.Fatalf("wire status after cancel+stop = %+v", got)
+	}
+	if got := getRecordState(t, spool, st.ID); got != api.StateCancelled {
+		t.Fatalf("spooled state %q, want cancelled", got)
+	}
+	if _, err := os.Stat(filepath.Join(spool, st.ID, spoolCheckpointFile)); !os.IsNotExist(err) {
+		t.Fatalf("cancelled job left a checkpoint (stat err %v)", err)
+	}
+	m2 := newTestManager(t, Config{Workers: 1, SpoolDir: spool})
+	job, err := m2.Job(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := job.Status().State; got != api.StateCancelled {
+		t.Fatalf("recovered state %q, want cancelled", got)
+	}
+}
+
+// Terminal jobs keep no checkpoint: every path that lands a cancelled
+// (or failed) job removes checkpoint.bin, so the spool never offers a
+// resume point for a job that can never resume.
+func TestTerminalJobsKeepNoCheckpoint(t *testing.T) {
+	noCheckpoint := func(t *testing.T, spool, id string) {
+		t.Helper()
+		if _, err := os.Stat(filepath.Join(spool, id, spoolCheckpointFile)); !os.IsNotExist(err) {
+			t.Fatalf("terminal job %s kept its checkpoint (stat err %v)", id, err)
+		}
+	}
+
+	t.Run("standalone_cancel", func(t *testing.T) {
+		spool := t.TempDir()
+		m := newTestManager(t, Config{Workers: 1, SpoolDir: spool, CheckpointEvery: 500})
+		srv := httptest.NewServer(m.Handler())
+		defer srv.Close()
+		st := submitJSON(t, srv.URL, api.JobSpec{Scene: &testScene, Options: testOptions(21, 100_000_000)})
+		ckpt := filepath.Join(spool, st.ID, spoolCheckpointFile)
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			if _, err := os.Stat(ckpt); err == nil {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("no checkpoint was ever written")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		req, _ := http.NewRequest(http.MethodDelete, srv.URL+"/v1/jobs/"+st.ID, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if got := waitDone(t, srv.URL, st.ID); got.State != api.StateCancelled {
+			t.Fatalf("state %q, want cancelled", got.State)
+		}
+		noCheckpoint(t, spool, st.ID)
+	})
+
+	t.Run("remote_cancel", func(t *testing.T) {
+		m, r := newTestExternal(t, Config{})
+		srv := httptest.NewServer(m.Handler())
+		defer srv.Close()
+		st := submitJSON(t, srv.URL, api.JobSpec{Scene: &testScene, Options: testOptions(23, 50000)})
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		job, err := r.Next(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Start(job, "w-0001", func() {})
+		// The worker spooled a checkpoint before its client cancelled.
+		if err := os.WriteFile(filepath.Join(m.cfg.SpoolDir, st.ID, spoolCheckpointFile), []byte("checkpoint"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		r.Complete(job, nil, "cancelled")
+		if got := getJob(t, srv.URL, st.ID); got.State != api.StateCancelled {
+			t.Fatalf("state %q, want cancelled", got.State)
+		}
+		noCheckpoint(t, m.cfg.SpoolDir, st.ID)
+	})
+
+	t.Run("recovered_queued_cancel", func(t *testing.T) {
+		spool := t.TempDir()
+		id := interruptRunningJob(t, spool, Config{Workers: 1, CheckpointEvery: 100_000_000}, 100_000_000)
+		if _, err := os.Stat(filepath.Join(spool, id, spoolCheckpointFile)); err != nil {
+			t.Fatalf("drain left no checkpoint: %v", err)
+		}
+		// Nothing leases the recovered job, so the cancel finds it queued.
+		m, _ := newTestExternal(t, Config{SpoolDir: spool})
+		job, err := m.Cancel(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := job.Status().State; got != api.StateCancelled {
+			t.Fatalf("state %q, want cancelled", got)
+		}
+		noCheckpoint(t, spool, id)
+	})
 }

@@ -7,15 +7,17 @@ import (
 	"time"
 
 	"repro/pkg/api"
+	"repro/pkg/parmcmc"
 )
 
-// Remote is the execution seam of an externally-run manager (see
-// NewExternal): the coordinator drains runnable jobs from it, reports
-// worker progress into it, and hands back terminal outcomes or expired
-// leases. It owns no policy — leases, heartbeats and expiry live in
-// the coordinator; Remote only keeps the Manager's job bookkeeping
-// (states, SSE fan-out, spool, metrics) exactly as an in-process run
-// would.
+// Remote is a manager's execution seam, consumed by the standalone
+// executor (NewManager) and by the coordinator (NewExternal) alike:
+// either drains runnable jobs from it, reports progress into it, and
+// hands back terminal outcomes — the coordinator also expired leases.
+// It owns no policy — leases, heartbeats and expiry live in the
+// coordinator; Remote only keeps the Manager's job bookkeeping
+// (states, SSE fan-out, spool, metrics), the same whichever process
+// ran the chain.
 type Remote struct {
 	m *Manager
 
@@ -25,19 +27,10 @@ type Remote struct {
 	// submissions for queue capacity (or be lost to backpressure).
 	requeued []*Job
 	wake     chan struct{} // closed and replaced whenever requeued grows
-	// track carries per-job iteration-latency state for the
-	// mcmcd_iteration_seconds histogram (what the in-process observer
-	// keeps in locals).
-	track map[*Job]*iterTrack
-}
-
-type iterTrack struct {
-	lastT time.Time
-	lastI int64
 }
 
 func newRemote(m *Manager) *Remote {
-	return &Remote{m: m, wake: make(chan struct{}), track: make(map[*Job]*iterTrack)}
+	return &Remote{m: m, wake: make(chan struct{})}
 }
 
 // Next blocks for the next runnable job: an expired-lease requeue
@@ -74,15 +67,15 @@ func (r *Remote) Next(ctx context.Context) (*Job, error) {
 func (r *Remote) Describe(job *Job) (rec api.JobRecord, checkpoint []byte, restarted bool) {
 	rec = recordOf(job)
 	job.mu.Lock()
-	checkpoint = job.resumeBlob
+	checkpoint = job.resume
 	restarted = job.restarted
 	job.mu.Unlock()
 	return rec, checkpoint, restarted
 }
 
-// Start claims the job for a worker; false means the job is no longer
-// pending (cancelled while queued) and the caller should grant the
-// lease to another job instead.
+// Start claims the job for a worker ("" for the standalone executor);
+// false means the job is no longer pending (cancelled while queued) and
+// the caller should run another job instead.
 func (r *Remote) Start(job *Job, workerID string, cancel func()) bool {
 	wait, ok := job.claimFor(workerID, cancel)
 	if !ok {
@@ -92,35 +85,28 @@ func (r *Remote) Start(job *Job, workerID string, cancel func()) bool {
 	return true
 }
 
-// Observe feeds one worker-reported progress snapshot into the job —
-// the same bookkeeping (SSE fan-out, convergence window, aggregate
-// iteration counters, per-iteration latency) a local run's Observer
-// performs.
-func (r *Remote) Observe(job *Job, ev api.ProgressEvent) {
-	p := ev.ToParmcmc()
-	r.mu.Lock()
-	t := r.track[job]
-	if t == nil {
-		t = &iterTrack{}
-		r.track[job] = t
+// Observe feeds one worker-reported progress snapshot into the job:
+// SSE fan-out, convergence window, aggregate iteration counters and
+// per-iteration latency.
+func (r *Remote) Observe(job *Job, ev api.ProgressEvent) { r.observe(job, ev.ToParmcmc()) }
+
+// observe is Observe for a chain running in this process: the
+// executor's Observer hands over its snapshot without the wire form.
+func (r *Remote) observe(job *Job, p parmcmc.Progress) {
+	delta, perIter := job.observe(p, time.Now())
+	if perIter > 0 {
+		r.m.tel.iterLatency.Observe(perIter)
 	}
-	now := time.Now()
-	if !t.lastT.IsZero() && p.Iter > t.lastI {
-		r.m.tel.iterLatency.Observe(now.Sub(t.lastT).Seconds() / float64(p.Iter-t.lastI))
-	}
-	t.lastT, t.lastI = now, p.Iter
-	r.mu.Unlock()
-	r.m.itersTotal.Add(job.observe(p))
+	r.m.itersTotal.Add(delta)
 }
 
-// Complete lands a worker-reported terminal outcome. A successful
-// result arrives as the worker's already-encoded ResultView and is
-// stored byte-for-byte — the bit-identical contract extends across the
-// wire. An errMsg of "cancelled" (or any error after a client
-// cancellation) terminates the job as cancelled; other errors as
-// failed.
+// Complete lands a run's terminal outcome, reported by a worker or by
+// the standalone executor. A successful result arrives as RunChain's
+// already-encoded ResultView and is stored byte-for-byte — the
+// bit-identical contract extends across the wire. An errMsg of
+// "cancelled" (or any error after a client cancellation) terminates the
+// job as cancelled; other errors as failed.
 func (r *Remote) Complete(job *Job, result json.RawMessage, errMsg string) {
-	r.dropTrack(job)
 	if errMsg != "" || len(result) == 0 {
 		state := api.StateFailed
 		if job.userCancelled() || errMsg == "cancelled" {
@@ -128,27 +114,17 @@ func (r *Remote) Complete(job *Job, result json.RawMessage, errMsg string) {
 		} else if errMsg == "" {
 			errMsg = "worker reported no result"
 		}
-		r.m.terminate(job, state, errMsg)
+		r.m.terminate(job, state, nil, errMsg)
 		return
 	}
-	// Account the final iteration count exactly like Manager.finish
-	// does from the in-process Result.
+	// Account the final iteration count the result reports.
 	var v struct {
 		Iterations int64 `json:"iterations"`
 	}
 	if json.Unmarshal(result, &v) == nil {
 		r.m.itersTotal.Add(job.accountIters(v.Iterations))
 	}
-	ran, ok := job.finishTerminal(api.StateDone, result, "")
-	if !ok {
-		return
-	}
-	r.m.tel.jobDuration.Observe(ran.Seconds())
-	if err := r.m.spoolResult(job, result); err != nil {
-		r.m.cfg.Logf("service: spooling result of %s: %v", job.ID(), err)
-	}
-	job.releaseInput()
-	job.publish("state", job.Status())
+	r.m.terminate(job, api.StateDone, result, "")
 }
 
 // Requeue returns an expired lease's job to the runnable set, resuming
@@ -161,12 +137,11 @@ func (r *Remote) Complete(job *Job, result json.RawMessage, errMsg string) {
 // is a state of the same trajectory, so whichever version the read
 // sees resumes to the bit-identical result.
 func (r *Remote) Requeue(job *Job) {
-	r.dropTrack(job)
 	if job.userCancelled() {
-		r.m.terminate(job, api.StateCancelled, "cancelled")
+		r.m.terminate(job, api.StateCancelled, nil, "cancelled")
 		return
 	}
-	cp, blob, ok := r.m.readCheckpoint(job.ID())
+	blob := r.m.readCheckpoint(job.ID())
 	job.mu.Lock()
 	if job.state != api.StateRunning {
 		// Terminal (or never started) — nothing to re-lease.
@@ -178,13 +153,10 @@ func (r *Remote) Requeue(job *Job) {
 	job.cancel = nil
 	job.worker = ""
 	// Reset the iteration watermark so the next run's first snapshot
-	// re-baselines (resume) or counts from zero (scratch).
-	job.lastIter = 0
-	if ok {
-		job.resume, job.resumeBlob, job.restarted = cp, blob, false
-	} else {
-		job.resume, job.resumeBlob, job.restarted = nil, nil, true
-	}
+	// re-baselines (resume) or counts from zero (scratch), and opens a
+	// fresh latency interval.
+	job.lastIter, job.lastObs = 0, time.Time{}
+	job.resume, job.restarted = blob, blob == nil
 	// Tell live SSE watchers: pending again, and — on a scratch
 	// restart — Restarted, so they rewind their progress watermark.
 	job.publishLocked("state", job.statusLocked())
@@ -194,11 +166,5 @@ func (r *Remote) Requeue(job *Job) {
 	r.requeued = append(r.requeued, job)
 	close(r.wake)
 	r.wake = make(chan struct{})
-	r.mu.Unlock()
-}
-
-func (r *Remote) dropTrack(job *Job) {
-	r.mu.Lock()
-	delete(r.track, job)
 	r.mu.Unlock()
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cliutil"
 	"repro/pkg/api"
 	"repro/pkg/parmcmc"
 )
@@ -38,10 +37,11 @@ func newTestExternal(t *testing.T, cfg Config) (*Manager, *Remote) {
 }
 
 // runLeased emulates one worker turn over the Remote seam: materialise
-// the granted record, run it through parmcmc (resuming from the
-// granted checkpoint when present), spool checkpoints like a real
-// worker would, and stop when ctx is cancelled. It returns the
-// encoded result, or nil if the run was interrupted.
+// the granted record and run it through RunChain from the granted
+// checkpoint, reporting progress through r. Its ctx is also the drain
+// context, so like a dying worker it spools every checkpoint, the stop
+// point included. It returns the encoded result, or nil if the run was
+// interrupted.
 func runLeased(t *testing.T, ctx context.Context, m *Manager, r *Remote, job *Job) json.RawMessage {
 	t.Helper()
 	rec, blob, _ := r.Describe(job)
@@ -50,38 +50,15 @@ func runLeased(t *testing.T, ctx context.Context, m *Manager, r *Remote, job *Jo
 		t.Fatal(err)
 	}
 	opt.CheckpointEvery = m.cfg.CheckpointEvery
-	opt.OnCheckpoint = func(cp *parmcmc.Checkpoint) {
-		enc, err := cp.MarshalBinary()
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		path := filepath.Join(m.cfg.SpoolDir, rec.ID, api.SpoolCheckpointFile)
-		if err := cliutil.WriteFileAtomic(path, enc, 0o644); err != nil {
-			t.Error(err)
-		}
-	}
 	opt.Observer = func(p parmcmc.Progress) {
 		r.Observe(job, *api.NewProgressEvent(p))
 	}
-	var res *parmcmc.Result
-	if len(blob) > 0 {
-		var cp parmcmc.Checkpoint
-		if err := cp.UnmarshalBinary(blob); err != nil {
-			t.Fatal(err)
-		}
-		res, err = parmcmc.DetectResume(ctx, pix, w, h, opt, &cp)
-	} else {
-		res, err = parmcmc.DetectContext(ctx, pix, w, h, opt)
-	}
+	raw, err := RunChain(ctx, ctx, rec.ID, pix, w, h, opt, blob, m.cfg.SpoolDir,
+		func(f string, a ...any) { t.Errorf(f, a...) }) // a failed checkpoint write fails the test
 	if err != nil {
 		if ctx.Err() != nil {
 			return nil // interrupted mid-run, like a dying worker
 		}
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(api.NewResultView(res))
-	if err != nil {
 		t.Fatal(err)
 	}
 	return raw

@@ -35,20 +35,6 @@ func (m *Manager) spooling() bool { return m.cfg.SpoolDir != "" }
 
 func (m *Manager) jobDir(id string) string { return filepath.Join(m.cfg.SpoolDir, id) }
 
-// spoolRecord persists the job's record (and, on first write, its
-// uploaded input). job.spoolMu serializes record writes against
-// spoolResult: Submit's initial pending record and the worker's
-// terminal record can otherwise interleave read-state/write-file and
-// regress a finished job to pending on disk.
-func (m *Manager) spoolRecord(job *Job) error {
-	if !m.spooling() {
-		return nil
-	}
-	job.spoolMu.Lock()
-	defer job.spoolMu.Unlock()
-	return m.spoolRecordLocked(job)
-}
-
 // recordOf builds the job's durable record — the spool's job.json and
 // the Record field of a lease grant. No I/O: the input file name is
 // derived from the upload's extension, which outlives the released
@@ -71,46 +57,14 @@ func recordOf(job *Job) api.JobRecord {
 	return rec
 }
 
-func (m *Manager) spoolRecordLocked(job *Job) error {
-	dir := m.jobDir(job.id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	rec := recordOf(job)
-	job.mu.Lock()
-	input := job.input // may be released once the job is terminal
-	job.mu.Unlock()
-	if input != nil {
-		path := filepath.Join(dir, rec.Input)
-		if _, err := os.Stat(path); os.IsNotExist(err) {
-			if err := cliutil.WriteFileAtomic(path, input, 0o644); err != nil {
-				return err
-			}
-		}
-	}
-	blob, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	return cliutil.WriteFileAtomic(filepath.Join(dir, spoolRecordFile), blob, 0o644)
-}
-
-// spoolCheckpoint persists the latest resumable checkpoint.
-func (m *Manager) spoolCheckpoint(job *Job, cp *parmcmc.Checkpoint) error {
-	blob, err := cp.MarshalBinary()
-	if err != nil {
-		return err
-	}
-	dir := m.jobDir(job.id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return cliutil.WriteFileAtomic(filepath.Join(dir, spoolCheckpointFile), blob, 0o644)
-}
-
-// spoolResult persists the final result and the terminal record, and
-// drops the now-redundant checkpoint.
-func (m *Manager) spoolResult(job *Job, resultJSON []byte) error {
+// spoolRecord persists the job's record, and with it, on first write,
+// its uploaded input and, once done, its result — written first, so a
+// done record always has one. A terminal record also drops the job's
+// checkpoint: the job can never resume. job.spoolMu serializes the
+// writes: Submit's initial pending record and the terminal record can
+// otherwise interleave read-state/write-file and regress a finished job
+// to pending on disk.
+func (m *Manager) spoolRecord(job *Job) error {
 	if !m.spooling() {
 		return nil
 	}
@@ -120,13 +74,33 @@ func (m *Manager) spoolResult(job *Job, resultJSON []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := cliutil.WriteFileAtomic(filepath.Join(dir, spoolResultFile), resultJSON, 0o644); err != nil {
+	rec := recordOf(job)
+	job.mu.Lock()
+	input, result := job.input, job.resultJSON // input may be released once the job is terminal
+	job.mu.Unlock()
+	if input != nil {
+		path := filepath.Join(dir, rec.Input)
+		if _, err := os.Stat(path); os.IsNotExist(err) {
+			if err := cliutil.WriteFileAtomic(path, input, 0o644); err != nil {
+				return err
+			}
+		}
+	}
+	if rec.State == api.StateDone {
+		if err := cliutil.WriteFileAtomic(filepath.Join(dir, spoolResultFile), result, 0o644); err != nil {
+			return err
+		}
+	}
+	blob, err := json.Marshal(rec)
+	if err != nil {
 		return err
 	}
-	if err := m.spoolRecordLocked(job); err != nil {
+	if err := cliutil.WriteFileAtomic(filepath.Join(dir, spoolRecordFile), blob, 0o644); err != nil {
 		return err
 	}
-	os.Remove(filepath.Join(dir, spoolCheckpointFile))
+	if rec.State.Terminal() {
+		os.Remove(filepath.Join(dir, spoolCheckpointFile))
+	}
 	return nil
 }
 
@@ -230,40 +204,30 @@ func (m *Manager) recoverJob(name string) (*Job, bool, error) {
 	// flagged on the job (JobStatus.Restarted) so a streaming client
 	// that watched the pre-crash run rewinds its progress watermark
 	// instead of silently suppressing the whole re-run.
-	if blob, err := os.ReadFile(filepath.Join(dir, spoolCheckpointFile)); err == nil {
-		var cp parmcmc.Checkpoint
-		if err := cp.UnmarshalBinary(blob); err != nil {
-			m.cfg.Logf("service: %s: unusable checkpoint (%v), restarting job from scratch", rec.ID, err)
-		} else {
-			job.resume = &cp
-			if m.external {
-				// Lease grants ship the exact spooled bytes.
-				job.resumeBlob = blob
-			}
-		}
-	}
+	job.resume = m.readCheckpoint(rec.ID)
 	job.restarted = job.resume == nil
 	return job, false, nil
 }
 
-// readCheckpoint loads and validates the job's latest spooled
-// checkpoint; ok is false when none exists or it does not parse — the
-// caller restarts the job from scratch, which still lands the
-// bit-identical result.
-func (m *Manager) readCheckpoint(jobID string) (*parmcmc.Checkpoint, []byte, bool) {
+// readCheckpoint loads the job's latest spooled checkpoint and checks
+// that it parses, returning its exact bytes — what a run resumes from.
+// It returns nil when none exists or it does not parse: the caller
+// restarts the job from scratch, which still lands the bit-identical
+// result.
+func (m *Manager) readCheckpoint(jobID string) []byte {
 	if !m.spooling() {
-		return nil, nil, false
+		return nil
 	}
 	blob, err := os.ReadFile(filepath.Join(m.jobDir(jobID), spoolCheckpointFile))
 	if err != nil {
-		return nil, nil, false
+		return nil
 	}
 	var cp parmcmc.Checkpoint
 	if err := cp.UnmarshalBinary(blob); err != nil {
 		m.cfg.Logf("service: %s: unusable checkpoint (%v), restarting job from scratch", jobID, err)
-		return nil, nil, false
+		return nil
 	}
-	return &cp, blob, true
+	return blob
 }
 
 // parseJobSeq extracts the numeric suffix of a "job-%08d" id. The

@@ -1,7 +1,7 @@
 // Package worker is the data-plane half of distributed mcmcd: a
 // stateless process that leases jobs from a coordinator (the internal
 // /internal/v1 protocol, wire types in pkg/api) and runs them through
-// pkg/parmcmc.
+// service.RunChain, the same run path a standalone manager uses.
 //
 // Stateless means restart-safe by construction: everything durable —
 // the job record, the input, every checkpoint — lives in the

@@ -10,11 +10,9 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
-	"repro/internal/cliutil"
 	"repro/pkg/api"
 	"repro/pkg/parmcmc"
 	"repro/pkg/service"
@@ -288,35 +286,24 @@ func (w *Worker) runLease(ctx context.Context, grant api.LeaseGrant) {
 	w.complete(ctx, lease, report)
 }
 
-// detect runs the chain under the lease's ctx. It returns
+// detect runs the chain under the lease's ctx through service.RunChain,
+// resuming from the granted checkpoint if any. It returns
 // errLeaseExpired when the coordinator disowned the lease mid-run.
-// workerCtx is the whole worker's: when it ends, the run drains and its
-// last checkpoint is written; a run stopped by a client's cancel or a
-// lost lease writes none.
+// workerCtx is the whole worker's, RunChain's drain context: when it
+// ends, the run drains and its last checkpoint is written; a run
+// stopped by a client's cancel while workerCtx is live, or by a lost
+// lease at any time (abandon cancels runCtx with errLeaseExpired as its
+// cause), writes none, so it never overwrites the re-leased copy's
+// checkpoints.
 func (w *Worker) detect(workerCtx, ctx context.Context, grant api.LeaseGrant) (json.RawMessage, error) {
 	pix, width, height, opt, err := service.MaterializeRecord(grant.Record, w.cfg.SpoolDir)
 	if err != nil {
 		return nil, err
 	}
-	runCtx, abandon := context.WithCancel(ctx)
-	defer abandon()
-	var expired bool
+	runCtx, abandon := context.WithCancelCause(ctx)
+	defer abandon(nil)
 
 	opt.CheckpointEvery = grant.CheckpointEvery
-	opt.OnCheckpoint = func(cp *parmcmc.Checkpoint) {
-		if expired || (runCtx.Err() != nil && workerCtx.Err() == nil) {
-			return
-		}
-		blob, err := cp.MarshalBinary()
-		if err != nil {
-			w.cfg.Logf("worker: encoding checkpoint of %s: %v", grant.Record.ID, err)
-			return
-		}
-		path := filepath.Join(w.cfg.SpoolDir, grant.Record.ID, api.SpoolCheckpointFile)
-		if err := cliutil.WriteFileAtomic(path, blob, 0o644); err != nil {
-			w.cfg.Logf("worker: checkpointing %s: %v", grant.Record.ID, err)
-		}
-	}
 	opt.Observer = func(p parmcmc.Progress) {
 		var ack api.ProgressAck
 		status, env, perr := w.do(runCtx, api.InternalPrefix+"/leases/"+grant.Lease.ID+"/progress",
@@ -328,34 +315,18 @@ func (w *Worker) detect(workerCtx, ctx context.Context, grant api.LeaseGrant) (j
 			// a checkpointed run that finishes during an outage still
 			// reports its completion with retries.
 		case status == http.StatusGone && env != nil && env.Code == api.CodeLeaseExpired:
-			expired = true
-			abandon()
+			abandon(errLeaseExpired)
 		case status == http.StatusOK && ack.Cancel:
 			w.stopRun(grant.Lease.ID)
 		}
 	}
 
-	var res *parmcmc.Result
-	if len(grant.Checkpoint) > 0 {
-		var cp parmcmc.Checkpoint
-		if err := cp.UnmarshalBinary(grant.Checkpoint); err != nil {
-			return nil, fmt.Errorf("worker: granted checkpoint: %w", err)
-		}
-		res, err = parmcmc.DetectResume(runCtx, pix, width, height, opt, &cp)
-	} else {
-		res, err = parmcmc.DetectContext(runCtx, pix, width, height, opt)
-	}
-	if expired {
+	raw, err := service.RunChain(runCtx, workerCtx, grant.Record.ID, pix, width, height, opt,
+		grant.Checkpoint, w.cfg.SpoolDir, w.cfg.Logf)
+	if context.Cause(runCtx) == errLeaseExpired {
 		return nil, errLeaseExpired
 	}
-	if err != nil {
-		return nil, err
-	}
-	raw, err := json.Marshal(api.NewResultView(res))
-	if err != nil {
-		return nil, fmt.Errorf("worker: encoding result: %w", err)
-	}
-	return raw, nil
+	return raw, err
 }
 
 // complete reports the terminal outcome, riding out transient
