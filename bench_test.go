@@ -18,7 +18,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/rng"
 	"repro/internal/spec"
-	"repro/internal/trace"
 	"repro/pkg/parmcmc"
 )
 
@@ -334,22 +333,19 @@ func BenchmarkGridSpacingAblation(b *testing.B) {
 				s := benchState(b, 512, 512, 60)
 				e := mcmc.MustNew(s, rng.New(1), mcmc.DefaultWeights(), mcmc.DefaultStepSizes(10))
 				e.RunN(20000)
-				tm := trace.NewPhaseTimer()
 				pe, err := core.NewEngine(e, core.Options{
 					LocalPhaseIters:  3000,
 					GridXM:           512 / float64(div),
 					GridYM:           512 / float64(div),
 					Workers:          4,
-					Timer:            tm,
 					SimulateParallel: true,
 				})
 				if err != nil {
 					b.Fatal(err)
 				}
 				pe.Run(50000)
-				serialLocal := tm.Total("local").Seconds()
 				if pe.SimLocalSeconds > 0 {
-					speedup = serialLocal / pe.SimLocalSeconds
+					speedup = pe.LocalSeconds / pe.SimLocalSeconds
 				}
 				prop := e.Stats.Proposed[mcmc.Shift] + e.Stats.Proposed[mcmc.Resize]
 				inv := e.Stats.Invalid[mcmc.Shift] + e.Stats.Invalid[mcmc.Resize]

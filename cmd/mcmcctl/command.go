@@ -45,18 +45,20 @@ const defaultHost = "http://127.0.0.1:8080"
 // newApp builds the shared state; getenv injects the environment so
 // cmdref generation (and tests) can run hermetically.
 func newApp(getenv func(string) string) *app {
-	a := &app{host: defaultHost, out: os.Stdout, errw: os.Stderr}
+	a := &app{host: defaultHost, timeout: 30 * time.Second, out: os.Stdout, errw: os.Stderr}
 	if h := getenv("MCMCD_HOST"); h != "" {
 		a.host = h
 	}
 	return a
 }
 
-// globalFlags registers the flags every command accepts.
+// globalFlags registers the flags every command accepts. Each default
+// is the app's current value, so a global flag parsed at an interior
+// node (mcmcctl -json job get …) survives re-registration at the leaf.
 func (a *app) globalFlags(fs *flag.FlagSet) {
 	fs.StringVar(&a.host, "host", a.host, "daemon base URL (env MCMCD_HOST)")
-	fs.DurationVar(&a.timeout, "timeout", 30*time.Second, "request timeout for unary calls (streaming commands ignore it)")
-	fs.BoolVar(&a.jsonOut, "json", false, "emit raw JSON instead of tables")
+	fs.DurationVar(&a.timeout, "timeout", a.timeout, "request timeout for unary calls (streaming commands ignore it)")
+	fs.BoolVar(&a.jsonOut, "json", a.jsonOut, "emit raw JSON instead of tables")
 }
 
 // client builds the API client for the configured host. The stream

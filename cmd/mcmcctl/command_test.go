@@ -2,10 +2,12 @@ package main
 
 import (
 	"errors"
+	"flag"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/pkg/api"
 )
@@ -61,6 +63,37 @@ func TestDispatchErrors(t *testing.T) {
 	}
 	if err := rootCommand().dispatch(hermeticApp(), "mcmcctl", []string{"-json", "bogus"}); !errors.As(err, &ue) {
 		t.Errorf("leading flag + unknown command: %v", err)
+	}
+}
+
+// Global flags placed before the subcommand must reach the leaf: the
+// leaf re-registers them, and must not reset them to their defaults.
+func TestLeadingGlobalFlagsReachLeaf(t *testing.T) {
+	root := rootCommand()
+	var leaf *command
+	for _, c := range root.sub {
+		if c.name == "job" {
+			for _, s := range c.sub {
+				if s.name == "list" {
+					leaf = s
+				}
+			}
+		}
+	}
+	if leaf == nil {
+		t.Fatal("no job list command")
+	}
+	var jsonOut bool
+	var timeout time.Duration
+	leaf.run = func(a *app, _ *flag.FlagSet, _ []string) error {
+		jsonOut, timeout = a.jsonOut, a.timeout
+		return nil
+	}
+	if err := root.dispatch(hermeticApp(), "mcmcctl", []string{"-json", "-timeout", "5s", "job", "list"}); err != nil {
+		t.Fatal(err)
+	}
+	if !jsonOut || timeout != 5*time.Second {
+		t.Fatalf("leaf saw -json=%v -timeout=%v, want true and 5s", jsonOut, timeout)
 	}
 }
 

@@ -4,16 +4,17 @@
 // parallelised by periodic partitioning (§V), speculative moves,
 // intelligent and blind image partitioning (§VIII), with (MC)³ as the
 // related-work baseline. The paper's workload is circular artifacts;
-// a generic shape layer (internal/geom.Shape) extends every strategy
-// to ellipses — per-feature semi-axes and rotation — selected via
-// parmcmc.Options.Shape with no strategy-specific shape code.
+// the shape layer of internal/geom (predicate-pinned scanline spans)
+// extends every strategy to ellipses — per-feature semi-axes and
+// rotation — selected via parmcmc.Options.Shape with no
+// strategy-specific shape code.
 //
-// Use the public API in pkg/parmcmc. Every strategy is a plugin: a
-// steppable sampler (Step/Snapshot/Finish) registered in a
-// name→factory registry, driven by one generic chunked loop that
-// provides cooperative cancellation, streaming progress
-// (Options.Observer) and bit-identical checkpoint/resume
-// (Options.OnCheckpoint, DetectResume) uniformly across strategies.
+// Use the public API in pkg/parmcmc. Each of the six strategies is a
+// steppable sampler (Step/Snapshot/Finish) picked by one switch and
+// driven by one generic chunked loop that provides cooperative
+// cancellation, streaming progress (Options.Observer) and
+// bit-identical checkpoint/resume (Options.OnCheckpoint, DetectResume)
+// uniformly across strategies.
 //
 // pkg/service wraps the library as a long-running daemon (cmd/mcmcd):
 // a bounded job queue + worker pool behind an HTTP API with SSE

@@ -19,7 +19,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -54,13 +53,11 @@ func main() {
 	tr := mcmc.NewTrace(2000)
 	engine.AttachTrace(tr)
 
-	timer := trace.NewPhaseTimer()
 	periodic, err := core.NewEngine(engine, core.Options{
 		LocalPhaseIters: 600,
 		GridXM:          260, GridYM: 260, // ~2x2 cells with random offsets
 		Workers:   4,
 		SpecWidth: 4, // speculative global phases (eq. 3)
-		Timer:     timer,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -82,9 +79,8 @@ func main() {
 		len(found), m.Precision(), m.Recall(), m.F1())
 	pgr, plr := engine.Stats.GlobalLocalRates()
 	fmt.Printf("rejection rates: global %.2f, local %.2f\n", pgr, plr)
-	fmt.Printf("phase time: global %v over %d phases, local %v over %d phases (%d barriers)\n",
-		timer.Total("global").Round(1e6), timer.Count("global"),
-		timer.Total("local").Round(1e6), timer.Count("local"), periodic.Barriers)
+	fmt.Printf("phase time: global %.3fs, local %.3fs over %d fork/join cycles\n",
+		periodic.GlobalSeconds, periodic.LocalSeconds, periodic.Barriers)
 
 	overlay := filepath.Join(outDir, "nuclei_overlay.png")
 	f, err := os.Create(overlay)

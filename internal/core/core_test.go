@@ -11,7 +11,6 @@ import (
 	"repro/internal/mcmc"
 	"repro/internal/model"
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
 
 func testHost(t *testing.T, seed uint64, w, h, count int) (*mcmc.Engine, *imaging.Scene) {
@@ -350,16 +349,15 @@ func TestLocalPhaseNoModifiableFeatures(t *testing.T) {
 
 func TestTimerRecordsPhases(t *testing.T) {
 	host, _ := testHost(t, 9, 64, 64, 3)
-	opts := defaultOpts(64, 64)
-	opts.Timer = trace.NewPhaseTimer()
-	pe, err := NewEngine(host, opts)
+	pe, err := NewEngine(host, defaultOpts(64, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer pe.Close()
 	pe.Run(3000)
-	if opts.Timer.Count("global") == 0 || opts.Timer.Count("local") == 0 {
-		t.Fatalf("phases not timed: global=%d local=%d",
-			opts.Timer.Count("global"), opts.Timer.Count("local"))
+	if pe.GlobalSeconds <= 0 || pe.LocalSeconds <= 0 || pe.Barriers == 0 {
+		t.Fatalf("phases not timed: global=%gs local=%gs barriers=%d",
+			pe.GlobalSeconds, pe.LocalSeconds, pe.Barriers)
 	}
 }
 

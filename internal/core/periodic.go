@@ -10,7 +10,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/sched"
 	"repro/internal/spec"
-	"repro/internal/trace"
 )
 
 // Options configures a periodic-partitioning engine.
@@ -46,10 +45,6 @@ type Options struct {
 	// the measured batches/evaluations ratio.
 	LocalSpecWidth int
 
-	// Timer, when non-nil, receives per-phase wall-clock measurements
-	// under the names "global" and "local".
-	Timer *trace.PhaseTimer
-
 	// SimulateParallel runs the local-phase cells sequentially, times
 	// each cell, and accumulates the *makespan* a Workers-way machine
 	// would achieve into Engine.SimLocalSeconds. Use it to evaluate
@@ -57,22 +52,6 @@ type Options struct {
 	// models (see README.md, "Reproducing the paper"). Chain results are
 	// identical either way — scheduling never affects the arithmetic.
 	SimulateParallel bool
-
-	// OnBarrier, when non-nil, observes the chain after every completed
-	// local phase (fork/join barrier). It runs on the goroutine driving
-	// Run, must not mutate the engine, and has no effect on chain
-	// results — the streaming-progress layer of pkg/parmcmc hangs off
-	// it.
-	OnBarrier func(BarrierInfo)
-}
-
-// BarrierInfo is a read-only snapshot delivered to Options.OnBarrier at
-// each local-phase barrier.
-type BarrierInfo struct {
-	Barriers int64
-	Iter     int64
-	LogPost  float64
-	Circles  int
 }
 
 // Validate reports whether the options are usable.
@@ -106,6 +85,10 @@ type Engine struct {
 	// architecture profiles charge their communication overhead per
 	// barrier.
 	Barriers int64
+
+	// GlobalSeconds and LocalSeconds accumulate the measured wall-clock
+	// of the global and local phases.
+	GlobalSeconds, LocalSeconds float64
 
 	// SimLocalSeconds accumulates the simulated parallel wall-clock of
 	// the local phases when Options.SimulateParallel is set: the LPT
@@ -265,9 +248,7 @@ func (pe *Engine) globalPhase(n int) {
 			pe.E.Decide(pe.E.Propose(m))
 		}
 	}
-	if pe.Opt.Timer != nil {
-		pe.Opt.Timer.Add("global", time.Since(start))
-	}
+	pe.GlobalSeconds += time.Since(start).Seconds()
 }
 
 // localPhase partitions the image with a freshly offset grid and runs n
@@ -416,17 +397,7 @@ func (pe *Engine) sortClaimOrder() {
 
 func (pe *Engine) finishLocal(start time.Time) {
 	pe.Barriers++
-	if pe.Opt.Timer != nil {
-		pe.Opt.Timer.Add("local", time.Since(start))
-	}
-	if pe.Opt.OnBarrier != nil {
-		pe.Opt.OnBarrier(BarrierInfo{
-			Barriers: pe.Barriers,
-			Iter:     pe.E.Iter,
-			LogPost:  pe.E.S.LogPost(),
-			Circles:  pe.E.S.Cfg.Len(),
-		})
-	}
+	pe.LocalSeconds += time.Since(start).Seconds()
 }
 
 // assignLargestRemainder distributes n iterations over workers in

@@ -1,5 +1,5 @@
 // Package geom provides the planar geometry used by the MCMC image model:
-// the generic Shape layer (discs and ellipses with exact, predicate-pinned
+// the shape layer (discs and ellipses with exact, predicate-pinned
 // scanline spans — see shape.go), rectangles, pairwise overlap areas, and
 // the partitioning grids of the paper's periodic and blind parallelisation
 // schemes. Ellipse is the configuration element type of the whole stack;

@@ -2,50 +2,24 @@ package geom
 
 import "math"
 
-// Generic shape layer.
+// Shape layer.
 //
-// Shape is the contract every detectable artifact geometry satisfies: an
-// exact pixel-coverage predicate, a bounding rectangle, an area, and
-// analytic scanline spans pinned to the predicate. Circle (the paper's
-// disc workload) and Ellipse (axis-aligned or rotated) both implement
-// it. The likelihood and coverage kernels of internal/model consume only
-// row spans, so any Shape implementation slots into the whole stack —
-// sequential, periodic-partitioned, speculative, blind, intelligent and
-// tempered engines alike — without engine-specific shape code.
+// Circle (the paper's disc workload) and Ellipse (axis-aligned or
+// rotated) share one vocabulary: an exact pixel-coverage predicate
+// (Contains), a bounding rectangle, an area, and analytic scanline spans
+// (RowSpan, PixelRows, PixelCols) pinned to the predicate. The
+// likelihood and coverage kernels of internal/model consume only row
+// spans of Ellipse values, so every engine — sequential, periodic-
+// partitioned, speculative, blind, intelligent and tempered — runs both
+// families without engine-specific shape code.
 //
-// Shape parameters are plain float64 struct fields, so every
-// implementation is gob-dumpable as-is; checkpoint payloads serialize
-// configurations of Ellipse values directly.
-type Shape interface {
-	// Contains reports whether the point (x, y) lies inside or on the
-	// shape boundary.
-	Contains(x, y float64) bool
-	// Bounds returns the tight axis-aligned bounding rectangle.
-	Bounds() Rect
-	// Area returns the shape's area.
-	Area() float64
-	// RowSpan returns the covered pixel x-range [xa, xb) of row y,
-	// clipped to [x0, x1), exactly matching the per-pixel-centre
-	// coverage predicate. It returns (0, 0) when the row is empty.
-	RowSpan(y, x0, x1 int) (xa, xb int)
-	// PixelRows returns the clipped row range [y0, y1) of the shape's
-	// pixel bounding box in an image of height h.
-	PixelRows(h int) (y0, y1 int)
-	// PixelCols returns the clipped column range [x0, x1) of the shape's
-	// pixel bounding box in an image of width w.
-	PixelCols(w int) (x0, x1 int)
-}
-
-// Compile-time interface checks: the two shipped shapes satisfy Shape.
-var (
-	_ Shape = Circle{}
-	_ Shape = Ellipse{}
-)
+// Shape parameters are plain float64 struct fields, so configurations
+// of Ellipse values are gob-dumpable as-is into checkpoint payloads.
 
 // ShapeKind identifies a shape family for workloads, priors and
-// proposal kernels. The registry-style parsing lives in pkg/parmcmc
-// (ParseShape); this is the low-level tag threaded through model
-// parameters and checkpoint payloads.
+// proposal kernels. pkg/parmcmc's public Shape values equal these tags
+// and take their names from String; this is the low-level tag threaded
+// through model parameters and checkpoint payloads.
 type ShapeKind uint8
 
 const (

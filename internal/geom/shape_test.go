@@ -203,8 +203,8 @@ func TestEllipseBoundsContainSpans(t *testing.T) {
 	}
 }
 
-// TestShapeKindString pins the canonical kind names used by registry
-// parsing, checkpoints and the service wire format.
+// TestShapeKindString pins the canonical kind names that name
+// parmcmc's Shape values in checkpoints and the service wire format.
 func TestShapeKindString(t *testing.T) {
 	if KindDisc.String() != "disc" || KindEllipse.String() != "ellipse" {
 		t.Fatalf("unexpected kind names %q, %q", KindDisc, KindEllipse)

@@ -65,27 +65,7 @@ type Sampler struct {
 	SwapProposed int64
 	SwapAccepted int64
 
-	// OnSwap, when non-nil, observes every swap attempt. It runs on the
-	// goroutine driving Run, must not mutate the sampler, and has no
-	// effect on chain results — the streaming-progress layer of
-	// pkg/parmcmc hangs off it.
-	OnSwap func(SwapInfo)
-
 	r *rng.RNG
-}
-
-// SwapInfo is a read-only snapshot delivered to OnSwap after each swap
-// attempt.
-type SwapInfo struct {
-	Proposed, Accepted int64
-	// Pair is the lower ladder index of the attempted pair; Swapped
-	// whether this attempt was accepted.
-	Pair    int
-	Swapped bool
-	// ColdLogPost and ColdIter describe the cold chain after the
-	// attempt.
-	ColdLogPost float64
-	ColdIter    int64
 }
 
 // New builds the sampler: one independent state and engine per chain,
@@ -154,20 +134,11 @@ func (s *Sampler) attemptSwap() {
 	k := s.r.Intn(len(s.Engines) - 1)
 	a, b := s.Engines[k], s.Engines[k+1]
 	s.SwapProposed++
-	swapped := false
 	logAlpha := (s.Betas[k] - s.Betas[k+1]) * (b.S.LogPost() - a.S.LogPost())
 	if logAlpha >= 0 || math.Log(s.r.Positive()) < logAlpha {
 		// Swap the states; temperatures stay with ladder positions.
 		a.S, b.S = b.S, a.S
 		s.SwapAccepted++
-		swapped = true
-	}
-	if s.OnSwap != nil {
-		s.OnSwap(SwapInfo{
-			Proposed: s.SwapProposed, Accepted: s.SwapAccepted,
-			Pair: k, Swapped: swapped,
-			ColdLogPost: s.Engines[0].S.LogPost(), ColdIter: s.Engines[0].Iter,
-		})
 	}
 }
 

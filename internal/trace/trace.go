@@ -1,75 +1,17 @@
-// Package trace provides instrumentation for the experiment harness:
-// phase timers, architecture overhead profiles (the substitution for the
-// paper's three physical test machines, see README.md, "Reproducing the
-// paper"), and fixed-width table output matching the paper's reporting
-// style.
+// Package trace provides the experiment harness's reporting aids:
+// architecture overhead profiles (the substitution for the paper's three
+// physical test machines, see README.md, "Reproducing the paper") and
+// fixed-width table output matching the paper's reporting style. Phase
+// wall-clock is not measured here: the periodic engine keeps its own
+// counters (core.Engine.GlobalSeconds, LocalSeconds, Barriers).
 package trace
 
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 )
-
-// PhaseTimer accumulates wall-clock time and invocation counts per named
-// phase. It is safe for concurrent use.
-type PhaseTimer struct {
-	mu     sync.Mutex
-	totals map[string]time.Duration
-	counts map[string]int64
-}
-
-// NewPhaseTimer returns an empty timer.
-func NewPhaseTimer() *PhaseTimer {
-	return &PhaseTimer{
-		totals: make(map[string]time.Duration),
-		counts: make(map[string]int64),
-	}
-}
-
-// Add records one invocation of phase taking d.
-func (pt *PhaseTimer) Add(phase string, d time.Duration) {
-	pt.mu.Lock()
-	pt.totals[phase] += d
-	pt.counts[phase]++
-	pt.mu.Unlock()
-}
-
-// Time runs fn and records its duration under phase.
-func (pt *PhaseTimer) Time(phase string, fn func()) {
-	start := time.Now()
-	fn()
-	pt.Add(phase, time.Since(start))
-}
-
-// Total returns the accumulated duration of phase.
-func (pt *PhaseTimer) Total(phase string) time.Duration {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	return pt.totals[phase]
-}
-
-// Count returns the number of recorded invocations of phase.
-func (pt *PhaseTimer) Count(phase string) int64 {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	return pt.counts[phase]
-}
-
-// Phases returns the recorded phase names, sorted.
-func (pt *PhaseTimer) Phases() []string {
-	pt.mu.Lock()
-	defer pt.mu.Unlock()
-	names := make([]string, 0, len(pt.totals))
-	for k := range pt.totals {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // ArchProfile models the inter-thread communication cost of a machine.
 // §VII attributes the runtime differences between the paper's three test

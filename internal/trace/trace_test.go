@@ -3,56 +3,8 @@ package trace
 import (
 	"bytes"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
-
-func TestPhaseTimerAccumulates(t *testing.T) {
-	pt := NewPhaseTimer()
-	pt.Add("global", 10*time.Millisecond)
-	pt.Add("global", 5*time.Millisecond)
-	pt.Add("local", 2*time.Millisecond)
-	if got := pt.Total("global"); got != 15*time.Millisecond {
-		t.Fatalf("global total = %v", got)
-	}
-	if got := pt.Count("global"); got != 2 {
-		t.Fatalf("global count = %d", got)
-	}
-	if got := pt.Total("absent"); got != 0 {
-		t.Fatalf("absent total = %v", got)
-	}
-	phases := pt.Phases()
-	if len(phases) != 2 || phases[0] != "global" || phases[1] != "local" {
-		t.Fatalf("Phases = %v", phases)
-	}
-}
-
-func TestPhaseTimerTime(t *testing.T) {
-	pt := NewPhaseTimer()
-	pt.Time("work", func() { time.Sleep(time.Millisecond) })
-	if pt.Total("work") < time.Millisecond {
-		t.Fatalf("Time recorded %v", pt.Total("work"))
-	}
-}
-
-func TestPhaseTimerConcurrent(t *testing.T) {
-	pt := NewPhaseTimer()
-	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				pt.Add("p", time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if pt.Count("p") != 3200 {
-		t.Fatalf("count = %d", pt.Count("p"))
-	}
-}
 
 func TestArchProfiles(t *testing.T) {
 	ps := Profiles()

@@ -27,8 +27,8 @@ import (
 type Checkpoint struct {
 	// Version guards the wire format.
 	Version int
-	// Strategy is the registry name of the strategy that produced the
-	// checkpoint.
+	// Strategy is the published name (Strategy.String) of the strategy
+	// that produced the checkpoint.
 	Strategy string
 	// W, H and PixHash fingerprint the image; DetectResume refuses an
 	// image that does not match.
@@ -53,8 +53,8 @@ const checkpointVersion = 2
 // serializable form (Options itself carries callbacks, which cannot and
 // must not be persisted).
 type OptionsSnapshot struct {
-	// Shape is the registry name of the artifact family ("" reads as
-	// "disc" so pre-shape checkpoints stay decodable).
+	// Shape is the published name (Shape.String) of the artifact family
+	// ("" reads as "disc" so pre-shape checkpoints stay decodable).
 	Shape            string
 	MeanRadius       float64
 	ExpectedCount    float64
@@ -176,17 +176,13 @@ func decodePayload(data []byte, v any) error {
 
 // buildCheckpoint assembles a Checkpoint around the sampler's payload.
 func buildCheckpoint(env *runEnv, smp sampler, elapsed time.Duration) (*Checkpoint, error) {
-	def, err := strategyFor(env.opt.Strategy)
-	if err != nil {
-		return nil, err
-	}
 	data, err := smp.Checkpoint()
 	if err != nil {
 		return nil, err
 	}
 	return &Checkpoint{
 		Version:  checkpointVersion,
-		Strategy: def.name,
+		Strategy: env.opt.Strategy.String(),
 		W:        env.im.W, H: env.im.H,
 		PixHash: env.hash(),
 		Elapsed: elapsed,
@@ -209,11 +205,11 @@ func DetectResume(ctx context.Context, pix []float64, w, h int, opt Options, cp 
 	if cp.Version != checkpointVersion {
 		return nil, fmt.Errorf("parmcmc: unsupported checkpoint version %d", cp.Version)
 	}
-	def, ok := strategiesByName[cp.Strategy]
-	if !ok {
+	strategy, err := ParseStrategy(cp.Strategy)
+	if err != nil {
 		return nil, fmt.Errorf("parmcmc: checkpoint for unknown strategy %q", cp.Strategy)
 	}
-	ro, err := cp.Options.toOptions(def.value)
+	ro, err := cp.Options.toOptions(strategy)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +227,7 @@ func DetectResume(ctx context.Context, pix []float64, w, h int, opt Options, cp 
 		return nil, fmt.Errorf("parmcmc: checkpoint does not match this image (%dx%d, hash %x; checkpoint %dx%d, hash %x)",
 			env.im.W, env.im.H, env.hash(), cp.W, cp.H, cp.PixHash)
 	}
-	smp, err := def.factory(env)
+	smp, err := newSampler(env)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/mcmc"
+	"repro/internal/rng"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden checkpoint fixtures under testdata/")
@@ -126,4 +129,80 @@ func TestGoldenCheckpointV1RejectedLoudly(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unsupported checkpoint version 1") {
 		t.Fatalf("DetectResume accepted or mis-reported a v1 checkpoint: %v", err)
 	}
+}
+
+// legacyPeriodicDump is the periodic payload as older builds wrote it,
+// with the Shadows field (the pre-adaptive executor's per-slot RNG
+// streams) that periodicDump no longer declares.
+type legacyPeriodicDump struct {
+	Host                   mcmc.EngineDump
+	Shadows                []rng.Saved
+	ExecBatches            int64
+	ExecConsumed           int64
+	Barriers               int64
+	SimLocalSeconds        float64
+	GlobalSeconds          float64
+	LocalSeconds           float64
+	SimGlobalSeconds       float64
+	SimGlobalSerialSeconds float64
+}
+
+// A PeriodicSpeculative checkpoint whose payload still carries a
+// populated Shadows field must decode (gob skips the field) and resume
+// to the uninterrupted run's result bit for bit.
+func TestLegacyShadowsPayloadResumes(t *testing.T) {
+	pix, _ := GenerateScene(goldenScene)
+	opt := goldenOptions()
+	opt.Strategy = PeriodicSpeculative
+	opt.Workers = 2
+	var first *Checkpoint
+	opt.OnCheckpoint = func(cp *Checkpoint) {
+		if first == nil {
+			c := *cp
+			first = &c
+		}
+	}
+	baseline, err := Detect(pix, goldenScene.W, goldenScene.H, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first == nil {
+		t.Fatal("run emitted no mid-run checkpoint; enlarge Iterations")
+	}
+	var d periodicDump
+	if err := decodePayload(first.Data, &d); err != nil {
+		t.Fatal(err)
+	}
+	if d.ExecBatches == 0 {
+		t.Fatal("checkpoint carries no speculative state; the test would prove nothing")
+	}
+	data, err := encodePayload(legacyPeriodicDump{
+		Host:                   d.Host,
+		Shadows:                []rng.Saved{rng.New(1).Save(), rng.New(2).Save()},
+		ExecBatches:            d.ExecBatches,
+		ExecConsumed:           d.ExecConsumed,
+		Barriers:               d.Barriers,
+		SimLocalSeconds:        d.SimLocalSeconds,
+		GlobalSeconds:          d.GlobalSeconds,
+		LocalSeconds:           d.LocalSeconds,
+		SimGlobalSeconds:       d.SimGlobalSeconds,
+		SimGlobalSerialSeconds: d.SimGlobalSerialSeconds,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.Data = data
+	blob, err := first.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp Checkpoint
+	if err := cp.UnmarshalBinary(blob); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := DetectResume(context.Background(), pix, goldenScene.W, goldenScene.H, Options{}, &cp)
+	if err != nil {
+		t.Fatalf("legacy Shadows payload no longer resumes: %v", err)
+	}
+	mustEqualResults(t, "legacy-shadows", baseline, resumed)
 }

@@ -238,11 +238,7 @@ func unevenCheckpoint(t *testing.T, pix []float64, w, h int, opt Options) []byte
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := strategyFor(env.opt.Strategy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	smp, err := def.factory(env)
+	smp, err := newSampler(env)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,16 +15,16 @@
 //   - Blind: overlapping grid plus heuristic merge (§VIII).
 //   - Tempered: Metropolis-coupled MCMC, the §IV related-work method.
 //
-// Every strategy is a plugin: a steppable sampler registered in a
-// name→factory registry (one file per strategy), driven by one generic
-// chunked loop that provides cooperative cancellation, streaming
-// progress (Options.Observer) and checkpoint/resume
-// (Options.OnCheckpoint, DetectResume) uniformly — see sampler.go.
+// Each strategy is a steppable sampler in its own file; newSampler
+// picks one by Strategy, and one generic chunked loop drives it,
+// providing cooperative cancellation, streaming progress
+// (Options.Observer) and checkpoint/resume (Options.OnCheckpoint,
+// DetectResume) uniformly — see sampler.go.
 //
-// Shapes are a registry too (Discs, Ellipses; ParseShape/ShapeKinds):
-// every strategy runs either family through the same generic loop, and
-// results carry both the full shape parameters (Result.Ellipses) and an
-// equal-area disc view (Result.Circles).
+// Every strategy runs either shape family (Discs, Ellipses;
+// ParseShape/ShapeKinds) through the same loop, and results carry both
+// the full shape parameters (Result.Ellipses) and an equal-area disc
+// view (Result.Circles).
 //
 // The package deliberately exposes plain float64 pixel buffers and tiny
 // Circle/Ellipse types; the heavy machinery lives in internal packages.
@@ -77,6 +77,44 @@ const (
 	Blind
 	Tempered
 )
+
+// strategyNames holds each strategy's published name, indexed by value.
+// /v1/version lists these names and checkpoints store them, so they
+// never change.
+var strategyNames = [...]string{
+	Sequential:          "sequential",
+	Periodic:            "periodic",
+	PeriodicSpeculative: "periodic+spec",
+	Intelligent:         "intelligent",
+	Blind:               "blind",
+	Tempered:            "mc3",
+}
+
+func (s Strategy) String() string {
+	if s >= 0 && int(s) < len(strategyNames) {
+		return strategyNames[s]
+	}
+	return fmt.Sprintf("Strategy(%d)", int(s))
+}
+
+// ParseStrategy converts a name (as printed by String) to a Strategy.
+func ParseStrategy(name string) (Strategy, error) {
+	for s, n := range strategyNames {
+		if n == name {
+			return Strategy(s), nil
+		}
+	}
+	return 0, fmt.Errorf("parmcmc: unknown strategy %q", name)
+}
+
+// Strategies lists all strategies in declaration order.
+func Strategies() []Strategy {
+	out := make([]Strategy, len(strategyNames))
+	for i := range out {
+		out[i] = Strategy(i)
+	}
+	return out
+}
 
 // Options configures a detection run. MeanRadius is required; everything
 // else has sensible defaults.
@@ -354,7 +392,7 @@ func Detect(pix []float64, w, h int, opt Options) (*Result, error) {
 
 // DetectContext is Detect with cooperative cancellation, streaming
 // progress and checkpointing: it validates the inputs, builds the
-// strategy's sampler through the registry, and drives it in chunks
+// strategy's sampler, and drives it in chunks
 // aligned to the strategy's natural cadence, checking ctx between
 // chunks. Every strategy — including the convergence-driven partitioned
 // ones — stops at its next chunk boundary on cancellation, returning
@@ -367,11 +405,7 @@ func DetectContext(ctx context.Context, pix []float64, w, h int, opt Options) (*
 	if err != nil {
 		return nil, err
 	}
-	def, err := strategyFor(env.opt.Strategy)
-	if err != nil {
-		return nil, err
-	}
-	smp, err := def.factory(env)
+	smp, err := newSampler(env)
 	if err != nil {
 		return nil, err
 	}

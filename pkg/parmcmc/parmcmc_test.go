@@ -5,6 +5,7 @@ import (
 	"image"
 	"image/color"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -70,7 +71,17 @@ func TestAllStrategiesDetect(t *testing.T) {
 	}
 }
 
+// TestStrategyNames pins the published strategy names, in order:
+// /v1/version lists them and checkpoints store them.
 func TestStrategyNames(t *testing.T) {
+	want := []string{"sequential", "periodic", "periodic+spec", "intelligent", "blind", "mc3"}
+	var got []string
+	for _, s := range Strategies() {
+		got = append(got, s.String())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Strategies() names = %q, want %q", got, want)
+	}
 	for _, s := range Strategies() {
 		parsed, err := ParseStrategy(s.String())
 		if err != nil || parsed != s {
@@ -82,6 +93,11 @@ func TestStrategyNames(t *testing.T) {
 	}
 	if Strategy(99).String() == "" {
 		t.Fatal("unknown strategy has empty name")
+	}
+	for _, s := range []Strategy{-1, Strategy(len(Strategies()))} {
+		if _, err := Detect(make([]float64, 16), 4, 4, Options{MeanRadius: 2, Strategy: s}); err == nil {
+			t.Fatalf("Detect accepted %v", s)
+		}
 	}
 }
 
@@ -199,12 +215,16 @@ func TestAllStrategiesDetectEllipses(t *testing.T) {
 	}
 }
 
-// TestShapeNames pins the registry round trip for shapes, mirroring
-// TestStrategyNames.
+// TestShapeNames pins the published shape names and their round trip,
+// mirroring TestStrategyNames.
 func TestShapeNames(t *testing.T) {
 	kinds := ShapeKinds()
-	if len(kinds) < 2 {
-		t.Fatalf("expected at least 2 shape kinds, got %d", len(kinds))
+	var got []string
+	for _, s := range kinds {
+		got = append(got, s.String())
+	}
+	if want := []string{"disc", "ellipse"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ShapeKinds() names = %q, want %q", got, want)
 	}
 	for _, s := range kinds {
 		name := s.String()
@@ -219,8 +239,10 @@ func TestShapeNames(t *testing.T) {
 	if _, err := ParseShape("hexagon"); err == nil {
 		t.Fatal("ParseShape accepted an unknown name")
 	}
-	if _, err := Detect(make([]float64, 16), 4, 4, Options{MeanRadius: 2, Shape: Shape(42)}); err == nil {
-		t.Fatal("Detect accepted an unregistered shape")
+	for _, s := range []Shape{Shape(2), Shape(42)} {
+		if _, err := Detect(make([]float64, 16), 4, 4, Options{MeanRadius: 2, Shape: s}); err == nil {
+			t.Fatalf("Detect accepted %v", s)
+		}
 	}
 }
 

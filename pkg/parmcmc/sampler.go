@@ -13,9 +13,9 @@ import (
 	"repro/internal/partition"
 )
 
-// sampler is the strategy plugin contract: a steppable, observable,
-// checkpointable detection run. DetectContext builds one through the
-// registry and drives it with the single generic loop below — no
+// sampler is the contract every strategy implements: a steppable,
+// observable, checkpointable detection run. DetectContext builds one
+// with newSampler and drives it with the single generic loop below — no
 // strategy-specific control flow lives outside the sampler files.
 //
 // The contract that makes cancellation, observation and checkpointing
@@ -44,6 +44,26 @@ type sampler interface {
 	// options. A resumed run is bit-identical to an uninterrupted one.
 	Checkpoint() ([]byte, error)
 	Resume(data []byte) error
+}
+
+// newSampler builds a fresh sampler, positioned at iteration zero, for
+// the strategy of a validated run environment.
+func newSampler(env *runEnv) (sampler, error) {
+	switch env.opt.Strategy {
+	case Sequential:
+		return newSequentialSampler(env)
+	case Periodic:
+		return newPeriodicSampler(env, false)
+	case PeriodicSpeculative:
+		return newPeriodicSampler(env, true)
+	case Intelligent:
+		return newIntelligentSampler(env)
+	case Blind:
+		return newBlindSampler(env)
+	case Tempered:
+		return newTemperedSampler(env)
+	}
+	return nil, fmt.Errorf("parmcmc: unknown strategy %v", env.opt.Strategy)
 }
 
 // ctxCheckIters is the approximate number of chain iterations between
@@ -88,16 +108,15 @@ func newRunEnv(pix []float64, w, h int, opt Options) (*runEnv, error) {
 	im := &imaging.Image{W: w, H: h, Pix: append([]float64(nil), pix...)}
 	im.Clamp()
 
-	sdef, err := shapeFor(o.Shape)
-	if err != nil {
-		return nil, err
+	if !o.Shape.valid() {
+		return nil, fmt.Errorf("parmcmc: unknown shape %v", o.Shape)
 	}
 	lambda := o.ExpectedCount
 	if lambda <= 0 {
 		lambda = math.Max(im.EstimateCount(o.Threshold, o.MeanRadius), 0.5)
 	}
 	params := model.DefaultParams(lambda, o.MeanRadius)
-	params.Shape = sdef.kind
+	params.Shape = o.Shape.kind()
 	if o.OverlapPenalty > 0 {
 		params.OverlapPenalty = o.OverlapPenalty
 	}
@@ -105,7 +124,7 @@ func newRunEnv(pix []float64, w, h int, opt Options) (*runEnv, error) {
 		opt:     o,
 		im:      im,
 		params:  params,
-		weights: mcmc.DefaultWeightsFor(sdef.kind),
+		weights: mcmc.DefaultWeightsFor(o.Shape.kind()),
 		steps:   mcmc.DefaultStepSizes(o.MeanRadius).WithEllipseDefaults(),
 	}, nil
 }

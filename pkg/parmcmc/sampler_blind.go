@@ -1,15 +1,9 @@
 package parmcmc
 
 import (
-	"context"
-
 	"repro/internal/geom"
 	"repro/internal/partition"
 )
-
-func init() {
-	registerStrategy(Blind, "blind", newBlindSampler)
-}
 
 // blindOptions derives the §VIII blind-partitioning parameters from the
 // public options: the paper's overlap margin ("1.1× the expected
@@ -40,12 +34,6 @@ type blindSampler struct {
 	cores, expanded []geom.Rect
 }
 
-func (sp *blindSampler) Step(ctx context.Context, n int) (bool, error) {
-	return sp.step(ctx, n)
-}
-
-func (sp *blindSampler) Snapshot() Progress { return sp.progress() }
-
 func (sp *blindSampler) Finish(res *Result) error {
 	results := sp.results()
 	merged := partition.MergeBlind(sp.cores, sp.expanded, results, sp.opt)
@@ -57,6 +45,3 @@ func (sp *blindSampler) Finish(res *Result) error {
 	res.Disputed = merged.Disputed
 	return nil
 }
-
-func (sp *blindSampler) Checkpoint() ([]byte, error) { return sp.checkpoint() }
-func (sp *blindSampler) Resume(data []byte) error    { return sp.resume(data) }

@@ -1,15 +1,9 @@
 package parmcmc
 
 import (
-	"context"
-
 	"repro/internal/geom"
 	"repro/internal/partition"
 )
-
-func init() {
-	registerStrategy(Intelligent, "intelligent", newIntelligentSampler)
-}
 
 // newIntelligentSampler builds the §VIII intelligent-partitioning
 // sampler: the pre-processor cuts the image along artifact-free bands,
@@ -28,12 +22,6 @@ type intelligentSampler struct {
 	regionRunner
 }
 
-func (sp *intelligentSampler) Step(ctx context.Context, n int) (bool, error) {
-	return sp.step(ctx, n)
-}
-
-func (sp *intelligentSampler) Snapshot() Progress { return sp.progress() }
-
 func (sp *intelligentSampler) Finish(res *Result) error {
 	results := sp.results()
 	var circles []geom.Ellipse
@@ -48,6 +36,3 @@ func (sp *intelligentSampler) Finish(res *Result) error {
 	sp.finishRegions(res, results)
 	return nil
 }
-
-func (sp *intelligentSampler) Checkpoint() ([]byte, error) { return sp.checkpoint() }
-func (sp *intelligentSampler) Resume(data []byte) error    { return sp.resume(data) }

@@ -8,74 +8,53 @@ import (
 	"repro/internal/mcmc"
 	"repro/internal/model"
 	"repro/internal/rng"
-	"repro/internal/trace"
 )
-
-func init() {
-	registerStrategy(Periodic, "periodic", newPeriodicSampler(false))
-	registerStrategy(PeriodicSpeculative, "periodic+spec", newPeriodicSampler(true))
-}
 
 // newPeriodicSampler builds the §V periodic-partitioning sampler;
 // speculative additionally enables the eq. 3 speculative global moves,
-// which is the only difference between the two registrations.
-func newPeriodicSampler(speculative bool) samplerFactory {
-	return func(env *runEnv) (sampler, error) {
-		o := env.opt
-		s, err := model.NewState(env.im, env.params)
-		if err != nil {
-			return nil, err
-		}
-		e, err := mcmc.New(s, rng.New(o.Seed), env.weights, env.steps)
-		if err != nil {
-			return nil, err
-		}
-		timer := trace.NewPhaseTimer()
-		copt := core.Options{
-			LocalPhaseIters:  o.LocalPhaseIters,
-			GridXM:           float64(env.im.W) / float64(o.PartitionGrid) * o.GridSlack,
-			GridYM:           float64(env.im.H) / float64(o.PartitionGrid) * o.GridSlack,
-			Workers:          o.Workers,
-			LocalSpecWidth:   o.LocalSpecWidth,
-			Timer:            timer,
-			SimulateParallel: o.SimulateParallel,
-		}
-		if speculative {
-			if o.SpecWidth == 0 {
-				copt.SpecAdaptive = true
-			} else {
-				copt.SpecWidth = o.SpecWidth
-			}
-		}
-		sp := &periodicSampler{env: env, e: e, timer: timer}
-		copt.OnBarrier = func(info core.BarrierInfo) { sp.lastBarrier = info }
-		pe, err := core.NewEngine(e, copt)
-		if err != nil {
-			return nil, err
-		}
-		sp.pe = pe
-		return sp, nil
+// which is the only difference between Periodic and
+// PeriodicSpeculative.
+func newPeriodicSampler(env *runEnv, speculative bool) (sampler, error) {
+	o := env.opt
+	s, err := model.NewState(env.im, env.params)
+	if err != nil {
+		return nil, err
 	}
+	e, err := mcmc.New(s, rng.New(o.Seed), env.weights, env.steps)
+	if err != nil {
+		return nil, err
+	}
+	copt := core.Options{
+		LocalPhaseIters:  o.LocalPhaseIters,
+		GridXM:           float64(env.im.W) / float64(o.PartitionGrid) * o.GridSlack,
+		GridYM:           float64(env.im.H) / float64(o.PartitionGrid) * o.GridSlack,
+		Workers:          o.Workers,
+		LocalSpecWidth:   o.LocalSpecWidth,
+		SimulateParallel: o.SimulateParallel,
+	}
+	if speculative {
+		if o.SpecWidth == 0 {
+			copt.SpecAdaptive = true
+		} else {
+			copt.SpecWidth = o.SpecWidth
+		}
+	}
+	pe, err := core.NewEngine(e, copt)
+	if err != nil {
+		return nil, err
+	}
+	return &periodicSampler{env: env, e: e, pe: pe}, nil
 }
 
 // periodicSampler drives the alternating global/local schedule in
 // whole fork/join cycles, so chunked execution replays the schedule of
-// a monolithic run exactly.
+// a monolithic run exactly. Its wall-clock and simulated-time figures
+// are the engine's and executor's own accumulators, which Resume
+// restores directly.
 type periodicSampler struct {
-	env   *runEnv
-	e     *mcmc.Engine
-	pe    *core.Engine
-	timer *trace.PhaseTimer
-
-	// lastBarrier is the most recent local-phase barrier snapshot,
-	// delivered through core.Options.OnBarrier.
-	lastBarrier core.BarrierInfo
-
-	// baseGlobalSecs/baseLocalSecs carry phase wall-clock from resumed
-	// segments (the in-memory timer restarts at zero); the Sim bases do
-	// the same for the executor's simulated-global accumulators.
-	baseGlobalSecs, baseLocalSecs              float64
-	baseSimGlobalSecs, baseSimGlobalSerialSecs float64
+	env *runEnv
+	e   *mcmc.Engine
+	pe  *core.Engine
 }
 
 // Close releases the engine's persistent worker goroutines; drive calls
@@ -112,7 +91,7 @@ func (sp *periodicSampler) Snapshot() Progress {
 	}
 	p := Progress{
 		Strategy: sp.env.opt.Strategy,
-		Phase:    fmt.Sprintf("cycle %d", sp.lastBarrier.Barriers),
+		Phase:    fmt.Sprintf("cycle %d", sp.pe.Barriers),
 		Iter:     sp.e.Iter, Total: int64(sp.env.opt.Iterations),
 		LogPost: sp.e.S.LogPost(), NumCircles: sp.e.S.Cfg.Len(),
 		AcceptRate: 1 - sp.e.Stats.RejectionRate(),
@@ -131,15 +110,15 @@ func (sp *periodicSampler) Finish(res *Result) error {
 	fillEngineStats(res, &sp.e.Stats)
 	res.Partitions = o.PartitionGrid * o.PartitionGrid
 	res.Barriers = sp.pe.Barriers
-	res.GlobalSeconds = sp.baseGlobalSecs + sp.timer.Total("global").Seconds()
-	res.LocalSeconds = sp.baseLocalSecs + sp.timer.Total("local").Seconds()
+	res.GlobalSeconds = sp.pe.GlobalSeconds
+	res.LocalSeconds = sp.pe.LocalSeconds
 	res.SimLocalSeconds = sp.pe.SimLocalSeconds
 	if exec := sp.pe.Executor(); exec != nil {
 		res.SpecBatches = exec.Batches
 		res.SpecSpeedup = exec.MeasuredIterationsPerBatch()
 		res.SpecWidth = exec.Width()
-		res.SimGlobalSeconds = sp.baseSimGlobalSecs + exec.SimSpecSeconds
-		res.SimGlobalSerialSeconds = sp.baseSimGlobalSerialSecs + exec.SimSeqSeconds
+		res.SimGlobalSeconds = exec.SimSpecSeconds
+		res.SimGlobalSerialSeconds = exec.SimSeqSeconds
 	} else if o.SimulateParallel {
 		// Serial global phases: the simulated machine runs them as-is.
 		res.SimGlobalSeconds = res.GlobalSeconds
@@ -154,13 +133,11 @@ func (sp *periodicSampler) Finish(res *Result) error {
 // per-iteration proposal streams are re-derived from the host stream's
 // construction-time draw, and the realized chain is width-invariant, so
 // adaptive width decisions need no replay either (see package spec).
-//
-// Shadows carried the pre-adaptive executor's per-slot RNG streams; the
-// field survives so old checkpoints still decode, but its contents are
-// ignored — the chain they described is re-derived, not replayed.
+// Payloads from older builds may also carry a Shadows field (the
+// pre-adaptive executor's per-slot RNG streams); gob skips it, since
+// the chain it described is re-derived, not replayed.
 type periodicDump struct {
 	Host                   mcmc.EngineDump
-	Shadows                []rng.Saved
 	ExecBatches            int64
 	ExecConsumed           int64
 	Barriers               int64
@@ -176,14 +153,14 @@ func (sp *periodicSampler) Checkpoint() ([]byte, error) {
 		Host:            sp.e.Dump(),
 		Barriers:        sp.pe.Barriers,
 		SimLocalSeconds: sp.pe.SimLocalSeconds,
-		GlobalSeconds:   sp.baseGlobalSecs + sp.timer.Total("global").Seconds(),
-		LocalSeconds:    sp.baseLocalSecs + sp.timer.Total("local").Seconds(),
+		GlobalSeconds:   sp.pe.GlobalSeconds,
+		LocalSeconds:    sp.pe.LocalSeconds,
 	}
 	if exec := sp.pe.Executor(); exec != nil {
 		d.ExecBatches = exec.Batches
 		d.ExecConsumed = exec.Consumed
-		d.SimGlobalSeconds = sp.baseSimGlobalSecs + exec.SimSpecSeconds
-		d.SimGlobalSerialSeconds = sp.baseSimGlobalSerialSecs + exec.SimSeqSeconds
+		d.SimGlobalSeconds = exec.SimSpecSeconds
+		d.SimGlobalSerialSeconds = exec.SimSeqSeconds
 	}
 	return encodePayload(d)
 }
@@ -200,14 +177,14 @@ func (sp *periodicSampler) Resume(data []byte) error {
 	if exec != nil {
 		exec.Batches = d.ExecBatches
 		exec.Consumed = d.ExecConsumed
-		sp.baseSimGlobalSecs = d.SimGlobalSeconds
-		sp.baseSimGlobalSerialSecs = d.SimGlobalSerialSeconds
+		exec.SimSpecSeconds = d.SimGlobalSeconds
+		exec.SimSeqSeconds = d.SimGlobalSerialSeconds
 	} else if d.ExecBatches > 0 {
 		return fmt.Errorf("parmcmc: checkpoint carries speculative state but the run has no executor")
 	}
 	sp.pe.Barriers = d.Barriers
 	sp.pe.SimLocalSeconds = d.SimLocalSeconds
-	sp.baseGlobalSecs = d.GlobalSeconds
-	sp.baseLocalSecs = d.LocalSeconds
+	sp.pe.GlobalSeconds = d.GlobalSeconds
+	sp.pe.LocalSeconds = d.LocalSeconds
 	return nil
 }

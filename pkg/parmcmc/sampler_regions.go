@@ -12,7 +12,8 @@ import (
 
 // regionRunner is the shared machinery of the partitioned strategies
 // (Intelligent, Blind): a set of independent region chains advanced on
-// a bounded worker pool. Each Step is one partition.Step over the
+// a bounded worker pool. It implements every sampler method but Finish,
+// which each partitioned strategy adds with its own merge. Each Step is one partition.Step over the
 // not-yet-converged chains, so cancellation is honoured between steps —
 // chunk-aligned, like the whole-image strategies — and every step
 // boundary is a valid checkpoint.
@@ -38,18 +39,18 @@ func (rr *regionRunner) AlignChunk(n int) int {
 	return n
 }
 
-// step advances the unfinished chains by an aggregate n iterations
+// Step advances the unfinished chains by an aggregate n iterations
 // each on the partitioned strategies' work-conserving scheduler
 // (partition.Step) and reports whether all chains are done. Chains own
 // disjoint state and deterministic RNG streams, so results do not
 // depend on the worker count or on which steps ran before a
 // cancellation.
-func (rr *regionRunner) step(_ context.Context, n int) (bool, error) {
+func (rr *regionRunner) Step(_ context.Context, n int) (bool, error) {
 	return partition.Step(rr.chains, rr.env.opt.Workers, n), nil
 }
 
-// progress aggregates chain state into a Progress snapshot.
-func (rr *regionRunner) progress() Progress {
+// Snapshot aggregates chain state into a Progress snapshot.
+func (rr *regionRunner) Snapshot() Progress {
 	p := Progress{
 		Strategy:   rr.env.opt.Strategy,
 		Partitions: len(rr.chains),
@@ -107,7 +108,7 @@ type regionsDump struct {
 	Chains []partition.ChainDump
 }
 
-func (rr *regionRunner) checkpoint() ([]byte, error) {
+func (rr *regionRunner) Checkpoint() ([]byte, error) {
 	d := regionsDump{Chains: make([]partition.ChainDump, len(rr.chains))}
 	for i, c := range rr.chains {
 		d.Chains[i] = c.Dump()
@@ -115,7 +116,7 @@ func (rr *regionRunner) checkpoint() ([]byte, error) {
 	return encodePayload(d)
 }
 
-func (rr *regionRunner) resume(data []byte) error {
+func (rr *regionRunner) Resume(data []byte) error {
 	var d regionsDump
 	if err := decodePayload(data, &d); err != nil {
 		return err

@@ -11,10 +11,6 @@ import (
 	"repro/internal/rng"
 )
 
-func init() {
-	registerStrategy(Sequential, "sequential", newSequentialSampler)
-}
-
 // newSequentialSampler builds the baseline whole-image sampler — the
 // fixed-length chain, or a convergence-terminated chain when
 // Options.Converge is set.

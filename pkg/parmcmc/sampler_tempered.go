@@ -7,10 +7,6 @@ import (
 	"repro/internal/mc3"
 )
 
-func init() {
-	registerStrategy(Tempered, "mc3", newTemperedSampler)
-}
-
 // newTemperedSampler builds the §IV Metropolis-coupled (MC)³ sampler.
 func newTemperedSampler(env *runEnv) (sampler, error) {
 	o := env.opt
@@ -29,19 +25,13 @@ func newTemperedSampler(env *runEnv) (sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp := &temperedSampler{env: env, s: s, mopt: mopt}
-	s.OnSwap = func(info mc3.SwapInfo) { sp.lastSwap = info }
-	return sp, nil
+	return &temperedSampler{env: env, s: s, mopt: mopt}, nil
 }
 
 type temperedSampler struct {
 	env  *runEnv
 	s    *mc3.Sampler
 	mopt mc3.Options
-
-	// lastSwap is the most recent swap-attempt snapshot, delivered
-	// through Sampler.OnSwap.
-	lastSwap mc3.SwapInfo
 }
 
 // done returns the per-chain iterations completed so far (every chain
@@ -74,7 +64,7 @@ func (sp *temperedSampler) Snapshot() Progress {
 	return Progress{
 		Strategy: sp.env.opt.Strategy,
 		Phase: fmt.Sprintf("swaps %d (%.0f%% accepted)",
-			sp.lastSwap.Proposed, 100*sp.s.SwapRate()),
+			sp.s.SwapProposed, 100*sp.s.SwapRate()),
 		Iter: sp.done(), Total: int64(sp.env.opt.Iterations),
 		LogPost: cold.LogPost(), NumCircles: cold.Cfg.Len(),
 		AcceptRate: 1 - sp.s.Engines[0].Stats.RejectionRate(),

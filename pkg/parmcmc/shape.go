@@ -2,57 +2,27 @@ package parmcmc
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/geom"
 )
 
-// Shape selects the artifact family of a detection run. Like Strategy,
-// shapes live in a name→definition registry that is the single source
-// of truth behind String, ParseShape, ShapeKinds and the model wiring —
-// adding a family is one registerShape call plus its geom/model support.
+// Shape selects the artifact family of a detection run. Its values
+// equal the internal geometry tags (geom.ShapeKind), whose String gives
+// each family its published name.
 type Shape int
 
 const (
 	// Discs is the paper's circular-artifact workload (default).
-	Discs Shape = iota
+	Discs = Shape(geom.KindDisc)
 	// Ellipses generalises to per-feature semi-axes and rotation.
-	Ellipses
+	Ellipses = Shape(geom.KindEllipse)
 )
 
-type shapeDef struct {
-	value Shape
-	name  string
-	kind  geom.ShapeKind
-}
-
-var (
-	shapesByValue = map[Shape]*shapeDef{}
-	shapesByName  = map[string]*shapeDef{}
-)
-
-// registerShape wires a shape family into the registry; duplicate
-// values or names are programming errors.
-func registerShape(value Shape, name string, kind geom.ShapeKind) {
-	if _, dup := shapesByValue[value]; dup {
-		panic(fmt.Sprintf("parmcmc: shape value %d registered twice", int(value)))
-	}
-	if _, dup := shapesByName[name]; dup {
-		panic(fmt.Sprintf("parmcmc: shape name %q registered twice", name))
-	}
-	def := &shapeDef{value: value, name: name, kind: kind}
-	shapesByValue[value] = def
-	shapesByName[name] = def
-}
-
-func init() {
-	registerShape(Discs, geom.KindDisc.String(), geom.KindDisc)
-	registerShape(Ellipses, geom.KindEllipse.String(), geom.KindEllipse)
-}
+func (s Shape) valid() bool { return s == Discs || s == Ellipses }
 
 func (s Shape) String() string {
-	if def, ok := shapesByValue[s]; ok {
-		return def.name
+	if s.valid() {
+		return geom.ShapeKind(s).String()
 	}
 	return fmt.Sprintf("Shape(%d)", int(s))
 }
@@ -60,35 +30,21 @@ func (s Shape) String() string {
 // kind maps the public Shape onto the internal geometry tag. Unknown
 // values map to discs; DetectContext rejects them before this matters.
 func (s Shape) kind() geom.ShapeKind {
-	if def, ok := shapesByValue[s]; ok {
-		return def.kind
+	if s.valid() {
+		return geom.ShapeKind(s)
 	}
 	return geom.KindDisc
 }
 
 // ParseShape converts a name (as printed by String) to a Shape.
 func ParseShape(name string) (Shape, error) {
-	if def, ok := shapesByName[name]; ok {
-		return def.value, nil
+	for _, s := range ShapeKinds() {
+		if s.String() == name {
+			return s, nil
+		}
 	}
 	return 0, fmt.Errorf("parmcmc: unknown shape %q", name)
 }
 
-// ShapeKinds lists all registered shape families in declaration order.
-func ShapeKinds() []Shape {
-	out := make([]Shape, 0, len(shapesByValue))
-	for s := range shapesByValue {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// shapeFor resolves a Shape to its registry entry.
-func shapeFor(s Shape) (*shapeDef, error) {
-	def, ok := shapesByValue[s]
-	if !ok {
-		return nil, fmt.Errorf("parmcmc: unknown shape %v", s)
-	}
-	return def, nil
-}
+// ShapeKinds lists all shape families in declaration order.
+func ShapeKinds() []Shape { return []Shape{Discs, Ellipses} }
