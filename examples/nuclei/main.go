@@ -56,8 +56,8 @@ func main() {
 	periodic, err := core.NewEngine(engine, core.Options{
 		LocalPhaseIters: 600,
 		GridXM:          260, GridYM: 260, // ~2x2 cells with random offsets
-		Workers:   4,
-		SpecWidth: 4, // speculative global phases (eq. 3)
+		Workers:     4,
+		Speculative: true, SpecWidth: 4, // speculative global phases (eq. 3)
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -191,7 +191,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 func TestPeriodicWithSpeculation(t *testing.T) {
 	host, _ := testHost(t, 6, 96, 96, 5)
 	opts := defaultOpts(96, 96)
-	opts.SpecWidth = 4
+	opts.Speculative, opts.SpecWidth = true, 4
 	pe, err := NewEngine(host, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +215,7 @@ func TestEngineRunsOneGang(t *testing.T) {
 		opts := defaultOpts(192, 192)
 		opts.Workers = workers
 		opts.GridXM, opts.GridYM = 64, 64
-		opts.SpecAdaptive = true
+		opts.Speculative = true
 		before := settledGoroutines(t)
 		pe, err := NewEngine(host, opts)
 		if err != nil {

@@ -30,14 +30,13 @@ type Options struct {
 	// scheduler).
 	Workers int
 
-	// SpecWidth > 1 enables speculative moves during global phases with
-	// that many concurrent proposal evaluations (eq. 3).
-	SpecWidth int
-
-	// SpecAdaptive enables speculative global moves with the width picked
-	// adaptively from the windowed rejection rate and measured per-batch
-	// costs (see spec.Config). It overrides SpecWidth.
-	SpecAdaptive bool
+	// Speculative runs the global phases as speculative moves (eq. 3)
+	// with SpecWidth concurrent proposal evaluations per batch; SpecWidth
+	// 0 picks the width adaptively from the windowed rejection rate and
+	// measured per-batch costs (see spec.Config). The realized chain is
+	// the same at every width, width 1 included.
+	Speculative bool
+	SpecWidth   int
 
 	// LocalSpecWidth > 1 additionally runs speculative batches *inside*
 	// each partition worker (the §VI suggestion for spare threads,
@@ -165,16 +164,13 @@ func NewEngine(host *mcmc.Engine, opt Options) (*Engine, error) {
 		pe.gang = sched.NewGang(opt.Workers)
 		pe.runCell = func(_, t int) { pe.activeBuf[pe.order[t]].run() }
 	}
-	if (opt.SpecAdaptive || opt.SpecWidth > 1) && len(globals) > 0 {
-		cfg := spec.Config{
+	if opt.Speculative && len(globals) > 0 {
+		pe.exec = spec.NewExecutorOpts(host, spec.Config{
+			Width:    opt.SpecWidth,
 			Workers:  opt.Workers,
 			Simulate: opt.SimulateParallel,
 			Gang:     pe.gang,
-		}
-		if !opt.SpecAdaptive {
-			cfg.Width = opt.SpecWidth
-		}
-		pe.exec = spec.NewExecutorOpts(host, cfg, globals)
+		}, globals)
 	}
 	return pe, nil
 }
@@ -210,7 +206,7 @@ func (pe *Engine) Run(total int) {
 	g := pe.GlobalPhaseIters()
 	remaining := total
 	for remaining > 0 {
-		n := minI(g, remaining)
+		n := min(g, remaining)
 		if n > 0 && len(pe.globalMoves) > 0 {
 			pe.globalPhase(n)
 			remaining -= n
@@ -218,7 +214,7 @@ func (pe *Engine) Run(total int) {
 		if remaining <= 0 {
 			break
 		}
-		n = minI(pe.Opt.LocalPhaseIters, remaining)
+		n = min(pe.Opt.LocalPhaseIters, remaining)
 		pe.localPhase(n)
 		remaining -= n
 		if g == 0 && len(pe.globalMoves) > 0 {
@@ -227,13 +223,6 @@ func (pe *Engine) Run(total int) {
 			g = 1
 		}
 	}
-}
-
-func minI(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // globalPhase performs n sequential (or speculative) global-move
@@ -274,7 +263,7 @@ func (pe *Engine) localPhase(n int) {
 		wNorm[mcmc.AxisScale], wNorm[mcmc.Rotate],
 	}
 	for i, cell := range cells {
-		workers[i].reset(s, cell, pe.margin, pe.E.Steps, pe.Opt.LocalSpecWidth, localWeights)
+		workers[i].reset(s, cell, pe.margin, pe.E.Steps, max(pe.Opt.LocalSpecWidth, 1), localWeights)
 	}
 
 	// Assign ownership and read-only neighbour snapshots from a pooled
@@ -352,12 +341,9 @@ func (pe *Engine) localPhase(n int) {
 		for i, w := range active {
 			t0 := time.Now()
 			w.run()
-			costs[i] = time.Since(t0).Seconds()
-			if w.evals > 0 {
-				// Speculative batches: a LocalSpecWidth-thread machine
-				// overlaps each batch's evaluations.
-				costs[i] *= float64(w.batches) / float64(w.evals)
-			}
+			// A LocalSpecWidth-thread machine overlaps each batch's
+			// evaluations; at width 1 the factor is exactly 1.
+			costs[i] = time.Since(t0).Seconds() * (float64(w.batches) / float64(w.evals))
 		}
 		pe.SimLocalSeconds += sched.Makespan(costs, sched.LPTAssign(costs, pe.Opt.Workers))
 	} else if pe.gang == nil || len(active) <= 1 {

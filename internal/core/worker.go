@@ -32,12 +32,15 @@ import (
 // The worker accumulates its log-posterior deltas locally; the engine
 // folds them into the shared state at the merge barrier.
 //
-// With specWidth > 1 the worker additionally applies the speculative-
-// moves technique of [11] *inside* its cell (the §VI suggestion "we may
-// therefore choose to use speculative moves during the M_l phase"):
-// batches of proposals are evaluated against the frozen cell state and
-// the first acceptable one is applied, preserving the chain law while a
-// t-thread machine could overlap the evaluations (eq. 4).
+// Its proposals and acceptance test are the sequential engine's own
+// (mcmc.Perturb, mcmc.Accept), restricted to owned features. It runs its
+// iterations in batches of specWidth proposals: every proposal of a
+// batch is evaluated against the frozen cell state and the first
+// acceptable one is applied. Width 1 is the plain sequential loop; wider
+// batches are the speculative-moves technique of [11] applied *inside*
+// the cell (the §VI suggestion "we may therefore choose to use
+// speculative moves during the M_l phase"), which preserves the chain
+// law while a t-thread machine could overlap the evaluations (eq. 4).
 type cellWorker struct {
 	s      *model.State
 	cell   geom.Rect
@@ -46,10 +49,11 @@ type cellWorker struct {
 	rng    *rng.RNG
 	iters  int
 
-	// specWidth > 1 enables speculative local batches.
+	// specWidth (>= 1) is the batch width.
 	specWidth int
 	// batches and evals measure speculative efficiency: a t-thread
-	// machine's wall-clock is ~ serial-eval-time × batches/evals.
+	// machine's wall-clock is ~ serial-eval-time × batches/evals, which
+	// is exactly 1 at width 1.
 	batches, evals int64
 
 	// entries holds private copies of every circle that can interact
@@ -65,12 +69,10 @@ type cellWorker struct {
 	dLik, dPrior float64
 	stats        mcmc.Stats
 
-	// props is the reusable speculative-batch buffer; prop is the
-	// non-speculative scratch slot. Each slot owns a MoveSpans cache, so
-	// an accepted move replays the new-shape table its evaluation
-	// rasterised.
+	// props is the reusable batch buffer. Each slot owns a MoveSpans
+	// cache, so an accepted move replays the new-shape table its
+	// evaluation rasterised.
 	props []localProposal
-	prop  localProposal
 }
 
 // reset re-initialises the worker for a new local phase, keeping the
@@ -92,7 +94,6 @@ func (w *cellWorker) reset(s *model.State, cell geom.Rect, margin float64, steps
 	w.stats = mcmc.Stats{}
 	// Span-table caches are only meaningful on the field they were built
 	// for; a pooled worker may be handed a different state next phase.
-	w.prop.ms.Invalidate()
 	for i := range w.props {
 		w.props[i].ms.Invalidate()
 	}
@@ -174,32 +175,12 @@ type localProposal struct {
 var localMoves = [4]mcmc.Move{mcmc.Shift, mcmc.Resize, mcmc.AxisScale, mcmc.Rotate}
 
 // propose draws and evaluates one local move against the worker's
-// current private state, read-only. The kernels mirror the sequential
-// engine's local proposals exactly (same perturbation structure, same
-// symmetric-kernel cancellations), restricted to owned features.
+// current private state, read-only, with the sequential engine's kernel.
 func (w *cellWorker) propose(p *localProposal) {
 	move := localMoves[w.rng.Pick(w.localWeights[:])]
 	idx := w.ownedAt[w.rng.Intn(len(w.ownedAt))]
 	oldC := w.entries[idx].c
-	newC := oldC
-	switch move {
-	case mcmc.Shift:
-		newC.X = oldC.X + w.rng.NormalAt(0, w.steps.ShiftStd)
-		newC.Y = oldC.Y + w.rng.NormalAt(0, w.steps.ShiftStd)
-	case mcmc.Resize:
-		d := w.rng.NormalAt(0, w.steps.ResizeStd)
-		newC.Rx = oldC.Rx + d
-		newC.Ry = oldC.Ry + d
-	case mcmc.AxisScale:
-		d := w.rng.NormalAt(0, w.steps.AxisStd)
-		if w.rng.Intn(2) == 0 {
-			newC.Rx = oldC.Rx + d
-		} else {
-			newC.Ry = oldC.Ry + d
-		}
-	case mcmc.Rotate:
-		newC.Theta = mcmc.WrapHalfTurn(oldC.Theta + w.rng.NormalAt(0, w.steps.RotateStd))
-	}
+	newC := mcmc.Perturb(move, oldC, w.rng, w.steps)
 	p.move, p.idx, p.newC = move, idx, newC
 	p.valid, p.dLik, p.dPrior = false, 0, 0
 
@@ -217,15 +198,6 @@ func (w *cellWorker) propose(p *localProposal) {
 	p.dLik = w.s.F.LikDeltaMovePrepared(w.entries[idx].spans, newC, &p.ms)
 }
 
-// accepts applies the Metropolis test to an evaluated proposal.
-func (w *cellWorker) accepts(p *localProposal) bool {
-	if !p.valid {
-		return false
-	}
-	logAlpha := p.dLik + p.dPrior
-	return logAlpha >= 0 || math.Log(w.rng.Positive()) < logAlpha
-}
-
 // apply commits an accepted proposal to the shared coverage buffer and
 // the worker's private circle copies, replaying the span table its
 // evaluation prepared; the entry keeps a private copy of that table.
@@ -240,7 +212,10 @@ func (w *cellWorker) apply(p *localProposal) {
 	w.stats.Accepted[p.move]++
 }
 
-// run performs the allocated iterations.
+// run consumes the allocated iterations in batches of specWidth
+// proposals: all proposals of a batch are evaluated against the frozen
+// state, then tested in order; at most the first acceptable one is
+// applied and the batch consumed up to that point.
 func (w *cellWorker) run() {
 	if len(w.ownedAt) == 0 {
 		// Nothing modifiable: every allocated iteration is an invalid
@@ -250,29 +225,6 @@ func (w *cellWorker) run() {
 		w.stats.Invalid[mcmc.Shift] += int64(w.iters)
 		return
 	}
-	if w.specWidth > 1 {
-		w.runSpeculative()
-		return
-	}
-	p := &w.prop
-	for it := 0; it < w.iters; it++ {
-		w.propose(p)
-		w.stats.Proposed[p.move]++
-		if !p.valid {
-			w.stats.Invalid[p.move]++
-			continue
-		}
-		if w.accepts(p) {
-			w.apply(p)
-		}
-	}
-}
-
-// runSpeculative consumes the allocated iterations in speculative
-// batches: all proposals of a batch are evaluated against the frozen
-// state, then tested in order; at most the first acceptable one is
-// applied and the batch consumed up to that point.
-func (w *cellWorker) runSpeculative() {
 	if cap(w.props) < w.specWidth {
 		// Full-length slots so each keeps its MoveSpans backing array
 		// across batches.
@@ -280,10 +232,7 @@ func (w *cellWorker) runSpeculative() {
 	}
 	consumed := 0
 	for consumed < w.iters {
-		width := w.specWidth
-		if rem := w.iters - consumed; rem < width {
-			width = rem
-		}
+		width := min(w.specWidth, w.iters-consumed)
 		props := w.props[:width]
 		for i := range props {
 			w.propose(&props[i])
@@ -298,7 +247,7 @@ func (w *cellWorker) runSpeculative() {
 				w.stats.Invalid[p.move]++
 				continue
 			}
-			if w.accepts(p) {
+			if mcmc.Accept(w.rng, p.dLik+p.dPrior) {
 				w.apply(p)
 				break
 			}

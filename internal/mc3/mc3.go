@@ -11,7 +11,6 @@ package mc3
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/imaging"
 	"repro/internal/mcmc"
@@ -135,7 +134,7 @@ func (s *Sampler) attemptSwap() {
 	a, b := s.Engines[k], s.Engines[k+1]
 	s.SwapProposed++
 	logAlpha := (s.Betas[k] - s.Betas[k+1]) * (b.S.LogPost() - a.S.LogPost())
-	if logAlpha >= 0 || math.Log(s.r.Positive()) < logAlpha {
+	if mcmc.Accept(s.r, logAlpha) {
 		// Swap the states; temperatures stay with ladder positions.
 		a.S, b.S = b.S, a.S
 		s.SwapAccepted++

@@ -229,8 +229,9 @@ func (e *Engine) PickMove() Move {
 
 // RunN performs n iterations and returns the number accepted. Move
 // kinds are drawn from the dedicated kind stream with the uniforms
-// prefetched kindChunk at a time; each refill draws exactly what the
-// remaining iterations need, so a run split across several RunN calls
+// prefetched kindChunk at a time and mapped through rng.PickAt, the
+// arithmetic of PickMove; each refill draws exactly what the remaining
+// iterations need, so a run split across several RunN calls
 // consumes both streams identically to one big call.
 func (e *Engine) RunN(n int) int {
 	acc := 0
@@ -241,42 +242,13 @@ func (e *Engine) RunN(n int) int {
 		}
 		e.kindR.Fill(e.kindBuf[:want])
 		for _, u := range e.kindBuf[:want] {
-			if e.Decide(e.Propose(e.moveFromUniform(u))) {
+			if e.Decide(e.Propose(Move(rng.PickAt(u, e.wNorm[:])))) {
 				acc++
 			}
 		}
 		done += want
 	}
 	return acc
-}
-
-// moveFromUniform maps one uniform draw to a move kind with exactly
-// rng.Pick's arithmetic over the normalised weights, so the chunked and
-// one-at-a-time paths pick identical kinds from identical uniforms.
-func (e *Engine) moveFromUniform(u float64) Move {
-	total := 0.0
-	for _, w := range e.wNorm {
-		if w > 0 {
-			total += w
-		}
-	}
-	target := u * total
-	acc := 0.0
-	for i, w := range e.wNorm {
-		if w <= 0 {
-			continue
-		}
-		acc += w
-		if target < acc {
-			return Move(i)
-		}
-	}
-	for i := len(e.wNorm) - 1; i >= 0; i-- {
-		if e.wNorm[i] > 0 {
-			return Move(i)
-		}
-	}
-	panic("mcmc: no positive move weights")
 }
 
 // logAccept returns the tempered log acceptance ratio of p.
@@ -294,7 +266,7 @@ func (e *Engine) Decide(p Proposal) bool {
 	e.Iter++
 	accepted := false
 	if p.Valid {
-		if e.acceptTest(p) {
+		if Accept(e.R, e.logAccept(p)) {
 			p.apply(e)
 			e.Stats.Accepted[p.Move]++
 			accepted = true
@@ -306,12 +278,13 @@ func (e *Engine) Decide(p Proposal) bool {
 	return accepted
 }
 
-// acceptTest runs the Metropolis–Hastings test on a valid proposal. A
-// non-negative ratio accepts without drawing; otherwise one uniform is
-// drawn from the acceptance stream.
-func (e *Engine) acceptTest(p Proposal) bool {
-	la := e.logAccept(p)
-	return la >= 0 || math.Log(e.R.Positive()) < la
+// Accept is the Metropolis–Hastings test, the only one in the sampler:
+// a non-negative log ratio accepts without drawing; otherwise one
+// uniform is drawn from r and the move is accepted with probability
+// exp(logAlpha). The engine, the periodic engine's cell workers and the
+// (MC)³ swap all decide through it.
+func Accept(r *rng.RNG, logAlpha float64) bool {
+	return logAlpha >= 0 || math.Log(r.Positive()) < logAlpha
 }
 
 // NotifyExternalIterations informs the attached observers (trace,
@@ -334,7 +307,7 @@ func (e *Engine) observers() {
 // stats). The speculative executor uses it to test pre-evaluated
 // proposals in order.
 func (e *Engine) Accepts(p Proposal) bool {
-	return p.Valid && e.acceptTest(p)
+	return p.Valid && Accept(e.R, e.logAccept(p))
 }
 
 // Commit applies a previously evaluated proposal without re-testing it
@@ -374,14 +347,8 @@ func (e *Engine) Propose(m Move) Proposal {
 		return e.proposeMerge()
 	case Replace:
 		return e.proposeReplace()
-	case Shift:
-		return e.proposeShift()
-	case Resize:
-		return e.proposeResize()
-	case AxisScale:
-		return e.proposeAxisScale()
-	case Rotate:
-		return e.proposeRotate()
+	case Shift, Resize, AxisScale, Rotate:
+		return e.proposeLocal(m)
 	default:
 		panic(fmt.Sprintf("mcmc: unknown move %v", m))
 	}
@@ -489,113 +456,26 @@ func (e *Engine) proposeReplace() Proposal {
 	}
 }
 
-func (e *Engine) proposeShift() Proposal {
-	n := e.S.Cfg.Len()
-	if n == 0 {
-		return Proposal{Move: Shift, Valid: false}
-	}
-	id := e.S.Cfg.IDAt(e.R.Intn(n))
-	oldC := e.S.Cfg.Get(id)
-	newC := oldC
-	newC.X += e.R.NormalAt(0, e.Steps.ShiftStd)
-	newC.Y += e.R.NormalAt(0, e.Steps.ShiftStd)
-	dLik, dPrior := e.S.EvalMoveCached(id, newC, &e.ms)
-	if math.IsInf(dPrior, -1) {
-		return Proposal{Move: Shift, Valid: false}
-	}
-	// Symmetric Gaussian kernel: proposal densities cancel.
-	return Proposal{
-		Move: Shift, Valid: true,
-		LogAlpha: dLik + dPrior, DPost: dLik + dPrior,
-		dLik: dLik, dPrior: dPrior,
-		nRem: 1, nAdd: 1, remIDs: [2]int{id}, newCs: [2]geom.Ellipse{newC},
-		ms: &e.ms,
-	}
-}
-
-func (e *Engine) proposeResize() Proposal {
-	n := e.S.Cfg.Len()
-	if n == 0 {
-		return Proposal{Move: Resize, Valid: false}
-	}
-	id := e.S.Cfg.IDAt(e.R.Intn(n))
-	oldC := e.S.Cfg.Get(id)
-	newC := oldC
-	// One symmetric Gaussian perturbation applied to both semi-axes: a
-	// disc stays a disc (one RNG draw, as historically), and an ellipse
-	// scales while keeping its axis difference.
-	d := e.R.NormalAt(0, e.Steps.ResizeStd)
-	newC.Rx = oldC.Rx + d
-	newC.Ry = oldC.Ry + d
-	dLik, dPrior := e.S.EvalMoveCached(id, newC, &e.ms)
-	if math.IsInf(dPrior, -1) {
-		return Proposal{Move: Resize, Valid: false}
-	}
-	return Proposal{
-		Move: Resize, Valid: true,
-		LogAlpha: dLik + dPrior, DPost: dLik + dPrior,
-		dLik: dLik, dPrior: dPrior,
-		nRem: 1, nAdd: 1, remIDs: [2]int{id}, newCs: [2]geom.Ellipse{newC},
-		ms: &e.ms,
-	}
-}
-
-// proposeAxisScale perturbs one uniformly chosen semi-axis of one
-// ellipse with a symmetric Gaussian kernel. The axis choice is made
-// identically in both directions, so the proposal density cancels.
-func (e *Engine) proposeAxisScale() Proposal {
-	if e.S.P.Shape == geom.KindDisc {
-		return Proposal{Move: AxisScale, Valid: false}
+// proposeLocal perturbs one uniformly chosen feature with local move
+// m's symmetric kernel (see Perturb); the proposal densities cancel, so
+// the ratio is the posterior change alone. Axis-scale and rotate exist
+// only for ellipses: on a disc workload they are invalid without drawing.
+func (e *Engine) proposeLocal(m Move) Proposal {
+	if e.S.P.Shape == geom.KindDisc && (m == AxisScale || m == Rotate) {
+		return Proposal{Move: m, Valid: false}
 	}
 	n := e.S.Cfg.Len()
 	if n == 0 {
-		return Proposal{Move: AxisScale, Valid: false}
+		return Proposal{Move: m, Valid: false}
 	}
 	id := e.S.Cfg.IDAt(e.R.Intn(n))
-	oldC := e.S.Cfg.Get(id)
-	newC := oldC
-	d := e.R.NormalAt(0, e.Steps.AxisStd)
-	if e.R.Intn(2) == 0 {
-		newC.Rx = oldC.Rx + d
-	} else {
-		newC.Ry = oldC.Ry + d
-	}
+	newC := Perturb(m, e.S.Cfg.Get(id), e.R, e.Steps)
 	dLik, dPrior := e.S.EvalMoveCached(id, newC, &e.ms)
 	if math.IsInf(dPrior, -1) {
-		return Proposal{Move: AxisScale, Valid: false}
+		return Proposal{Move: m, Valid: false}
 	}
 	return Proposal{
-		Move: AxisScale, Valid: true,
-		LogAlpha: dLik + dPrior, DPost: dLik + dPrior,
-		dLik: dLik, dPrior: dPrior,
-		nRem: 1, nAdd: 1, remIDs: [2]int{id}, newCs: [2]geom.Ellipse{newC},
-		ms: &e.ms,
-	}
-}
-
-// proposeRotate perturbs one ellipse's rotation with a wrapped Gaussian
-// kernel on the half-turn circle [0, π) — symmetric on that group, so
-// no Hastings correction; the uniform rotation prior contributes
-// nothing to dPrior either (EvalMoveCached's shape-prior difference sees
-// two identical-axes shapes).
-func (e *Engine) proposeRotate() Proposal {
-	if e.S.P.Shape == geom.KindDisc {
-		return Proposal{Move: Rotate, Valid: false}
-	}
-	n := e.S.Cfg.Len()
-	if n == 0 {
-		return Proposal{Move: Rotate, Valid: false}
-	}
-	id := e.S.Cfg.IDAt(e.R.Intn(n))
-	oldC := e.S.Cfg.Get(id)
-	newC := oldC
-	newC.Theta = WrapHalfTurn(oldC.Theta + e.R.NormalAt(0, e.Steps.RotateStd))
-	dLik, dPrior := e.S.EvalMoveCached(id, newC, &e.ms)
-	if math.IsInf(dPrior, -1) {
-		return Proposal{Move: Rotate, Valid: false}
-	}
-	return Proposal{
-		Move: Rotate, Valid: true,
+		Move: m, Valid: true,
 		LogAlpha: dLik + dPrior, DPost: dLik + dPrior,
 		dLik: dLik, dPrior: dPrior,
 		nRem: 1, nAdd: 1, remIDs: [2]int{id}, newCs: [2]geom.Ellipse{newC},

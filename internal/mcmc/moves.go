@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"repro/internal/geom"
+	"repro/internal/rng"
 )
 
 // Move identifies a proposal kind. The first five are the global set M_g
@@ -204,11 +205,44 @@ func (st StepSizes) WithEllipseDefaults() StepSizes {
 	return st
 }
 
-// WrapHalfTurn wraps an angle into the canonical rotation range [0, π)
+// Perturb applies the local move m's symmetric kernel to c, drawing
+// from r: shift moves the centre by a per-axis Gaussian; resize adds one
+// Gaussian draw to both semi-axes (a disc stays a disc, an ellipse keeps
+// its axis difference); axis-scale perturbs one uniformly chosen
+// semi-axis; rotate adds a Gaussian to the rotation, wrapped to [0, π).
+// Every kernel is symmetric, so local moves carry no Hastings term. The
+// sequential engine and the periodic engine's cell workers both propose
+// through it, so the two make the same draws in the same order. It
+// panics on a global move.
+func Perturb(m Move, c geom.Ellipse, r *rng.RNG, st StepSizes) geom.Ellipse {
+	switch m {
+	case Shift:
+		c.X += r.NormalAt(0, st.ShiftStd)
+		c.Y += r.NormalAt(0, st.ShiftStd)
+	case Resize:
+		d := r.NormalAt(0, st.ResizeStd)
+		c.Rx += d
+		c.Ry += d
+	case AxisScale:
+		d := r.NormalAt(0, st.AxisStd)
+		if r.Intn(2) == 0 {
+			c.Rx += d
+		} else {
+			c.Ry += d
+		}
+	case Rotate:
+		c.Theta = wrapHalfTurn(c.Theta + r.NormalAt(0, st.RotateStd))
+	default:
+		panic(fmt.Sprintf("mcmc: Perturb of non-local move %v", m))
+	}
+	return c
+}
+
+// wrapHalfTurn wraps an angle into the canonical rotation range [0, π)
 // (an ellipse is invariant under a half-turn). The Gaussian rotation
 // kernel composed with wrapping is symmetric on this circle group, so
 // rotate proposals need no Hastings correction.
-func WrapHalfTurn(theta float64) float64 {
+func wrapHalfTurn(theta float64) float64 {
 	theta = math.Mod(theta, math.Pi)
 	if theta < 0 {
 		theta += math.Pi

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/rng"
 )
 
@@ -172,5 +173,85 @@ func TestSplitJacobianNumerically(t *testing.T) {
 		if math.Abs(numeric-analytic)/analytic > 1e-4 {
 			t.Fatalf("Jacobian mismatch at %v: numeric %v, analytic %v", v, numeric, analytic)
 		}
+	}
+}
+
+// Perturb is the one local-kernel switch: each kernel changes only its
+// own fields, makes exactly the draws of the hand-written kernel on an
+// identically seeded stream, and refuses global moves.
+func TestPerturbKernels(t *testing.T) {
+	st := DefaultStepSizes(8).WithEllipseDefaults()
+	ell := geom.Ellipse{X: 40, Y: 30, Rx: 9, Ry: 6, Theta: 3.1}
+	disc := geom.Disc(20, 25, 7)
+	for seed := uint64(1); seed <= 200; seed++ {
+		for _, m := range []Move{Shift, Resize, AxisScale, Rotate} {
+			for _, c := range []geom.Ellipse{ell, disc} {
+				r, replay := rng.New(seed), rng.New(seed)
+				got := Perturb(m, c, r, st)
+				want := c
+				switch m {
+				case Shift:
+					want.X = c.X + replay.NormalAt(0, st.ShiftStd)
+					want.Y = c.Y + replay.NormalAt(0, st.ShiftStd)
+				case Resize:
+					d := replay.NormalAt(0, st.ResizeStd)
+					want.Rx, want.Ry = c.Rx+d, c.Ry+d
+				case AxisScale:
+					d := replay.NormalAt(0, st.AxisStd)
+					if replay.Intn(2) == 0 {
+						want.Rx = c.Rx + d
+					} else {
+						want.Ry = c.Ry + d
+					}
+				case Rotate:
+					want.Theta = math.Mod(c.Theta+replay.NormalAt(0, st.RotateStd), math.Pi)
+					if want.Theta < 0 {
+						want.Theta += math.Pi
+					}
+				}
+				if got != want {
+					t.Fatalf("seed %d %v on %+v: got %+v, want %+v", seed, m, c, got, want)
+				}
+				if r.Normal() != replay.Normal() || r.Uint64() != replay.Uint64() {
+					t.Fatalf("seed %d %v: stream out of step with the replayed draws", seed, m)
+				}
+				changed := [5]bool{got.X != c.X, got.Y != c.Y, got.Rx != c.Rx, got.Ry != c.Ry, got.Theta != c.Theta}
+				var allowed [5]bool
+				switch m {
+				case Shift:
+					allowed = [5]bool{true, true, false, false, false}
+				case Resize:
+					allowed = [5]bool{false, false, true, true, false}
+				case AxisScale:
+					if changed[2] == changed[3] {
+						t.Fatalf("seed %d axis-scale changed %v semi-axes, want exactly one", seed, changed[2:4])
+					}
+					allowed = [5]bool{false, false, true, true, false}
+				case Rotate:
+					allowed = [5]bool{false, false, false, false, true}
+				}
+				for f := range changed {
+					if changed[f] && !allowed[f] {
+						t.Fatalf("seed %d %v changed field %d: %+v -> %+v", seed, m, f, c, got)
+					}
+				}
+				if m == Resize && c.Rx == c.Ry && got.Rx != got.Ry {
+					t.Fatalf("seed %d resize turned disc %+v into %+v", seed, c, got)
+				}
+				if m == Rotate && (got.Theta < 0 || got.Theta >= math.Pi) {
+					t.Fatalf("seed %d rotate left [0, π): %v", seed, got.Theta)
+				}
+			}
+		}
+	}
+	for _, m := range []Move{Birth, Death, Split, Merge, Replace} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Perturb(%v) did not panic", m)
+				}
+			}()
+			Perturb(m, ell, rng.New(1), st)
+		}()
 	}
 }

@@ -123,7 +123,7 @@ func TestConfigStress(t *testing.T) {
 	r := rng.New(1)
 	live := map[int]geom.Ellipse{}
 	for i := 0; i < 20000; i++ {
-		if cf.Len() == 0 || r.Bool(0.6) {
+		if cf.Len() == 0 || r.Float64() < 0.6 {
 			c := geom.Disc(r.Float64(), r.Float64(), r.Float64())
 			live[cf.Add(c)] = c
 		} else {

@@ -173,12 +173,6 @@ func (s *State) Bounds() geom.Rect {
 	return geom.Rect{X1: float64(s.W), Y1: float64(s.H)}
 }
 
-// LogLik returns the cached relative log-likelihood.
-func (s *State) LogLik() float64 { return s.logLik }
-
-// LogPrior returns the cached relative log-prior.
-func (s *State) LogPrior() float64 { return s.logPrior }
-
 // LogPost returns the cached relative log-posterior.
 func (s *State) LogPost() float64 { return s.logLik + s.logPrior }
 

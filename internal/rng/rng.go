@@ -247,9 +247,6 @@ func (r *RNG) Uniform(lo, hi float64) float64 {
 	return lo + (hi-lo)*r.Float64()
 }
 
-// Bool returns true with probability p.
-func (r *RNG) Bool(p float64) bool { return r.Float64() < p }
-
 // Normal returns a standard Normal variate (mean 0, stddev 1) using the
 // Marsaglia polar method with one-value caching.
 func (r *RNG) Normal() float64 {
@@ -309,8 +306,15 @@ func (r *RNG) Perm(n int) []int {
 }
 
 // Pick returns a uniformly random element index weighted by the given
-// non-negative weights. It panics if all weights are zero or negative.
-func (r *RNG) Pick(weights []float64) int {
+// non-negative weights: PickAt of one Float64 draw. It panics if all
+// weights are zero or negative.
+func (r *RNG) Pick(weights []float64) int { return PickAt(r.Float64(), weights) }
+
+// PickAt maps a uniform u in [0, 1) to an index weighted by the given
+// non-negative weights; callers that prefetch uniforms in bulk use it to
+// pick exactly what Pick would from the same draws. Zero and negative
+// weights are never chosen. It panics if no weight is positive.
+func PickAt(u float64, weights []float64) int {
 	total := 0.0
 	for _, w := range weights {
 		if w > 0 {
@@ -320,7 +324,7 @@ func (r *RNG) Pick(weights []float64) int {
 	if total <= 0 {
 		panic("rng: Pick with no positive weights")
 	}
-	target := r.Float64() * total
+	target := u * total
 	acc := 0.0
 	for i, w := range weights {
 		if w <= 0 {

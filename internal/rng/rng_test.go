@@ -234,6 +234,35 @@ func TestPickRespectsWeights(t *testing.T) {
 	}
 }
 
+// PickAt is Pick's arithmetic on a caller-supplied uniform: the same
+// stream picks the same indices either way, zero weights are never
+// chosen, and the top of the unit interval lands on the last positive
+// weight.
+func TestPickAt(t *testing.T) {
+	w := []float64{0.1, 0, 0.2, 0.3, 0}
+	a, b := New(61), New(61)
+	for i := 0; i < 100000; i++ {
+		got, want := PickAt(a.Float64(), w), b.Pick(w)
+		if got != want {
+			t.Fatalf("draw %d: PickAt = %d, Pick = %d", i, got, want)
+		}
+		if w[got] <= 0 {
+			t.Fatalf("draw %d: picked zero-weight index %d", i, got)
+		}
+	}
+	if got := PickAt(0, w); got != 0 {
+		t.Fatalf("PickAt(0) = %d, want 0", got)
+	}
+	// u just below 1 stays below the total, so the main scan ends on the
+	// last positive weight; u = 1 puts the target on the total itself,
+	// the case the round-off fallback exists for.
+	for _, u := range []float64{math.Nextafter(1, 0), 1} {
+		if got := PickAt(u, w); got != 3 {
+			t.Fatalf("PickAt(%v) = %d, want the last positive index 3", u, got)
+		}
+	}
+}
+
 func TestPickPanicsOnZeroWeights(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -241,20 +270,6 @@ func TestPickPanicsOnZeroWeights(t *testing.T) {
 		}
 	}()
 	New(1).Pick([]float64{0, 0})
-}
-
-func TestBoolProbability(t *testing.T) {
-	r := New(44)
-	const n = 100000
-	hits := 0
-	for i := 0; i < n; i++ {
-		if r.Bool(0.3) {
-			hits++
-		}
-	}
-	if frac := float64(hits) / n; math.Abs(frac-0.3) > 0.01 {
-		t.Fatalf("Bool(0.3) frequency %v", frac)
-	}
 }
 
 func TestUniformRange(t *testing.T) {

@@ -24,22 +24,16 @@ func newPeriodicSampler(env *runEnv, speculative bool) (sampler, error) {
 	if err != nil {
 		return nil, err
 	}
-	copt := core.Options{
+	pe, err := core.NewEngine(e, core.Options{
 		LocalPhaseIters:  o.LocalPhaseIters,
 		GridXM:           float64(env.im.W) / float64(o.PartitionGrid) * o.GridSlack,
 		GridYM:           float64(env.im.H) / float64(o.PartitionGrid) * o.GridSlack,
 		Workers:          o.Workers,
+		Speculative:      speculative,
+		SpecWidth:        o.SpecWidth,
 		LocalSpecWidth:   o.LocalSpecWidth,
 		SimulateParallel: o.SimulateParallel,
-	}
-	if speculative {
-		if o.SpecWidth == 0 {
-			copt.SpecAdaptive = true
-		} else {
-			copt.SpecWidth = o.SpecWidth
-		}
-	}
-	pe, err := core.NewEngine(e, copt)
+	})
 	if err != nil {
 		return nil, err
 	}

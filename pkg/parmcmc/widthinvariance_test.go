@@ -3,9 +3,10 @@ package parmcmc
 import "testing"
 
 // The speculative sampler's realized chain must be independent of the
-// speculation width — every fixed width and the adaptive controller
-// (SpecWidth 0, whose timing-driven schedule differs on every run) must
-// produce bit-identical results. This is what makes the adaptive mode
+// speculation width — every fixed width, width 1 included (it runs the
+// executor one proposal per batch, not plain Periodic), and the adaptive
+// controller (SpecWidth 0, whose timing-driven schedule differs on every
+// run) must produce bit-identical results. This is what makes the adaptive mode
 // safe to ship as the default: width is purely a throughput knob.
 func TestSpecWidthInvariance(t *testing.T) {
 	const w, h = 160, 160
@@ -27,7 +28,7 @@ func TestSpecWidthInvariance(t *testing.T) {
 		return res
 	}
 	ref := run(2)
-	for _, width := range []int{3, 4, 8, 0} {
+	for _, width := range []int{1, 3, 4, 8, 0} {
 		mustEqualResults(t, label(width), ref, run(width))
 	}
 }
