@@ -102,7 +102,10 @@ cmdref-check:
 # docs/operations.md, test/doc/cases.md) are gated against rot: every
 # backticked repo path, pkg.Symbol anchor and relative markdown link
 # must resolve against the current tree, and so must every *.md file a
-# Go comment names (see test/doccheck).
+# Go comment names. The same package gates code shape: one
+# Metropolis–Hastings test, and examples that run every strategy
+# through parmcmc rather than the internal strategy packages (see
+# test/doccheck).
 docs-check:
 	$(GO) test ./test/doccheck -count=1
 

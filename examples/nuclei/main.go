@@ -1,8 +1,8 @@
-// Nuclei: the §III case study end-to-end with the lower-level internal
-// API — filter an image to emphasise the stain colour, set up the
-// Bayesian model, run periodic partitioning with speculative global
-// phases (eqs. 2–3 composed), watch the posterior trace converge, and
-// write a detection overlay PNG.
+// Nuclei: the §III case study end-to-end — filter an image to emphasise
+// the stain colour, then run one parmcmc.Detect call with periodic
+// partitioning and speculative global phases (eqs. 2–3 composed), watch
+// the posterior trace converge through the run's Observer, and write a
+// detection overlay PNG.
 //
 //	go run ./examples/nuclei [output-dir]
 package main
@@ -13,12 +13,11 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/core"
+	"repro/internal/geom"
 	"repro/internal/imaging"
-	"repro/internal/mcmc"
-	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/stats"
+	"repro/pkg/parmcmc"
 )
 
 func main() {
@@ -44,43 +43,42 @@ func main() {
 	lambda := filtered.EstimateCount(0.5, 10)
 	fmt.Printf("eq.5 estimates %.1f nuclei (truth: %d)\n", lambda, len(scene.Truth))
 
-	params := model.DefaultParams(lambda, 10)
-	state, err := model.NewState(filtered, params)
-	if err != nil {
-		log.Fatal(err)
-	}
-	engine := mcmc.MustNew(state, rng.New(99), mcmc.DefaultWeights(), mcmc.DefaultStepSizes(10))
-	tr := mcmc.NewTrace(2000)
-	engine.AttachTrace(tr)
-
-	periodic, err := core.NewEngine(engine, core.Options{
+	const traceEvery = 40000
+	fmt.Printf("\nposterior trace (every %d iterations):\n", traceEvery)
+	next := int64(0)
+	res, err := parmcmc.Detect(filtered.Pix, filtered.W, filtered.H, parmcmc.Options{
+		Strategy:        parmcmc.PeriodicSpeculative,
+		MeanRadius:      10,
+		ExpectedCount:   lambda,
+		Iterations:      400000,
 		LocalPhaseIters: 600,
-		GridXM:          260, GridYM: 260, // ~2x2 cells with random offsets
-		Workers:     4,
-		Speculative: true, SpecWidth: 4, // speculative global phases (eq. 3)
+		PartitionGrid:   2, // ~2x2 cells with random offsets
+		SpecWidth:       4, // speculative global phases (eq. 3)
+		Seed:            99,
+		Observer: func(p parmcmc.Progress) {
+			if p.Iter < next {
+				return
+			}
+			fmt.Printf("  iter %8d  logpost %12.1f  count %d\n", p.Iter, p.LogPost, p.NumCircles)
+			for next <= p.Iter {
+				next += traceEvery
+			}
+		},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer periodic.Close()
 
-	const total = 400000
-	periodic.Run(total)
-
-	fmt.Printf("\nposterior trace (every %d iterations):\n", tr.Every*20)
-	for i := 0; i < len(tr.LogPost); i += 20 {
-		fmt.Printf("  iter %8d  logpost %12.1f  count %d\n",
-			tr.Iters[i], tr.LogPost[i], tr.Count[i])
+	found := make([]geom.Ellipse, len(res.Circles))
+	for i, c := range res.Circles {
+		found[i] = geom.Disc(c.X, c.Y, c.R)
 	}
-
-	found := state.Cfg.Circles()
 	m := stats.MatchCircles(found, scene.Truth, 5)
 	fmt.Printf("\nfound %d nuclei: precision %.3f, recall %.3f, F1 %.3f\n",
 		len(found), m.Precision(), m.Recall(), m.F1())
-	pgr, plr := engine.Stats.GlobalLocalRates()
-	fmt.Printf("rejection rates: global %.2f, local %.2f\n", pgr, plr)
+	fmt.Printf("rejection rates: global %.2f, local %.2f\n", res.GlobalRejectRate, res.LocalRejectRate)
 	fmt.Printf("phase time: global %.3fs, local %.3fs over %d fork/join cycles\n",
-		periodic.GlobalSeconds, periodic.LocalSeconds, periodic.Barriers)
+		res.GlobalSeconds, res.LocalSeconds, res.Barriers)
 
 	overlay := filepath.Join(outDir, "nuclei_overlay.png")
 	f, err := os.Create(overlay)

@@ -1,10 +1,10 @@
 // Posterior: the §I promise of MCMC over greedy segmentation —
 // "identifying similar but distinct solutions and giving the relative
-// probabilities of these different interpretations". The chain samples
-// past burn-in feed a posterior accumulator, producing a per-pixel
-// coverage-probability map and the posterior distribution of the
-// artifact count; data-driven births accelerate burn-in with the exact
-// Hastings correction.
+// probabilities of these different interpretations". Past burn-in the
+// example runs the sequential chain in slices of RunN(50) and samples it
+// between slices, counting per-pixel coverage and the artifact count,
+// to produce a per-pixel coverage-probability map and the posterior
+// distribution of the artifact count.
 //
 //	go run ./examples/posterior [output-dir]
 package main
@@ -14,6 +14,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"repro/internal/geom"
 	"repro/internal/imaging"
@@ -62,30 +63,49 @@ func main() {
 		log.Fatal(err)
 	}
 	engine := mcmc.MustNew(state, rng.New(13), mcmc.DefaultWeights(), mcmc.DefaultStepSizes(9))
-	engine.AttachBirthSampler(mcmc.NewDataDrivenBirth(state, 0.1))
 
-	// Burn in, then accumulate posterior samples.
+	// Burn in, then sample the chain every `every` iterations: the
+	// coverage of each pixel and the artifact count.
 	engine.RunN(40000)
-	acc := mcmc.NewPosteriorAccumulator(state.W, state.H, 50)
-	engine.AttachAccumulator(acc)
-	engine.RunN(200000)
-
-	counts, probs := acc.CountPosterior()
-	fmt.Printf("posterior over artifact count (%d samples):\n", acc.Samples())
-	for i, n := range counts {
-		bar := ""
-		for j := 0; j < int(probs[i]*60); j++ {
-			bar += "#"
+	const every, samples = 50, 4000
+	hits := make([]int, len(im.Pix))
+	var countHits []int // countHits[n]: samples holding n artifacts
+	for i := 0; i < samples; i++ {
+		engine.RunN(every)
+		for j, c := range state.Cover {
+			if c > 0 {
+				hits[j]++
+			}
 		}
-		fmt.Printf("  n=%2d  %.3f  %s\n", n, probs[i], bar)
+		n := state.Cfg.Len()
+		for len(countHits) <= n {
+			countHits = append(countHits, 0)
+		}
+		countHits[n]++
 	}
-	mapN, p := acc.MAPCount()
+
+	fmt.Printf("posterior over artifact count (%d samples):\n", samples)
+	mapN, mapP := 0, 0.0
+	for n, h := range countHits {
+		if h == 0 {
+			continue
+		}
+		p := float64(h) / samples
+		fmt.Printf("  n=%2d  %.3f  %s\n", n, p, strings.Repeat("#", int(p*60)))
+		if p > mapP {
+			mapN, mapP = n, p
+		}
+	}
 	fmt.Printf("MAP count: %d (probability %.2f); ground truth: %d solid + 1 faint\n",
-		mapN, p, len(truth))
+		mapN, mapP, len(truth))
+
+	pm := imaging.New(im.W, im.H)
+	for j, h := range hits {
+		pm.Pix[j] = float64(h) / samples
+	}
 
 	// Posterior existence probability of the faint artifact: the mean
 	// coverage probability over its disc.
-	pm := acc.ProbabilityMap()
 	sum, npx := 0.0, 0
 	for y := int(faint.Y - faint.Rx); y <= int(faint.Y+faint.Rx); y++ {
 		for x := int(faint.X - faint.Rx); x <= int(faint.X+faint.Rx); x++ {

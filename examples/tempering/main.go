@@ -3,7 +3,9 @@
 // interpretations — "one big artifact" or "two overlapping artifacts" —
 // and a plain chain that commits to the wrong one early can stay stuck.
 // Heated chains cross between the modes freely and hand better states to
-// the cold chain through swaps.
+// the cold chain through swaps. The example runs the scene through
+// parmcmc.Detect twice — Sequential, then Tempered — and compares the
+// plain chain with the (MC)³ cold chain.
 //
 //	go run ./examples/tempering
 package main
@@ -11,15 +13,12 @@ package main
 import (
 	"fmt"
 	"log"
-	"runtime"
 
 	"repro/internal/geom"
 	"repro/internal/imaging"
-	"repro/internal/mc3"
-	"repro/internal/mcmc"
-	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/stats"
+	"repro/pkg/parmcmc"
 )
 
 func main() {
@@ -56,38 +55,37 @@ func main() {
 	}
 	im.Clamp()
 
-	params := model.DefaultParams(float64(len(truth)), meanR)
-	params.OverlapPenalty = 0.15
-	weights := mcmc.DefaultWeights()
-	steps := mcmc.DefaultStepSizes(meanR)
-	const iters = 100000
-
-	// Plain chain.
-	st, err := model.NewState(im, params)
-	if err != nil {
-		log.Fatal(err)
+	detect := func(strategy parmcmc.Strategy, seed uint64) *parmcmc.Result {
+		res, err := parmcmc.Detect(im.Pix, im.W, im.H, parmcmc.Options{
+			Strategy:       strategy,
+			MeanRadius:     meanR,
+			ExpectedCount:  float64(len(truth)),
+			OverlapPenalty: 0.15,
+			Iterations:     100000,
+			Seed:           seed,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return res
 	}
-	plain := mcmc.MustNew(st, rng.New(21), weights, steps)
-	plain.RunN(iters)
+	plain := detect(parmcmc.Sequential, 21)
+	tempered := detect(parmcmc.Tempered, 22) // 4 chains by default
 
-	// (MC)³ with 4 chains.
-	opt := mc3.DefaultOptions()
-	opt.Workers = runtime.GOMAXPROCS(0)
-	sampler, err := mc3.New(im, params, weights, steps, opt, 22)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sampler.Run(iters)
-
-	mPlain := stats.MatchCircles(st.Cfg.Circles(), truth, meanR*0.6)
-	mCold := stats.MatchCircles(sampler.Cold().Cfg.Circles(), truth, meanR*0.6)
 	fmt.Printf("scene: %d artifacts arranged as %d overlapping pairs\n\n", len(truth), len(truth)/2)
-	fmt.Printf("plain chain:      logpost %10.1f  found %2d  TP %2d  F1 %.3f\n",
-		st.LogPost(), st.Cfg.Len(), mPlain.TP, mPlain.F1())
-	fmt.Printf("(MC)^3 cold:      logpost %10.1f  found %2d  TP %2d  F1 %.3f\n",
-		sampler.Cold().LogPost(), sampler.Cold().Cfg.Len(), mCold.TP, mCold.F1())
-	fmt.Printf("\nswap rate: %.2f over %d proposals; heat ladder β = %v\n",
-		sampler.SwapRate(), sampler.SwapProposed, sampler.Betas)
+	for _, row := range []struct {
+		name string
+		res  *parmcmc.Result
+	}{{"plain chain:", plain}, {"(MC)^3 cold:", tempered}} {
+		found := make([]geom.Ellipse, len(row.res.Circles))
+		for i, c := range row.res.Circles {
+			found[i] = geom.Disc(c.X, c.Y, c.R)
+		}
+		m := stats.MatchCircles(found, truth, meanR*0.6)
+		fmt.Printf("%-17s logpost %10.1f  found %2d  TP %2d  F1 %.3f\n",
+			row.name, row.res.LogPost, len(found), m.TP, m.F1())
+	}
+	fmt.Printf("\nswap rate: %.2f over %d chains\n", tempered.SwapRate, tempered.Partitions)
 	fmt.Println("\nnote: (MC)^3 spends processors on convergence rate; periodic")
 	fmt.Println("partitioning spends them on workload — the methods compose.")
 }

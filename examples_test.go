@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestExamplesRun builds every examples/* program and runs it to
 // completion: each must exit 0. The examples write their overlay files
-// into a temp dir. beads must also detect every bead on all three of its
-// rows (sequential, intelligent, blind).
+// into a temp dir. Each example with a headline claim is also held to
+// it: beads detects every bead on all three of its rows (sequential,
+// intelligent, blind); posterior puts mass on at least two artifact
+// counts and leaves the faint artifact's coverage uncertain; tempering
+// prints both the plain-chain and the (MC)³ row; nuclei prints its F1.
 func TestExamplesRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs binaries")
@@ -40,8 +45,21 @@ func TestExamplesRun(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v\n%s%s", name, err, out, stderr.Bytes())
 			}
-			if name == "beads" {
+			switch name {
+			case "beads":
 				checkBeadsF1(t, string(out))
+			case "posterior":
+				checkPosterior(t, string(out))
+			case "tempering":
+				for _, row := range []string{"plain chain:", "(MC)^3 cold:"} {
+					if !regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(row) + ` +logpost .* F1 [0-9.]+$`).MatchString(string(out)) {
+						t.Errorf("tempering printed no %q result row:\n%s", row, out)
+					}
+				}
+			case "nuclei":
+				if !regexp.MustCompile(`(?m)^found \d+ nuclei: precision [0-9.]+, recall [0-9.]+, F1 [0-9.]+$`).MatchString(string(out)) {
+					t.Errorf("nuclei printed no F1 line:\n%s", out)
+				}
 			}
 		})
 	}
@@ -82,5 +100,28 @@ func checkBeadsF1(t *testing.T, out string) {
 	}
 	if rows != 3 {
 		t.Fatalf("beads printed %d method rows, want 3:\n%s", rows, out)
+	}
+}
+
+// checkPosterior asserts the posterior example's two claims: the count
+// posterior has positive mass on at least two counts, and the faint
+// artifact's coverage probability is strictly between 0 and 1.
+func checkPosterior(t *testing.T, out string) {
+	t.Helper()
+	counts := 0
+	for _, m := range regexp.MustCompile(`(?m)^  n=\s*\d+  ([0-9.]+)`).FindAllStringSubmatch(out, -1) {
+		if p, _ := strconv.ParseFloat(m[1], 64); p > 0 {
+			counts++
+		}
+	}
+	if counts < 2 {
+		t.Errorf("posterior: %d artifact counts with positive mass, want >= 2:\n%s", counts, out)
+	}
+	m := regexp.MustCompile(`P\(faint artifact region covered\) = ([0-9.]+)`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("posterior printed no faint-region coverage:\n%s", out)
+	}
+	if p, _ := strconv.ParseFloat(m[1], 64); !(p > 0 && p < 1) {
+		t.Errorf("posterior: faint-region coverage %v, want strictly inside (0, 1)", p)
 	}
 }

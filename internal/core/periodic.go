@@ -432,5 +432,4 @@ func (pe *Engine) mergeWorkers(workers []*cellWorker) {
 		pe.E.Stats.Add(w.stats)
 		pe.E.Iter += int64(w.iters)
 	}
-	pe.E.NotifyExternalIterations()
 }

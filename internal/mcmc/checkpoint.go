@@ -55,9 +55,7 @@ type EngineDump struct {
 	Trace *TraceDump
 }
 
-// Dump captures the engine. The data-driven birth sampler and the
-// posterior accumulator are not part of the dump; engines using them
-// cannot be checkpointed yet.
+// Dump captures the engine.
 func (e *Engine) Dump() EngineDump {
 	d := EngineDump{
 		R:     e.R.Save(),

@@ -140,10 +140,8 @@ type Engine struct {
 	// are never tempered.
 	Beta float64
 
-	wNorm  Weights
-	trace  *Trace
-	accum  *PosteriorAccumulator
-	births *DataDrivenBirth
+	wNorm Weights
+	trace *Trace
 
 	// partners is the reusable merge-candidate buffer: proposeMerge
 	// appends into it instead of allocating a fresh slice per proposal.
@@ -287,19 +285,10 @@ func Accept(r *rng.RNG, logAlpha float64) bool {
 	return logAlpha >= 0 || math.Log(r.Positive()) < logAlpha
 }
 
-// NotifyExternalIterations informs the attached observers (trace,
-// posterior accumulator) that Iter advanced outside Decide/Commit — the
-// periodic engine calls it after folding a parallel local phase in.
-func (e *Engine) NotifyExternalIterations() { e.observers() }
-
-// observers notifies the attached trace and accumulator after an
-// iteration completes.
+// observers notifies the attached trace after an iteration completes.
 func (e *Engine) observers() {
 	if e.trace != nil {
 		e.trace.observe(e)
-	}
-	if e.accum != nil {
-		e.accum.observe(e)
 	}
 }
 
@@ -380,10 +369,6 @@ func (e *Engine) drawPriorShape() geom.Ellipse {
 func (e *Engine) proposeBirth() Proposal {
 	c := e.drawPriorShape()
 	logPos := -e.S.LogAreaTerm() // uniform position proposal density
-	if e.births != nil {
-		c.X, c.Y = e.births.Sample(e.R)
-		logPos = e.births.LogDensity(c.X, c.Y)
-	}
 	dLik, dPrior := e.S.EvalAdd(c)
 	if math.IsInf(dPrior, -1) {
 		return Proposal{Move: Birth, Valid: false}
@@ -393,8 +378,7 @@ func (e *Engine) proposeBirth() Proposal {
 	// dPrior contains log λ − log A + log pr(shape) − γΔo; with the
 	// uniform proposal (q_pos = 1/A) the position and shape densities
 	// cancel against the prior, leaving the textbook
-	// α = lik-ratio · e^{−γΔo} · λ/(n+1) · w_D/w_B. A data-driven
-	// q_pos enters explicitly instead.
+	// α = lik-ratio · e^{−γΔo} · λ/(n+1) · w_D/w_B.
 	hastings := (math.Log(e.wNorm[Death]) - math.Log(n+1)) -
 		(math.Log(e.wNorm[Birth]) + logPos + e.S.LogShapePrior(c))
 	dPost := dLik + dPrior
@@ -415,9 +399,6 @@ func (e *Engine) proposeDeath() Proposal {
 	c := e.S.Cfg.Get(id)
 	dLik, dPrior := e.S.EvalRemove(id)
 	logPos := -e.S.LogAreaTerm()
-	if e.births != nil {
-		logPos = e.births.LogDensity(c.X, c.Y)
-	}
 	// q_fwd = w_D · 1/n;   q_rev = w_B · q_pos(c) · pr(shape).
 	hastings := (math.Log(e.wNorm[Birth]) + logPos + e.S.LogShapePrior(c)) -
 		(math.Log(e.wNorm[Death]) - math.Log(float64(n)))

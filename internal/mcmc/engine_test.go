@@ -162,7 +162,7 @@ func TestSplitMergeDetailedBalance(t *testing.T) {
 		idC1 := s.Cfg.IDAt(s.Cfg.Len() - 2)
 		idC2 := s.Cfg.IDAt(s.Cfg.Len() - 1)
 		c1 := s.Cfg.Get(idC1)
-		mi := len(s.PartnersNear(c1.X, c1.Y, e.Steps.MergeDist, idC1))
+		mi := len(s.AppendPartnersNear(nil, c1.X, c1.Y, e.Steps.MergeDist, idC1))
 		rev := e.evalMergePair(idC1, idC2, mi)
 		if !rev.Valid {
 			t.Fatalf("reverse merge invalid after valid split")

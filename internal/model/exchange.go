@@ -275,12 +275,6 @@ func (s *State) CountNear(x, y, dist float64, exclude int) int {
 	return n
 }
 
-// PartnersNear returns the IDs of live circles other than exclude whose
-// centres lie within dist of (x, y).
-func (s *State) PartnersNear(x, y, dist float64, exclude int) []int {
-	return s.AppendPartnersNear(nil, x, y, dist, exclude)
-}
-
 // AppendPartnersNear appends the IDs of live circles other than exclude
 // whose centres lie within dist of (x, y) to dst and returns it. Engines
 // pass a reusable scratch buffer so steady-state merge proposals never

@@ -221,9 +221,9 @@ func TestCountNearAndPartners(t *testing.T) {
 	first := s.Cfg.IDAt(0)
 	c := s.Cfg.Get(first)
 	got := s.CountNear(c.X, c.Y, 15, first)
-	want := len(s.PartnersNear(c.X, c.Y, 15, first))
+	want := len(s.AppendPartnersNear(nil, c.X, c.Y, 15, first))
 	if got != want {
-		t.Fatalf("CountNear %d != len(PartnersNear) %d", got, want)
+		t.Fatalf("CountNear %d != len(AppendPartnersNear) %d", got, want)
 	}
 	if n := s.CountNear(5, 5, 3, -1); n != 0 {
 		t.Fatalf("empty neighbourhood count = %d", n)

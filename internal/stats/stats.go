@@ -164,38 +164,3 @@ func (o *Online) Var() float64 {
 	}
 	return o.m2 / float64(o.n-1)
 }
-
-// Std returns the sample standard deviation.
-func (o *Online) Std() float64 { return math.Sqrt(o.Var()) }
-
-// Summary holds one-shot descriptive statistics.
-type Summary struct {
-	N                int
-	Mean, Std        float64
-	Min, Max, Median float64
-}
-
-// Summarize computes descriptive statistics of xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	var o Online
-	s := Summary{N: len(xs), Min: xs[0], Max: xs[0]}
-	for _, x := range xs {
-		o.Add(x)
-		s.Min = math.Min(s.Min, x)
-		s.Max = math.Max(s.Max, x)
-	}
-	s.Mean = o.Mean()
-	s.Std = o.Std()
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	mid := len(sorted) / 2
-	if len(sorted)%2 == 1 {
-		s.Median = sorted[mid]
-	} else {
-		s.Median = (sorted[mid-1] + sorted[mid]) / 2
-	}
-	return s
-}

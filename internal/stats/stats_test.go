@@ -125,12 +125,21 @@ func TestOnlineMatchesDirect(t *testing.T) {
 		o.Add(x)
 		xs = append(xs, x)
 	}
-	s := Summarize(xs)
-	if math.Abs(o.Mean()-s.Mean) > 1e-9 {
-		t.Fatalf("online mean %v vs %v", o.Mean(), s.Mean)
+	mean := 0.0
+	for _, x := range xs {
+		mean += x
 	}
-	if math.Abs(o.Std()-s.Std) > 1e-9 {
-		t.Fatalf("online std %v vs %v", o.Std(), s.Std)
+	mean /= float64(len(xs))
+	ss := 0.0
+	for _, x := range xs {
+		ss += (x - mean) * (x - mean)
+	}
+	variance := ss / float64(len(xs)-1)
+	if math.Abs(o.Mean()-mean) > 1e-9 {
+		t.Fatalf("online mean %v vs %v", o.Mean(), mean)
+	}
+	if math.Abs(o.Var()-variance) > 1e-9 {
+		t.Fatalf("online variance %v vs %v", o.Var(), variance)
 	}
 	if o.N() != 1000 {
 		t.Fatalf("N = %d", o.N())
@@ -145,19 +154,5 @@ func TestOnlineEdge(t *testing.T) {
 	o.Add(5)
 	if o.Var() != 0 {
 		t.Fatal("single observation has variance 0")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{3, 1, 2})
-	if s.N != 3 || s.Min != 1 || s.Max != 3 || s.Median != 2 || math.Abs(s.Mean-2) > 1e-12 {
-		t.Fatalf("summary = %+v", s)
-	}
-	even := Summarize([]float64{1, 2, 3, 4})
-	if even.Median != 2.5 {
-		t.Fatalf("even median = %v", even.Median)
-	}
-	if Summarize(nil).N != 0 {
-		t.Fatal("empty summary")
 	}
 }

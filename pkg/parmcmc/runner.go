@@ -76,9 +76,6 @@ func NewRunner(concurrency int) *Runner {
 	return &Runner{BaseSeed: 1, pool: sched.NewPool(concurrency)}
 }
 
-// Concurrency returns the runner's job-level concurrency bound.
-func (r *Runner) Concurrency() int { return r.pool.Workers() }
-
 // jobSeed derives the seed for the job at index i: the job's own seed
 // when set, otherwise DeriveSeed of BaseSeed and the 1-based index.
 func (r *Runner) jobSeed(i int, opt Options) uint64 {

@@ -200,12 +200,16 @@ func (w *Worker) leaseLoop(ctx context.Context) {
 		var grant api.LeaseGrant
 		status, env, err := w.do(ctx, api.InternalPrefix+"/leases", api.LeaseRequest{WorkerID: id.ID}, &grant)
 		switch {
-		case ctx.Err() != nil:
-			return
 		case err == nil && status == http.StatusOK:
+			// A decoded grant runs even when ctx ended meanwhile: the
+			// coordinator already counts the job as running, and the
+			// run drains at once, spooling its stop point, while the
+			// lease expires for re-lease.
 			backoff = 250 * time.Millisecond
 			w.runLease(ctx, grant)
 			continue
+		case ctx.Err() != nil:
+			return
 		case err == nil && status == http.StatusNoContent:
 			backoff = 250 * time.Millisecond
 			continue // empty poll window; ask again

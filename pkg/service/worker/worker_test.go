@@ -90,6 +90,12 @@ func waitDone(t *testing.T, url, id string) api.JobStatus {
 // waitFor polls job id until its state satisfies ok.
 func waitFor(t *testing.T, url, id string, ok func(api.JobState) bool) api.JobStatus {
 	t.Helper()
+	return waitStatus(t, url, id, func(v api.JobStatus) bool { return ok(v.State) })
+}
+
+// waitStatus polls the job until ok accepts its whole status.
+func waitStatus(t *testing.T, url, id string, ok func(api.JobStatus) bool) api.JobStatus {
+	t.Helper()
 	deadline := time.Now().Add(120 * time.Second)
 	for time.Now().Before(deadline) {
 		resp, err := http.Get(url + "/v1/jobs/" + id)
@@ -102,7 +108,7 @@ func waitFor(t *testing.T, url, id string, ok func(api.JobState) bool) api.JobSt
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok(view.State) {
+		if ok(view) {
 			return view
 		}
 		time.Sleep(20 * time.Millisecond)
@@ -277,7 +283,10 @@ func TestWorkerShutdownDrainsCheckpoint(t *testing.T) {
 	spec := testSpec
 	spec.Options.Iterations = 100_000_000
 	view := submitJob(t, srv.URL, spec)
-	waitFor(t, srv.URL, view.ID, isRunning)
+	// The coordinator marks the job running when it grants the lease,
+	// before the worker has the grant; a progress report proves the
+	// worker is inside the run.
+	waitStatus(t, srv.URL, view.ID, func(v api.JobStatus) bool { return v.Progress != nil })
 	cancel()
 	select {
 	case <-stopped:
