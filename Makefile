@@ -59,8 +59,8 @@ test-cpu:
 	$(GO) test -short -cpu 1,2,4 $(CPU_PKGS)
 	$(GO) test -cpu 1,2,4 -run 'Recovery|Restarted' ./pkg/service
 
-# Full suite under the race detector (the Runner tests exercise >1
-# worker, so this is the concurrency gate).
+# Full suite under the race detector (the gang, partition, (MC)³ and
+# service tests exercise >1 worker, so this is the concurrency gate).
 race:
 	$(GO) test -race ./...
 
@@ -182,8 +182,7 @@ e2e-case:
 	@test -n "$(CASE)" || { echo "usage: make e2e-case CASE=C00103"; exit 1; }
 	E2E_MATRIX=full $(GO) test ./test/e2e -run 'TestCases/$(CASE)$$' -count=1 -v
 
-# Reproduce every paper figure through the Runner (quick ≈ seconds,
-# full ≈ minutes).
+# Reproduce every paper figure (quick ≈ seconds, full ≈ minutes).
 experiments-quick:
 	$(GO) run ./cmd/experiments -quick
 

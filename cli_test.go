@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -164,5 +165,66 @@ func TestCLIPipelineEllipse(t *testing.T) {
 	}
 	if err := exec.Command(imagegen, "-shape", "blob", "-out", filepath.Join(dir, "x.pgm")).Run(); err == nil {
 		t.Fatal("imagegen accepted -shape blob")
+	}
+}
+
+// TestCLIMcmcimgBatch runs mcmcimg's batch mode (comma lists in -in and
+// -strategy) at two -parallel values. The output must not depend on the
+// concurrency, the "# job:" blocks must come in input-major order, and
+// each block must equal the single-job run of its input and strategy.
+func TestCLIMcmcimgBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs binaries")
+	}
+	dir := t.TempDir()
+	imagegen := buildTool(t, "imagegen")
+	mcmcimg := buildTool(t, "mcmcimg")
+
+	var pgms []string
+	for i, seed := range []string{"4", "5"} {
+		pgm := filepath.Join(dir, fmt.Sprintf("scene%d.pgm", i))
+		if err := exec.Command(imagegen,
+			"-w", "96", "-h", "96", "-count", "4", "-radius", "8",
+			"-noise", "0.05", "-seed", seed, "-out", pgm).Run(); err != nil {
+			t.Fatalf("imagegen: %v", err)
+		}
+		pgms = append(pgms, pgm)
+	}
+	strategies := []string{"sequential", "blind"}
+	detect := func(in, strategy, parallel string) string {
+		t.Helper()
+		out, err := exec.Command(mcmcimg,
+			"-in", in, "-strategy", strategy, "-parallel", parallel,
+			"-radius", "8", "-iters", "8000", "-seed", "3").Output()
+		if err != nil {
+			t.Fatalf("mcmcimg -in %s -strategy %s -parallel %s: %v", in, strategy, parallel, err)
+		}
+		return string(out)
+	}
+
+	batch := detect(strings.Join(pgms, ","), strings.Join(strategies, ","), "1")
+	if got := detect(strings.Join(pgms, ","), strings.Join(strategies, ","), "2"); got != batch {
+		t.Fatalf("-parallel 2 output differs from -parallel 1:\n%s\nvs\n%s", got, batch)
+	}
+
+	var headers, wantHeaders []string
+	for _, line := range strings.Split(batch, "\n") {
+		if strings.HasPrefix(line, "# job: ") {
+			headers = append(headers, line)
+		}
+	}
+	var want strings.Builder
+	for _, pgm := range pgms {
+		for _, s := range strategies {
+			h := fmt.Sprintf("# job: %s/%s", pgm, s)
+			wantHeaders = append(wantHeaders, h)
+			fmt.Fprintf(&want, "%s\n%s", h, detect(pgm, s, "1"))
+		}
+	}
+	if strings.Join(headers, "\n") != strings.Join(wantHeaders, "\n") {
+		t.Fatalf("job headers %q, want %q", headers, wantHeaders)
+	}
+	if batch != want.String() {
+		t.Fatalf("batch output is not the single-job runs in input-major order:\n%s\nwant:\n%s", batch, want.String())
 	}
 }

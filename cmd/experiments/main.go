@@ -1,7 +1,7 @@
 // Command experiments regenerates the paper's tables and figures (see
 // README.md, "Reproducing the paper", for the experiment index). Every
-// figure's MCMC work is orchestrated through the pkg/parmcmc Runner, so
-// an interrupt (ctrl-C) cancels the in-flight batch at its next
+// figure's MCMC work is a list of parmcmc.DetectContext calls, so an
+// interrupt (ctrl-C) cancels the in-flight detections at their next
 // checkpoint instead of killing chains mid-measurement.
 //
 // Usage:
@@ -22,21 +22,20 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/experiments"
-	"repro/internal/profiling"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
 	var (
-		run        = flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
-		quick      = flag.Bool("quick", false, "use shrunken workloads")
-		workers    = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
-		seed       = flag.Uint64("seed", 2010, "RNG seed")
-		list       = flag.Bool("list", false, "list experiment IDs and exit")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		run      = flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
+		quick    = flag.Bool("quick", false, "use shrunken workloads")
+		workers  = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
+		seed     = flag.Uint64("seed", 2010, "RNG seed")
+		list     = flag.Bool("list", false, "list experiment IDs and exit")
+		profiles = cliutil.AddProfileFlags(nil)
 	)
 	flag.Parse()
 
@@ -47,7 +46,7 @@ func main() {
 		return
 	}
 
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
+	stopProf, err := profiles.Start()
 	if err != nil {
 		log.Fatal(err)
 	}

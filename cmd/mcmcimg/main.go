@@ -10,10 +10,12 @@
 //	mcmcimg -in cells.pgm -radius 10 -resume run.ckpt
 //
 // Both -in and -strategy accept comma-separated lists; every image ×
-// strategy combination becomes one job of a parmcmc.Runner batch,
-// -parallel of which run concurrently. Batches of more than one job
-// print a "# job: <name>" line before each CSV block, and ctrl-C cancels
-// outstanding jobs at their next checkpoint.
+// strategy combination becomes one parmcmc.DetectContext job, -parallel
+// of which run concurrently (0 = GOMAXPROCS). Batches of more than one
+// job print a "# job: <name>" line before each CSV block, in input-major
+// order whatever the concurrency, and ctrl-C cancels outstanding jobs
+// at their next checkpoint. Every job runs with -seed; -seed 0 means
+// Detect's default seed.
 //
 // -progress streams per-job progress lines to stderr. -checkpoint
 // (single-job runs only) writes a resumable snapshot atomically every
@@ -32,12 +34,14 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 
 	"repro/internal/cliutil"
 	"repro/internal/geom"
 	"repro/internal/imaging"
+	"repro/internal/sched"
 	"repro/pkg/parmcmc"
 )
 
@@ -52,7 +56,7 @@ func main() {
 		iters      = flag.Int("iters", 200000, "chain iterations (cap for partitioned strategies)")
 		count      = flag.Float64("count", 0, "expected artifact count (0 = estimate via eq. 5)")
 		workers    = flag.Int("workers", 0, "worker goroutines per job (0 = GOMAXPROCS)")
-		parallel   = flag.Int("parallel", 1, "concurrent jobs in a batch")
+		parallel   = flag.Int("parallel", 1, "concurrent jobs in a batch (0 = GOMAXPROCS)")
 		seed       = flag.Uint64("seed", 1, "RNG seed")
 		overlay    = flag.String("overlay", "", "optional PNG path for a detection overlay (single-job runs only)")
 		progress   = flag.Bool("progress", false, "stream progress lines to stderr")
@@ -166,7 +170,12 @@ func main() {
 		return
 	}
 
-	var jobs []parmcmc.Job
+	type job struct {
+		name string
+		img  *imaging.Image
+		opt  parmcmc.Options
+	}
+	var jobs []job
 	for _, inp := range inputs {
 		for _, strat := range strategies {
 			name := inp.path
@@ -185,11 +194,7 @@ func main() {
 			if *progress {
 				opt.Observer = progressPrinter(name)
 			}
-			jobs = append(jobs, parmcmc.Job{
-				Name: name,
-				Pix:  inp.img.Pix, W: inp.img.W, H: inp.img.H,
-				Opt: opt,
-			})
+			jobs = append(jobs, job{name: name, img: inp.img, opt: opt})
 		}
 	}
 	if *overlay != "" && len(jobs) > 1 {
@@ -199,23 +204,31 @@ func main() {
 		if len(jobs) > 1 {
 			fatalf("-checkpoint needs a single image and strategy")
 		}
-		jobs[0].Opt.OnCheckpoint = checkpointWriter(*checkpoint)
-		jobs[0].Opt.CheckpointEvery = *ckptEvery
+		jobs[0].opt.OnCheckpoint = checkpointWriter(*checkpoint)
+		jobs[0].opt.CheckpointEvery = *ckptEvery
 	}
 
-	runner := parmcmc.NewRunner(*parallel)
-	results, _ := runner.Run(ctx, jobs)
+	conc := *parallel
+	if conc <= 0 {
+		conc = runtime.GOMAXPROCS(0)
+	}
+	results := make([]*parmcmc.Result, len(jobs))
+	errs := make([]error, len(jobs))
+	sched.ForEach(len(jobs), conc, func(i int) {
+		j := jobs[i]
+		results[i], errs[i] = parmcmc.DetectContext(ctx, j.img.Pix, j.img.W, j.img.H, j.opt)
+	})
 	failed := false
-	for _, jr := range results {
-		if jr.Err != nil {
+	for i, j := range jobs {
+		if errs[i] != nil {
 			failed = true
-			fmt.Fprintf(os.Stderr, "%s: %v\n", jr.Name, jr.Err)
+			fmt.Fprintf(os.Stderr, "%s: %v\n", j.name, errs[i])
 			continue
 		}
 		if len(jobs) > 1 {
-			fmt.Printf("# job: %s\n", jr.Name)
+			fmt.Printf("# job: %s\n", j.name)
 		}
-		printResult(jr.Result)
+		printResult(results[i])
 	}
 	if failed {
 		stopProf() // os.Exit skips defers; flush profiles first
@@ -223,7 +236,7 @@ func main() {
 	}
 
 	if *overlay != "" {
-		writeOverlay(inputs[0].img, results[0].Result.Ellipses)
+		writeOverlay(inputs[0].img, results[0].Ellipses)
 	}
 }
 

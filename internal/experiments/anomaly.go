@@ -19,10 +19,10 @@ import (
 // processing the entire image at once" — artifacts on partition
 // boundaries are duplicated, misplaced or missed. The experiment plants
 // artifacts exactly on the naive grid lines and scores naive, blind and
-// periodic processing against ground truth. One timed Runner batch: the
-// blind and periodic rows are parmcmc strategies, and the naive baseline,
-// which the public API deliberately does not offer, is a Func job over
-// partition's region chains.
+// periodic processing against ground truth. The blind and periodic rows
+// are one timed batch of parmcmc strategies; the naive baseline, which
+// the public API deliberately does not offer, runs partition's region
+// chains directly.
 func Anomaly(ctx context.Context, o Options) (*Result, error) {
 	w, h := 320, 320
 	if o.Quick {
@@ -66,17 +66,15 @@ func Anomaly(ctx context.Context, o Options) (*Result, error) {
 		ExpectedCount: float64(len(truth)), Workers: o.workers(),
 		PartitionGrid: 1, GridSlack: 0.75, Seed: o.Seed + 302,
 	}
-	out, err := runBatch(ctx, o, true, []parmcmc.Job{
-		{Name: "anomaly/naive", Func: func(ctx context.Context) (any, error) {
-			return runNaive(ctx, im, naive, o.workers())
-		}},
-		{Name: "anomaly/blind", Pix: im.Pix, W: w, H: h, Opt: blind},
-		{Name: "anomaly/periodic", Pix: im.Pix, W: w, H: h, Opt: periodic},
-	})
+	naiveFound, err := runNaive(ctx, im, naive, o.workers())
 	if err != nil {
 		return nil, err
 	}
-	periodicRes := out[2].Result
+	out, err := detectAll(ctx, o, true, im, []parmcmc.Options{blind, periodic})
+	if err != nil {
+		return nil, err
+	}
+	periodicRes := out[1]
 
 	xs, ys := partition.BoundaryLines(im.Bounds(), 2, 2)
 	score := func(name string, found []geom.Ellipse) []any {
@@ -91,8 +89,8 @@ func Anomaly(ctx context.Context, o Options) (*Result, error) {
 	tb := &trace.Table{Header: []string{
 		"method", "found", "TP", "FP", "FN", "dup_pairs", "excess_near_boundary", "F1",
 	}}
-	tb.Add(score("naive", out[0].Value.([]geom.Ellipse))...)
-	tb.Add(score("blind", toGeom(out[1].Result.Circles))...)
+	tb.Add(score("naive", naiveFound)...)
+	tb.Add(score("blind", toGeom(out[0].Circles))...)
 	tb.Add(score("periodic", toGeom(periodicRes.Circles))...)
 	var sb strings.Builder
 	if err := tb.Write(&sb); err != nil {

@@ -14,8 +14,8 @@ import (
 // spot (a ~20ms global phase) on the three machine profiles. The paper
 // reports reductions of ~29% (Q6600), 23% (Xeon) and 38% (Pentium-D) and
 // attributes the differences to inter-thread communication overhead.
-// Two Runner batches: a timed sequential baseline (which calibrates the
-// sweet spot), then a Sweep over the profiles' thread counts.
+// Two timed batches: a sequential baseline (which calibrates the sweet
+// spot), then one periodic run per profile's thread count.
 func Arch(ctx context.Context, o Options) (*Result, error) {
 	scene := cellScene(o)
 	im := scene.Image
@@ -30,13 +30,11 @@ func Arch(ctx context.Context, o Options) (*Result, error) {
 	seq := base
 	seq.Strategy = parmcmc.Sequential
 	seq.Seed = o.Seed + 77
-	out, err := runBatch(ctx, o, true, []parmcmc.Job{
-		{Name: "arch/sequential", Pix: im.Pix, W: im.W, H: im.H, Opt: seq},
-	})
+	out, err := detectAll(ctx, o, true, im, []parmcmc.Options{seq})
 	if err != nil {
 		return nil, err
 	}
-	seqDur := out[0].Result.Elapsed
+	seqDur := out[0].Elapsed
 	tauIter := seqDur.Seconds() / float64(total)
 	// The sweet spot: a global phase worth ~20ms of sequential work.
 	gIters := int(0.020 / tauIter)
@@ -55,16 +53,12 @@ func Arch(ctx context.Context, o Options) (*Result, error) {
 	per.SimulateParallel = true
 	per.LocalPhaseIters = localIters
 	profiles := trace.Profiles()
-	threads := make([]int, len(profiles))
+	jobs := make([]parmcmc.Options, len(profiles))
 	for i, a := range profiles {
-		threads[i] = a.Threads
+		jobs[i] = per
+		jobs[i].Workers = a.Threads
 	}
-	runs, err := runBatch(ctx, o, true, parmcmc.Sweep{
-		Name: "arch/periodic",
-		Pix:  im.Pix, W: im.W, H: im.H,
-		Base:    per,
-		Workers: threads,
-	}.Jobs())
+	runs, err := detectAll(ctx, o, true, im, jobs)
 	if err != nil {
 		return nil, err
 	}
@@ -73,7 +67,7 @@ func Arch(ctx context.Context, o Options) (*Result, error) {
 		"machine", "threads", "barrier_ms", "periodic_secs", "sequential_secs", "reduction_pct",
 	}}
 	for i, arch := range profiles {
-		reported := periodicReported(runs[i].Result, arch)
+		reported := periodicReported(runs[i], arch)
 		reduction := 100 * (1 - reported.Seconds()/seqDur.Seconds())
 		tb.Add(arch.Name, arch.Threads, arch.BarrierOverhead.Seconds()*1e3,
 			reported.Seconds(), seqDur.Seconds(), reduction)

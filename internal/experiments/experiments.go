@@ -184,28 +184,38 @@ func beadScene(o Options) (*imaging.Scene, [3][]geom.Ellipse) {
 }
 
 // ---------------------------------------------------------------------------
-// Orchestration: every MCMC execution in this package flows through one
-// parmcmc.Runner batch, so each figure is "one sweep + one reducer".
+// Orchestration: every figure is a list of detections on its image plus
+// one reducer over their results.
 
-// runBatch routes jobs through a parmcmc.Runner. Timed batches run one
-// job at a time with a GC between jobs so wall-clock measurements stay
-// clean; untimed batches fan out across o.workers() concurrent jobs.
-// The first job error aborts the whole figure.
-func runBatch(ctx context.Context, o Options, timed bool, jobs []parmcmc.Job) ([]parmcmc.JobResult, error) {
-	conc := o.workers()
-	if timed {
-		conc = 1
+// detectAll runs one detection per entry of opts on im and returns the
+// results in the same order. Timed batches run one detection at a time
+// with a garbage collection before each, so earlier runs' garbage stays
+// out of wall-clock measurements; untimed batches run o.workers()
+// detections at once. Cancellation fails the figure with ctx's error,
+// otherwise the first failed job, in job order, does.
+func detectAll(ctx context.Context, o Options, timed bool, im *imaging.Image, opts []parmcmc.Options) ([]*parmcmc.Result, error) {
+	out := make([]*parmcmc.Result, len(opts))
+	errs := make([]error, len(opts))
+	run := func(i int) {
+		out[i], errs[i] = parmcmc.DetectContext(ctx, im.Pix, im.W, im.H, opts[i])
 	}
-	r := parmcmc.NewRunner(conc)
-	r.BaseSeed = o.Seed
-	r.GCBetween = timed
-	out, err := r.Run(ctx, jobs)
-	if err != nil {
+	if timed {
+		for i := range opts {
+			runtime.GC()
+			run(i)
+			if errs[i] != nil {
+				break
+			}
+		}
+	} else {
+		sched.ForEach(len(opts), o.workers(), run)
+	}
+	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for _, jr := range out {
-		if jr.Err != nil {
-			return nil, fmt.Errorf("%s: %w", jr.Name, jr.Err)
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("job %d (%v): %w", i, opts[i].Strategy, err)
 		}
 	}
 	return out, nil

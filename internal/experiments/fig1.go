@@ -2,40 +2,24 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/trace"
-	"repro/pkg/parmcmc"
 )
 
 // Fig1 regenerates fig. 1: the eq. 2 prediction of runtime (as a
 // fraction of sequential) versus the global move proposal probability
-// q_g, for 2, 4, 8 and 16 processes with τ_g = τ_l. The per-process
-// series are independent, so they run as one parallel Runner batch of
-// Func jobs.
-func Fig1(ctx context.Context, o Options) (*Result, error) {
+// q_g, for 2, 4, 8 and 16 processes with τ_g = τ_l. The series are
+// closed-form, so the figure runs no chain.
+func Fig1(context.Context, Options) (*Result, error) {
 	qgs := make([]float64, 0, 21)
 	for q := 0.0; q <= 1.0001; q += 0.05 {
 		qgs = append(qgs, q)
 	}
-	procs := []int{2, 4, 8, 16}
-	jobs := make([]parmcmc.Job, len(procs))
-	for i, s := range procs {
-		s := s
-		jobs[i] = parmcmc.Job{
-			Name: fmt.Sprintf("fig1/s=%d", s),
-			Func: func(context.Context) (any, error) { return core.Fig1Series(s, qgs), nil },
-		}
-	}
-	out, err := runBatch(ctx, o, false, jobs)
-	if err != nil {
-		return nil, err
-	}
 	series := map[int][]float64{}
-	for i, s := range procs {
-		series[s] = out[i].Value.([]float64)
+	for _, s := range []int{2, 4, 8, 16} {
+		series[s] = core.Fig1Series(s, qgs)
 	}
 	tb := &trace.Table{Header: []string{"qg", "s=2", "s=4", "s=8", "s=16"}}
 	for i, qg := range qgs {

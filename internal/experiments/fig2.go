@@ -45,8 +45,8 @@ func periodicReported(r *parmcmc.Result, arch trace.ArchProfile) time.Duration {
 // phase, on the Q6600 profile, with the sequential runtime as baseline.
 // Short global phases repartition too often and the per-barrier overhead
 // dominates; beyond the sweet spot the curve flattens. The whole figure
-// is one Runner batch — a sequential baseline plus a Sweep over local
-// phase lengths — and one reducer over its structured results.
+// is one timed batch — a sequential baseline, then one periodic run per
+// local phase length — and one reducer over its results.
 func Fig2(ctx context.Context, o Options) (*Result, error) {
 	scene := cellScene(o)
 	im := scene.Image
@@ -68,7 +68,7 @@ func Fig2(ctx context.Context, o Options) (*Result, error) {
 	seq := base
 	seq.Strategy = parmcmc.Sequential
 	seq.Seed = o.Seed + 77
-	jobs := []parmcmc.Job{{Name: "fig2/sequential", Pix: im.Pix, W: im.W, H: im.H, Opt: seq}}
+	jobs := []parmcmc.Options{seq}
 
 	per := base
 	per.Strategy = parmcmc.Periodic
@@ -80,18 +80,16 @@ func Fig2(ctx context.Context, o Options) (*Result, error) {
 	per.PartitionGrid = 1
 	per.GridSlack = 1.0
 	per.SimulateParallel = true
-	jobs = append(jobs, parmcmc.Sweep{
-		Name: "fig2/periodic",
-		Pix:  im.Pix, W: im.W, H: im.H,
-		Base:            per,
-		LocalPhaseIters: fig2Locals(sweep),
-	}.Jobs()...)
+	for _, local := range fig2Locals(sweep) {
+		per.LocalPhaseIters = local
+		jobs = append(jobs, per)
+	}
 
-	out, err := runBatch(ctx, o, true, jobs)
+	out, err := detectAll(ctx, o, true, im, jobs)
 	if err != nil {
 		return nil, err
 	}
-	seqDur := out[0].Result.Elapsed
+	seqDur := out[0].Elapsed
 	tauIter := seqDur.Seconds() / float64(total)
 
 	tb := &trace.Table{Header: []string{
@@ -99,7 +97,7 @@ func Fig2(ctx context.Context, o Options) (*Result, error) {
 	}}
 	knee := ""
 	for i, g := range sweep {
-		reported := periodicReported(out[1+i].Result, arch)
+		reported := periodicReported(out[1+i], arch)
 		gPhaseSecs := float64(g) * tauIter
 		tb.Add(g, gPhaseSecs*1e3, reported.Seconds(), seqDur.Seconds())
 		if knee == "" && reported < seqDur {

@@ -15,7 +15,7 @@ import (
 // the expected radius, each processed independently, then merged. The
 // paper reports quadrant relative runtimes of 0.12 / 0.08 / 0.27 / 0.11
 // and a total runtime of ~27% of sequential, with no anomalies. One
-// timed Runner batch (whole-image baseline + blind run), one reducer.
+// timed batch (whole-image baseline + blind run), one reducer.
 func Fig4(ctx context.Context, o Options) (*Result, error) {
 	scene, _ := beadScene(o)
 	im := scene.Image
@@ -28,15 +28,12 @@ func Fig4(ctx context.Context, o Options) (*Result, error) {
 	blind.Strategy = parmcmc.Blind
 	blind.PartitionGrid = 2
 	blind.Workers = o.workers()
-	out, err := runBatch(ctx, o, true, []parmcmc.Job{
-		{Name: "fig4/whole", Pix: im.Pix, W: im.W, H: im.H, Opt: whole},
-		{Name: "fig4/blind", Pix: im.Pix, W: im.W, H: im.H, Opt: blind},
-	})
+	out, err := detectAll(ctx, o, true, im, []parmcmc.Options{whole, blind})
 	if err != nil {
 		return nil, err
 	}
-	wr := out[0].Result.Regions[0]
-	res := out[1].Result
+	wr := out[0].Regions[0]
+	res := out[1]
 
 	tb := &trace.Table{Header: []string{
 		"quadrant", "obj_thresh", "iters_converge", "runtime_s", "rel_runtime",

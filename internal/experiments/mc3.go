@@ -18,8 +18,8 @@ import (
 // on an ambiguous scene (pairs of strongly overlapping discs that a
 // greedy chain tends to explain as single large artifacts). It compares
 // a plain chain against the cold chain of an (MC)³ sampler given the
-// same per-chain iteration budget — one untimed Runner batch of two
-// jobs that fan out concurrently.
+// same per-chain iteration budget — one untimed batch of two
+// detections that run concurrently.
 func MC3(ctx context.Context, o Options) (*Result, error) {
 	w, h := 256, 256
 	iters := 120000
@@ -80,14 +80,11 @@ func MC3(ctx context.Context, o Options) (*Result, error) {
 	temp.Strategy = parmcmc.Tempered
 	temp.Seed = o.Seed + 403
 	temp.Workers = o.workers()
-	out, err := runBatch(ctx, o, false, []parmcmc.Job{
-		{Name: "mc3/plain", Pix: im.Pix, W: w, H: h, Opt: plain},
-		{Name: "mc3/cold", Pix: im.Pix, W: w, H: h, Opt: temp},
-	})
+	out, err := detectAll(ctx, o, false, im, []parmcmc.Options{plain, temp})
 	if err != nil {
 		return nil, err
 	}
-	pr, cr := out[0].Result, out[1].Result
+	pr, cr := out[0], out[1]
 
 	mPlain := stats.MatchCircles(toGeom(pr.Circles), truth, meanR*0.6)
 	mCold := stats.MatchCircles(toGeom(cr.Circles), truth, meanR*0.6)

@@ -21,7 +21,7 @@ import (
 // (1−p_r^n)/(1−p_r) model for several widths, and evaluates the eq. 2 /
 // eq. 3 / eq. 4 predictions for the case-study parameters. The
 // rejection-rate microbenchmark drives the executor directly; the
-// measured regime comparisons run as a timed Runner batch.
+// measured regime comparisons run as one timed batch.
 func Spec(ctx context.Context, o Options) (*Result, error) {
 	scene := cellScene(o)
 	im := scene.Image
@@ -108,23 +108,21 @@ func Spec(ctx context.Context, o Options) (*Result, error) {
 		{"periodic + global spec n=4 (eq3 regime)", 4, 0},
 		{"periodic + global & local spec t=4 (eq4 regime)", 4, 4},
 	}
-	jobs := []parmcmc.Job{{Name: "spec/sequential", Pix: im.Pix, W: im.W, H: im.H, Opt: seq}}
+	jobs := []parmcmc.Options{seq}
 	for _, rg := range regimes {
 		opt := per
 		opt.LocalSpecWidth = rg.localW
-		jobs = append(jobs, parmcmc.Job{
-			Name: "spec/" + rg.name, Pix: im.Pix, W: im.W, H: im.H, Opt: opt,
-		})
+		jobs = append(jobs, opt)
 	}
-	out, err := runBatch(ctx, o, true, jobs)
+	out, err := detectAll(ctx, o, true, im, jobs)
 	if err != nil {
 		return nil, err
 	}
-	seqDur := out[0].Result.Elapsed
+	seqDur := out[0].Elapsed
 	tb3 := &trace.Table{Header: []string{"measured", "secs", "fraction_of_sequential"}}
 	tb3.Add("sequential", seqDur.Seconds(), 1.0)
 	for i, rg := range regimes {
-		r := out[1+i].Result
+		r := out[1+i]
 		globalSecs := r.GlobalSeconds
 		if rg.specW > 1 {
 			globalSecs /= spec.Speedup(r.GlobalRejectRate, rg.specW)

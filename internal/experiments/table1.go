@@ -35,7 +35,7 @@ func beadBase(o Options, meanR float64) parmcmc.Options {
 // partition it reports area, relative area, the visual (= ground truth)
 // object count, the uniform-density estimate, the eq. 5 threshold
 // estimate, mean time per iteration, iterations to converge, runtime and
-// relative runtime. One timed Runner batch — the convergent whole-image
+// relative runtime. One timed batch — the convergent whole-image
 // baseline plus the intelligent run — and one reducer over the
 // per-region results.
 func Table1(ctx context.Context, o Options) (*Result, error) {
@@ -49,15 +49,12 @@ func Table1(ctx context.Context, o Options) (*Result, error) {
 	intel := beadBase(o, meanR)
 	intel.Strategy = parmcmc.Intelligent
 	intel.Workers = o.workers()
-	out, err := runBatch(ctx, o, true, []parmcmc.Job{
-		{Name: "table1/whole", Pix: im.Pix, W: im.W, H: im.H, Opt: whole},
-		{Name: "table1/intelligent", Pix: im.Pix, W: im.W, H: im.H, Opt: intel},
-	})
+	out, err := detectAll(ctx, o, true, im, []parmcmc.Options{whole, intel})
 	if err != nil {
 		return nil, err
 	}
-	wr := out[0].Result.Regions[0]
-	regions := out[1].Result.Regions
+	wr := out[0].Regions[0]
+	regions := out[1].Regions
 
 	// Per-partition truth counts for the "# obj. (visual)" row.
 	truthIn := func(r parmcmc.RegionInfo) int {
@@ -101,7 +98,7 @@ func Table1(ctx context.Context, o Options) (*Result, error) {
 		return nil, err
 	}
 
-	m := stats.MatchCircles(toGeom(out[1].Result.Circles), scene.Truth, meanR/2)
+	m := stats.MatchCircles(toGeom(out[1].Circles), scene.Truth, meanR/2)
 	makespan3 := lptMakespan(regions, 3)
 	makespan2 := lptMakespan(regions, 2)
 	notes := []string{

@@ -412,6 +412,22 @@ func DetectContext(ctx context.Context, pix []float64, w, h int, opt Options) (*
 	return drive(ctx, env, smp, 0)
 }
 
+// DeriveSeed mixes a base seed with a 1-based sequence number into a
+// deterministic, never-zero per-job seed (a SplitMix64-style mix).
+// pkg/service numbers its jobs' seeds with it, so "job n under base
+// seed b" means the same thing to every daemon; callers that run their
+// own batches of Detect calls can use it the same way.
+func DeriveSeed(base, n uint64) uint64 {
+	z := base + n*0x9E3779B97F4A7C15
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	z ^= z >> 31
+	if z == 0 {
+		z = 1
+	}
+	return z
+}
+
 // GrayPixels converts any image.Image to the grayscale pixel buffer
 // Detect consumes (row-major, intensities in [0, 1], Rec. 601 luma).
 // Callers that need the buffer beyond a single Detect call — e.g. to

@@ -1,6 +1,7 @@
 package parmcmc
 
 import (
+	"context"
 	"errors"
 	"image"
 	"image/color"
@@ -323,5 +324,63 @@ func TestInvalidOptionsRejected(t *testing.T) {
 				}
 			}()
 		}
+	}
+}
+
+func TestDetectContextCancelled(t *testing.T) {
+	pix, _, w, h := testScene(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := DetectContext(ctx, pix, w, h, Options{MeanRadius: 8, Iterations: 1000})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v", err)
+	}
+}
+
+// Converge-mode sequential runs report per-region convergence metadata.
+func TestDetectConvergeRegions(t *testing.T) {
+	pix, _, w, h := testScene(t)
+	res, err := Detect(pix, w, h, Options{
+		Strategy: Sequential, Converge: true, MeanRadius: 8,
+		Iterations: 20000, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Regions) != 1 {
+		t.Fatalf("regions = %d", len(res.Regions))
+	}
+	r := res.Regions[0]
+	if r.X1 != float64(w) || r.Y1 != float64(h) || r.Iters == 0 || r.Seconds <= 0 {
+		t.Fatalf("region metadata wrong: %+v", r)
+	}
+	if r.TimePerIter() <= 0 {
+		t.Fatal("TimePerIter not positive")
+	}
+}
+
+// DeriveSeed is the derivation pkg/service numbers its jobs' seeds
+// with, so its values are part of the determinism contract: pinned
+// outputs, never zero, and distinct over a run of sequence numbers.
+func TestDeriveSeed(t *testing.T) {
+	for _, c := range []struct{ base, n, want uint64 }{
+		{1, 1, 0x910a2dec89025cc1},
+		{2010, 7, 0x9585dc880bd3bf35},
+		{0, 0, 1}, // the mix maps 0 to 0, which is remapped
+	} {
+		if got := DeriveSeed(c.base, c.n); got != c.want {
+			t.Errorf("DeriveSeed(%d, %d) = %#x, want %#x", c.base, c.n, got, c.want)
+		}
+	}
+	seen := make(map[uint64]uint64)
+	for n := uint64(1); n <= 1000; n++ {
+		s := DeriveSeed(1, n)
+		if s == 0 {
+			t.Fatalf("DeriveSeed(1, %d) = 0", n)
+		}
+		if m, dup := seen[s]; dup {
+			t.Fatalf("DeriveSeed(1, %d) = DeriveSeed(1, %d) = %#x", n, m, s)
+		}
+		seen[s] = n
 	}
 }
