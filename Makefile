@@ -101,11 +101,12 @@ cmdref-check:
 # The hand-written docs (README, docs/architecture.md,
 # docs/operations.md, test/doc/cases.md) are gated against rot: every
 # backticked repo path, pkg.Symbol anchor and relative markdown link
-# must resolve against the current tree, and so must every *.md file a
-# Go comment names. The same package gates code shape: one
-# Metropolis–Hastings test, and examples that run every strategy
-# through parmcmc rather than the internal strategy packages (see
-# test/doccheck).
+# must resolve against the current tree, and so must every *.md file and
+# repo pkg.Symbol a Go comment names. The README's Detection options
+# table must list exactly the api.OptionsSpec keys. The same package
+# gates code shape: one Metropolis–Hastings test, and examples that run
+# every strategy through parmcmc rather than the internal strategy
+# packages (see test/doccheck).
 docs-check:
 	$(GO) test ./test/doccheck -count=1
 
@@ -127,12 +128,16 @@ bench-json:
 # additionally required to be allocation-free in absolute terms
 # (-zero-alloc), not merely no worse than the baseline — the /naive
 # reference variants are exempt, they exist for correctness checks.
+# The report goes to a fresh temporary directory, so concurrent runs in
+# two checkouts cannot overwrite each other's.
 bench-check:
+	@tmp=$$(mktemp -d); \
 	$(GO) run ./cmd/benchjson \
 		-bench 'BenchmarkLikDelta|BenchmarkCoverMove|BenchmarkSequentialIteration|BenchmarkMoveKinds' \
-		-benchtime 0.3s -count 3 -o /tmp/BENCH_check.json \
+		-benchtime 0.3s -count 3 -o $$tmp/BENCH_check.json \
 		-zero-alloc '(BenchmarkLikDelta|BenchmarkCoverMove).*/scanline' \
-		-compare BENCH_baseline.json -max-ns-regress 0.15
+		-compare BENCH_baseline.json -max-ns-regress 0.15; \
+	status=$$?; rm -rf $$tmp; exit $$status
 
 # Throughput-per-core scaling curve (see BenchmarkThroughputScaling and
 # BenchmarkSamplerScaling): each benchmark runs once per GOMAXPROCS

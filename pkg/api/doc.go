@@ -4,7 +4,8 @@
 // format. It is the single canonical definition shared by the server
 // (pkg/service), the typed Go client (pkg/client), the operator CLI
 // (cmd/mcmcctl) and the black-box test harnesses — none of which
-// define wire shapes of their own.
+// define wire shapes of their own. OptionsSpec is the exception: an
+// alias of parmcmc.OptionsSpec, so checkpoints share its struct.
 //
 // The v1 surface (all paths under /v1 except the operational
 // endpoints):

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"math"
 	"time"
+
+	"repro/pkg/parmcmc"
 )
 
 // JobState is a job's lifecycle state.
@@ -45,28 +47,10 @@ type SceneSpec struct {
 	AxisRatio float64 `json:"axis_ratio,omitempty"`
 }
 
-// OptionsSpec is the wire form of the chain-affecting fields of
-// parmcmc.Options. Zero values take the library defaults.
-type OptionsSpec struct {
-	Strategy        string  `json:"strategy,omitempty"`
-	Shape           string  `json:"shape,omitempty"`
-	MeanRadius      float64 `json:"mean_radius,omitempty"`
-	ExpectedCount   float64 `json:"expected_count,omitempty"`
-	Threshold       float64 `json:"threshold,omitempty"`
-	Iterations      int     `json:"iterations,omitempty"`
-	Workers         int     `json:"workers,omitempty"`
-	Seed            uint64  `json:"seed,omitempty"`
-	LocalPhaseIters int     `json:"local_phase_iters,omitempty"`
-	PartitionGrid   int     `json:"partition_grid,omitempty"`
-	SpecWidth       int     `json:"spec_width,omitempty"`
-	LocalSpecWidth  int     `json:"local_spec_width,omitempty"`
-	GridSlack       float64 `json:"grid_slack,omitempty"`
-	Converge        bool    `json:"converge,omitempty"`
-	OverlapPenalty  float64 `json:"overlap_penalty,omitempty"`
-	Chains          int     `json:"chains,omitempty"`
-	HeatStep        float64 `json:"heat_step,omitempty"`
-	SwapEvery       int     `json:"swap_every,omitempty"`
-}
+// OptionsSpec is the JSON "options" object and, through
+// ParseOptionsQuery, the upload query string: parmcmc's serializable
+// option form, the one checkpoints store.
+type OptionsSpec = parmcmc.OptionsSpec
 
 // JobStatus is the JSON representation of a job: the response of
 // submit/get/cancel, the element type of the list endpoint, and the

@@ -14,7 +14,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"time"
 
@@ -142,7 +141,7 @@ func (c *Client) Submit(ctx context.Context, spec api.JobSpec) (*api.JobStatus, 
 // query parameters (the server sniffs the format from the bytes).
 func (c *Client) SubmitImage(ctx context.Context, img []byte, opts api.OptionsSpec) (*api.JobStatus, error) {
 	path := api.Prefix + "/jobs"
-	if q := optionsQuery(opts).Encode(); q != "" {
+	if q := api.OptionsQuery(opts).Encode(); q != "" {
 		path += "?" + q
 	}
 	var st api.JobStatus
@@ -150,50 +149,6 @@ func (c *Client) SubmitImage(ctx context.Context, img []byte, opts api.OptionsSp
 		return nil, err
 	}
 	return &st, nil
-}
-
-// optionsQuery maps an OptionsSpec onto the upload path's query
-// parameters (same keys as the JSON field names; zero values omitted).
-func optionsQuery(o api.OptionsSpec) url.Values {
-	q := url.Values{}
-	setS := func(k, v string) {
-		if v != "" {
-			q.Set(k, v)
-		}
-	}
-	setF := func(k string, v float64) {
-		if v != 0 {
-			q.Set(k, strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	setI := func(k string, v int) {
-		if v != 0 {
-			q.Set(k, strconv.Itoa(v))
-		}
-	}
-	setS("strategy", o.Strategy)
-	setS("shape", o.Shape)
-	setF("mean_radius", o.MeanRadius)
-	setF("expected_count", o.ExpectedCount)
-	setF("threshold", o.Threshold)
-	setI("iterations", o.Iterations)
-	setI("workers", o.Workers)
-	if o.Seed != 0 {
-		q.Set("seed", strconv.FormatUint(o.Seed, 10))
-	}
-	setI("local_phase_iters", o.LocalPhaseIters)
-	setI("partition_grid", o.PartitionGrid)
-	setI("spec_width", o.SpecWidth)
-	setI("local_spec_width", o.LocalSpecWidth)
-	setF("grid_slack", o.GridSlack)
-	if o.Converge {
-		q.Set("converge", "true")
-	}
-	setF("overlap_penalty", o.OverlapPenalty)
-	setI("chains", o.Chains)
-	setF("heat_step", o.HeatStep)
-	setI("swap_every", o.SwapEvery)
-	return q
 }
 
 // Job fetches one job's status.

@@ -36,8 +36,10 @@ type Checkpoint struct {
 	PixHash uint64
 	// Elapsed accumulates the wall-clock of all completed segments.
 	Elapsed time.Duration
-	// Options are the chain-affecting options of the original run.
-	Options OptionsSnapshot
+	// Options are the chain-affecting options of the original run. On
+	// resume Strategy above overrides Options.Strategy, which older
+	// checkpoints lack; an empty Options.Shape reads as Discs.
+	Options OptionsSpec
 	// Data is the strategy sampler's private payload.
 	Data []byte
 }
@@ -48,66 +50,6 @@ type Checkpoint struct {
 // (a v1 blob would decode with every radius silently zeroed), so v1
 // checkpoints are rejected loudly instead.
 const checkpointVersion = 2
-
-// OptionsSnapshot mirrors the chain-affecting fields of Options in a
-// serializable form (Options itself carries callbacks, which cannot and
-// must not be persisted).
-type OptionsSnapshot struct {
-	// Shape is the published name (Shape.String) of the artifact family
-	// ("" reads as "disc" so pre-shape checkpoints stay decodable).
-	Shape            string
-	MeanRadius       float64
-	ExpectedCount    float64
-	Threshold        float64
-	Iterations       int
-	Workers          int
-	Seed             uint64
-	LocalPhaseIters  int
-	PartitionGrid    int
-	SpecWidth        int
-	LocalSpecWidth   int
-	GridSlack        float64
-	SimulateParallel bool
-	Converge         bool
-	OverlapPenalty   float64
-	Chains           int
-	HeatStep         float64
-	SwapEvery        int
-}
-
-func snapshotOptions(o Options) OptionsSnapshot {
-	return OptionsSnapshot{
-		Shape:      o.Shape.String(),
-		MeanRadius: o.MeanRadius, ExpectedCount: o.ExpectedCount, Threshold: o.Threshold,
-		Iterations: o.Iterations, Workers: o.Workers, Seed: o.Seed,
-		LocalPhaseIters: o.LocalPhaseIters, PartitionGrid: o.PartitionGrid,
-		SpecWidth: o.SpecWidth, LocalSpecWidth: o.LocalSpecWidth, GridSlack: o.GridSlack,
-		SimulateParallel: o.SimulateParallel, Converge: o.Converge,
-		OverlapPenalty: o.OverlapPenalty,
-		Chains:         o.Chains, HeatStep: o.HeatStep, SwapEvery: o.SwapEvery,
-	}
-}
-
-func (s OptionsSnapshot) toOptions(strategy Strategy) (Options, error) {
-	shape := Discs
-	if s.Shape != "" {
-		var err error
-		if shape, err = ParseShape(s.Shape); err != nil {
-			return Options{}, fmt.Errorf("parmcmc: checkpoint for unknown shape %q", s.Shape)
-		}
-	}
-	return Options{
-		Strategy:   strategy,
-		Shape:      shape,
-		MeanRadius: s.MeanRadius, ExpectedCount: s.ExpectedCount, Threshold: s.Threshold,
-		Iterations: s.Iterations, Workers: s.Workers, Seed: s.Seed,
-		LocalPhaseIters: s.LocalPhaseIters, PartitionGrid: s.PartitionGrid,
-		SpecWidth: s.SpecWidth, LocalSpecWidth: s.LocalSpecWidth, GridSlack: s.GridSlack,
-		SimulateParallel: s.SimulateParallel, Converge: s.Converge,
-		OverlapPenalty: s.OverlapPenalty,
-		Chains:         s.Chains, HeatStep: s.HeatStep, SwapEvery: s.SwapEvery,
-	}, nil
-}
 
 // hashImage fingerprints the clamped pixel buffer (FNV-1a over the bit
 // patterns plus the dimensions).
@@ -186,7 +128,7 @@ func buildCheckpoint(env *runEnv, smp sampler, elapsed time.Duration) (*Checkpoi
 		W:        env.im.W, H: env.im.H,
 		PixHash: env.hash(),
 		Elapsed: elapsed,
-		Options: snapshotOptions(env.opt),
+		Options: env.opt.Spec(),
 		Data:    data,
 	}, nil
 }
@@ -195,9 +137,9 @@ func buildCheckpoint(env *runEnv, smp sampler, elapsed time.Duration) (*Checkpoi
 // buffer the original run was given, to completion, and returns a
 // Result bit-identical (circles, log-posterior, iteration and
 // acceptance accounting) to the uninterrupted run's. Chain-affecting
-// options come from the checkpoint; only the callbacks (Observer,
-// OnCheckpoint, CheckpointEvery) and a positive Workers override are
-// taken from opt — worker counts never affect results.
+// options come from the checkpoint; the callbacks (Observer,
+// OnCheckpoint, CheckpointEvery), SimulateParallel and a positive
+// Workers override come from opt — none of them affects results.
 func DetectResume(ctx context.Context, pix []float64, w, h int, opt Options, cp *Checkpoint) (*Result, error) {
 	if cp == nil {
 		return nil, fmt.Errorf("parmcmc: nil checkpoint")
@@ -205,17 +147,19 @@ func DetectResume(ctx context.Context, pix []float64, w, h int, opt Options, cp 
 	if cp.Version != checkpointVersion {
 		return nil, fmt.Errorf("parmcmc: unsupported checkpoint version %d", cp.Version)
 	}
-	strategy, err := ParseStrategy(cp.Strategy)
-	if err != nil {
+	if _, err := ParseStrategy(cp.Strategy); err != nil {
 		return nil, fmt.Errorf("parmcmc: checkpoint for unknown strategy %q", cp.Strategy)
 	}
-	ro, err := cp.Options.toOptions(strategy)
-	if err != nil {
-		return nil, err
+	spec := cp.Options
+	spec.Strategy = cp.Strategy
+	ro, err := spec.Options()
+	if err != nil { // the strategy parsed above, so the shape is unknown
+		return nil, fmt.Errorf("parmcmc: checkpoint for unknown shape %q", spec.Shape)
 	}
 	ro.Observer = opt.Observer
 	ro.OnCheckpoint = opt.OnCheckpoint
 	ro.CheckpointEvery = opt.CheckpointEvery
+	ro.SimulateParallel = opt.SimulateParallel
 	if opt.Workers > 0 {
 		ro.Workers = opt.Workers
 	}

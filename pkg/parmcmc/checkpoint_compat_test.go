@@ -74,7 +74,7 @@ func regenGoldenCheckpoints(t *testing.T, pix []float64) {
 
 // The committed v2 fixture is the compatibility contract for the
 // current checkpoint format: any change to the gob wire shape, the
-// OptionsSnapshot fields, or the strategy payload that breaks decoding
+// OptionsSpec fields, or the strategy payload that breaks decoding
 // of ALREADY-PERSISTED checkpoints fails here — before it strands every
 // spool in the field. The resumed run must also still be bit-identical
 // to the uninterrupted one.
@@ -205,4 +205,31 @@ func TestLegacyShadowsPayloadResumes(t *testing.T) {
 		t.Fatalf("legacy Shadows payload no longer resumes: %v", err)
 	}
 	mustEqualResults(t, "legacy-shadows", baseline, resumed)
+}
+
+// A checkpoint naming a strategy or shape this build does not know is
+// refused with a message that names the checkpoint and the bad name.
+func TestResumeRejectsUnknownNames(t *testing.T) {
+	blob, err := os.ReadFile(filepath.Join("testdata", goldenV2))
+	if err != nil {
+		t.Fatalf("reading golden fixture (regenerate with -update): %v", err)
+	}
+	pix, _ := GenerateScene(goldenScene)
+	for _, tc := range []struct {
+		edit func(*Checkpoint)
+		want string
+	}{
+		{func(cp *Checkpoint) { cp.Strategy = "warp" }, `parmcmc: checkpoint for unknown strategy "warp"`},
+		{func(cp *Checkpoint) { cp.Options.Shape = "hexagon" }, `parmcmc: checkpoint for unknown shape "hexagon"`},
+	} {
+		var cp Checkpoint
+		if err := cp.UnmarshalBinary(blob); err != nil {
+			t.Fatal(err)
+		}
+		tc.edit(&cp)
+		_, err := DetectResume(context.Background(), pix, goldenScene.W, goldenScene.H, Options{}, &cp)
+		if err == nil || err.Error() != tc.want {
+			t.Fatalf("resume error %v, want %q", err, tc.want)
+		}
+	}
 }

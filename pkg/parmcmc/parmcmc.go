@@ -209,6 +209,66 @@ type Options struct {
 	CheckpointEvery int
 }
 
+// OptionsSpec is the serializable form of Options' chain-affecting
+// fields, with Strategy and Shape as published names: checkpoints store
+// it, and the service's job JSON and upload query carry it (as
+// api.OptionsSpec). Zero values take the Options defaults.
+type OptionsSpec struct {
+	Strategy        string  `json:"strategy,omitempty"`
+	Shape           string  `json:"shape,omitempty"`
+	MeanRadius      float64 `json:"mean_radius,omitempty"`
+	ExpectedCount   float64 `json:"expected_count,omitempty"`
+	Threshold       float64 `json:"threshold,omitempty"`
+	Iterations      int     `json:"iterations,omitempty"`
+	Workers         int     `json:"workers,omitempty"`
+	Seed            uint64  `json:"seed,omitempty"`
+	LocalPhaseIters int     `json:"local_phase_iters,omitempty"`
+	PartitionGrid   int     `json:"partition_grid,omitempty"`
+	SpecWidth       int     `json:"spec_width,omitempty"`
+	LocalSpecWidth  int     `json:"local_spec_width,omitempty"`
+	GridSlack       float64 `json:"grid_slack,omitempty"`
+	Converge        bool    `json:"converge,omitempty"`
+	OverlapPenalty  float64 `json:"overlap_penalty,omitempty"`
+	Chains          int     `json:"chains,omitempty"`
+	HeatStep        float64 `json:"heat_step,omitempty"`
+	SwapEvery       int     `json:"swap_every,omitempty"`
+}
+
+// Spec returns the serializable form of o.
+func (o Options) Spec() OptionsSpec {
+	return OptionsSpec{
+		Strategy: o.Strategy.String(), Shape: o.Shape.String(),
+		MeanRadius: o.MeanRadius, ExpectedCount: o.ExpectedCount, Threshold: o.Threshold,
+		Iterations: o.Iterations, Workers: o.Workers, Seed: o.Seed,
+		LocalPhaseIters: o.LocalPhaseIters, PartitionGrid: o.PartitionGrid,
+		SpecWidth: o.SpecWidth, LocalSpecWidth: o.LocalSpecWidth, GridSlack: o.GridSlack,
+		Converge: o.Converge, OverlapPenalty: o.OverlapPenalty,
+		Chains: o.Chains, HeatStep: o.HeatStep, SwapEvery: o.SwapEvery,
+	}
+}
+
+// Options maps the spec onto Options, reading an empty Strategy or Shape
+// as Sequential or Discs. It rejects unknown names but validates nothing
+// else (see Validate).
+func (s OptionsSpec) Options() (Options, error) {
+	o := Options{
+		MeanRadius: s.MeanRadius, ExpectedCount: s.ExpectedCount, Threshold: s.Threshold,
+		Iterations: s.Iterations, Workers: s.Workers, Seed: s.Seed,
+		LocalPhaseIters: s.LocalPhaseIters, PartitionGrid: s.PartitionGrid,
+		SpecWidth: s.SpecWidth, LocalSpecWidth: s.LocalSpecWidth, GridSlack: s.GridSlack,
+		Converge: s.Converge, OverlapPenalty: s.OverlapPenalty,
+		Chains: s.Chains, HeatStep: s.HeatStep, SwapEvery: s.SwapEvery,
+	}
+	var err error
+	if s.Strategy != "" {
+		o.Strategy, err = ParseStrategy(s.Strategy)
+	}
+	if s.Shape != "" && err == nil {
+		o.Shape, err = ParseShape(s.Shape)
+	}
+	return o, err
+}
+
 func (o Options) withDefaults() Options {
 	if o.Threshold == 0 {
 		o.Threshold = 0.5

@@ -384,3 +384,49 @@ func TestDeriveSeed(t *testing.T) {
 		seen[s] = n
 	}
 }
+
+// TestOptionsSpecCoversOptions is the drift guard for the one
+// serializable option form: every chain-affecting Options field has a
+// same-named OptionsSpec field, and Options → Spec → Options is the
+// identity with every one of them set.
+func TestOptionsSpecCoversOptions(t *testing.T) {
+	notSerialized := map[string]bool{
+		"Observer": true, "OnCheckpoint": true, "CheckpointEvery": true, "SimulateParallel": true,
+	}
+	var want Options
+	v := reflect.ValueOf(&want).Elem()
+	specType := reflect.TypeOf(OptionsSpec{})
+	for i := 0; i < v.NumField(); i++ {
+		name := v.Type().Field(i).Name
+		if notSerialized[name] {
+			continue
+		}
+		if _, ok := specType.FieldByName(name); !ok {
+			t.Errorf("Options.%s has no OptionsSpec field", name)
+		}
+		// Non-zero and distinct per field, so a swapped mapping shows;
+		// 1 is a valid Strategy and Shape.
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 1))
+			if name == "Strategy" || name == "Shape" {
+				f.SetInt(1)
+			}
+		case reflect.Uint64:
+			f.SetUint(math.MaxUint64 - uint64(i))
+		case reflect.Float64:
+			f.SetFloat(0.1 + float64(i))
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("Options.%s: kind %v not covered by this test", name, f.Kind())
+		}
+	}
+	got, err := want.Spec().Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Options → Spec → Options drifted:\n got %+v\nwant %+v", got, want)
+	}
+}

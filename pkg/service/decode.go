@@ -191,9 +191,9 @@ func decodeImageSubmit(contentType string, body []byte, query url.Values) (*jobS
 	if aerr != nil {
 		return nil, aerr
 	}
-	spec, aerr := optionsFromQuery(query)
-	if aerr != nil {
-		return nil, aerr
+	spec, err := api.ParseOptionsQuery(query)
+	if err != nil {
+		return nil, badRequest("%v", err)
 	}
 	if spec.MeanRadius <= 0 {
 		return nil, badRequest("image uploads require a positive mean_radius query parameter")
@@ -277,94 +277,25 @@ func pgmDims(body []byte) (w, h int, _ *apiError) {
 	return w, h, nil
 }
 
-// optionsFromQuery parses detection options from URL query parameters
-// (the upload path's equivalent of the JSON "options" object). Keys
-// match the JSON field names, plus the mcmcimg flag aliases radius,
-// count and iters.
-func optionsFromQuery(q url.Values) (api.OptionsSpec, *apiError) {
-	var spec api.OptionsSpec
-	var aerr *apiError
-	getF := func(keys ...string) float64 {
-		for _, k := range keys {
-			if v := q.Get(k); v != "" {
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil && aerr == nil {
-					aerr = badRequest("bad query parameter %s=%q", k, v)
-				}
-				return f
-			}
-		}
-		return 0
-	}
-	getI := func(keys ...string) int {
-		for _, k := range keys {
-			if v := q.Get(k); v != "" {
-				n, err := strconv.Atoi(v)
-				if err != nil && aerr == nil {
-					aerr = badRequest("bad query parameter %s=%q", k, v)
-				}
-				return n
-			}
-		}
-		return 0
-	}
-	spec.Strategy = q.Get("strategy")
-	spec.Shape = q.Get("shape")
-	spec.MeanRadius = getF("mean_radius", "radius")
-	spec.ExpectedCount = getF("expected_count", "count")
-	spec.Threshold = getF("threshold")
-	spec.Iterations = getI("iterations", "iters")
-	spec.Workers = getI("workers")
-	if v := q.Get("seed"); v != "" {
-		s, err := strconv.ParseUint(v, 10, 64)
-		if err != nil && aerr == nil {
-			aerr = badRequest("bad query parameter seed=%q", v)
-		}
-		spec.Seed = s
-	}
-	spec.LocalPhaseIters = getI("local_phase_iters")
-	spec.PartitionGrid = getI("partition_grid")
-	spec.SpecWidth = getI("spec_width")
-	spec.LocalSpecWidth = getI("local_spec_width")
-	spec.GridSlack = getF("grid_slack")
-	if v := q.Get("converge"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil && aerr == nil {
-			aerr = badRequest("bad query parameter converge=%q", v)
-		}
-		spec.Converge = b
-	}
-	spec.OverlapPenalty = getF("overlap_penalty")
-	spec.Chains = getI("chains")
-	spec.HeatStep = getF("heat_step")
-	spec.SwapEvery = getI("swap_every")
-	if aerr != nil {
-		return api.OptionsSpec{}, aerr
-	}
-	return spec, nil
-}
-
 // optionsFromSpec validates an api.OptionsSpec and maps it onto
-// parmcmc.Options, canonicalising the strategy name in place — the
-// normalized spec is what the spool records, and re-applying this
-// function to the record must reproduce the original Options exactly.
+// parmcmc.Options, filling in the default strategy and shape names in
+// place — the normalized spec is what the spool records, and
+// re-applying this function to the record must reproduce the original
+// Options exactly.
 func optionsFromSpec(spec *api.OptionsSpec) (parmcmc.Options, *apiError) {
 	if spec.Strategy == "" {
 		spec.Strategy = parmcmc.Sequential.String()
 	}
-	strat, err := parmcmc.ParseStrategy(spec.Strategy)
-	if err != nil {
-		return parmcmc.Options{}, badRequest("unknown strategy %q", spec.Strategy)
-	}
-	spec.Strategy = strat.String()
 	if spec.Shape == "" {
 		spec.Shape = parmcmc.Discs.String()
 	}
-	shape, err := parmcmc.ParseShape(spec.Shape)
-	if err != nil {
+	opt, err := spec.Options()
+	if _, serr := parmcmc.ParseStrategy(spec.Strategy); serr != nil {
+		return parmcmc.Options{}, badRequest("unknown strategy %q", spec.Strategy)
+	}
+	if err != nil { // the strategy is known, so the shape is not
 		return parmcmc.Options{}, badRequest("unknown shape %q", spec.Shape)
 	}
-	spec.Shape = shape.String()
 	// The service's own workload caps; every other bound is
 	// parmcmc's (Options.Validate below).
 	switch {
@@ -376,26 +307,6 @@ func optionsFromSpec(spec *api.OptionsSpec) (parmcmc.Options, *apiError) {
 		return parmcmc.Options{}, badRequest("partition_grid %d above 64", spec.PartitionGrid)
 	case spec.Chains > 64:
 		return parmcmc.Options{}, badRequest("chains %d above 64", spec.Chains)
-	}
-	opt := parmcmc.Options{
-		Strategy:        strat,
-		Shape:           shape,
-		MeanRadius:      spec.MeanRadius,
-		ExpectedCount:   spec.ExpectedCount,
-		Threshold:       spec.Threshold,
-		Iterations:      spec.Iterations,
-		Workers:         spec.Workers,
-		Seed:            spec.Seed,
-		LocalPhaseIters: spec.LocalPhaseIters,
-		PartitionGrid:   spec.PartitionGrid,
-		SpecWidth:       spec.SpecWidth,
-		LocalSpecWidth:  spec.LocalSpecWidth,
-		GridSlack:       spec.GridSlack,
-		Converge:        spec.Converge,
-		OverlapPenalty:  spec.OverlapPenalty,
-		Chains:          spec.Chains,
-		HeatStep:        spec.HeatStep,
-		SwapEvery:       spec.SwapEvery,
 	}
 	if err := opt.Validate(); err != nil {
 		// An *OptionError, whose message names the offending field.

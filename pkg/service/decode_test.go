@@ -59,48 +59,49 @@ func TestDecodeSubmitErrors(t *testing.T) {
 		query  string
 		status int
 		field  string // when set, the message must name this option
+		msg    string // when set, the exact message
 	}{
-		{"empty body", "", "", "", http.StatusUnsupportedMediaType, ""},
-		{"bad json", "application/json", "{", "", http.StatusBadRequest, ""},
-		{"unknown json field", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"bogus":1}`, "", http.StatusBadRequest, ""},
-		{"trailing data", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5}} {"x":1}`, "", http.StatusBadRequest, ""},
-		{"missing scene", "application/json", `{"options":{"mean_radius":5}}`, "", http.StatusBadRequest, ""},
-		{"zero scene dims", "application/json", `{"scene":{"w":0,"h":64,"count":1,"mean_radius":5}}`, "", http.StatusBadRequest, ""},
-		{"huge scene", "application/json", `{"scene":{"w":100000,"h":100000,"count":1,"mean_radius":5}}`, "", http.StatusBadRequest, ""},
-		{"negative count", "application/json", `{"scene":{"w":64,"h":64,"count":-1,"mean_radius":5}}`, "", http.StatusBadRequest, ""},
-		{"no radius", "application/json", `{"scene":{"w":64,"h":64,"count":1}}`, "", http.StatusBadRequest, ""},
-		{"bad strategy", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"strategy":"warp"}}`, "", http.StatusBadRequest, ""},
-		{"negative iterations", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"iterations":-5}}`, "", http.StatusBadRequest, "Iterations"},
-		{"huge iterations", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"iterations":2000000000}}`, "", http.StatusBadRequest, ""},
-		{"noise out of range", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5,"noise":2}}`, "", http.StatusBadRequest, ""},
-		{"garbage bytes", "application/x-thing", "\x00\x01\x02", "", http.StatusUnsupportedMediaType, ""},
-		{"truncated png", "image/png", "\x89PNG\r\n\x1a\n\x00\x00", "radius=5", http.StatusBadRequest, ""},
-		{"pgm bomb header", "", "P5 1000000000 1000000000 255\n", "radius=5", http.StatusBadRequest, ""},
-		{"pgm truncated header", "", "P5 10", "radius=5", http.StatusBadRequest, ""},
-		{"pgm bad tokens", "", "P5 x y 255\n", "radius=5", http.StatusBadRequest, ""},
-		{"pgm truncated raster", "", "P5 8 8 255\nxx", "radius=5", http.StatusBadRequest, ""},
-		{"upload without radius", "", string(pgm), "", http.StatusBadRequest, ""},
-		{"upload bad query", "", string(pgm), "radius=abc", http.StatusBadRequest, ""},
-		{"upload NaN radius", "", string(pgm), "radius=NaN", http.StatusBadRequest, ""},
-		{"upload Inf radius", "", string(pgm), "radius=Inf", http.StatusBadRequest, "MeanRadius"},
-		{"upload NaN threshold", "", string(pgm), "radius=5&threshold=nan", http.StatusBadRequest, "Threshold"},
-		{"upload -Inf slack", "", string(pgm), "radius=5&grid_slack=-Inf", http.StatusBadRequest, "GridSlack"},
-		{"upload bad seed", "", string(pgm), "radius=5&seed=-1", http.StatusBadRequest, ""},
-		{"upload bad converge", "", string(pgm), "radius=5&converge=maybe", http.StatusBadRequest, ""},
-		{"upload bad strategy", "", string(pgm), "radius=5&strategy=warp", http.StatusBadRequest, ""},
-		{"bad scene shape", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5,"shape":"hexagon"}}`, "", http.StatusBadRequest, ""},
-		{"bad options shape", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"shape":"square"}}`, "", http.StatusBadRequest, ""},
-		{"axis ratio out of range", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5,"shape":"ellipse","axis_ratio":1.5}}`, "", http.StatusBadRequest, ""},
-		{"axis ratio without ellipse", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5,"axis_ratio":0.7}}`, "", http.StatusBadRequest, ""},
-		{"upload bad shape", "", string(pgm), "radius=5&shape=blob", http.StatusBadRequest, ""},
-		{"threshold above 1", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"threshold":2}}`, "", http.StatusBadRequest, "Threshold"},
-		{"negative heat step", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"heat_step":-1}}`, "", http.StatusBadRequest, "HeatStep"},
-		{"negative expected count", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"expected_count":-3}}`, "", http.StatusBadRequest, "ExpectedCount"},
-		{"negative swap every", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"swap_every":-1}}`, "", http.StatusBadRequest, "SwapEvery"},
-		{"upload negative heat step", "", string(pgm), "radius=5&heat_step=-1", http.StatusBadRequest, "HeatStep"},
-		{"upload NaN slack", "", string(pgm), "radius=5&grid_slack=NaN", http.StatusBadRequest, "GridSlack"},
-		{"upload Inf overlap", "", string(pgm), "radius=5&overlap_penalty=Inf", http.StatusBadRequest, "OverlapPenalty"},
-		{"upload -Inf threshold", "", string(pgm), "radius=5&threshold=-Inf", http.StatusBadRequest, "Threshold"},
+		{"empty body", "", "", "", http.StatusUnsupportedMediaType, "", ""},
+		{"bad json", "application/json", "{", "", http.StatusBadRequest, "", ""},
+		{"unknown json field", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"bogus":1}`, "", http.StatusBadRequest, "", ""},
+		{"trailing data", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5}} {"x":1}`, "", http.StatusBadRequest, "", ""},
+		{"missing scene", "application/json", `{"options":{"mean_radius":5}}`, "", http.StatusBadRequest, "", ""},
+		{"zero scene dims", "application/json", `{"scene":{"w":0,"h":64,"count":1,"mean_radius":5}}`, "", http.StatusBadRequest, "", ""},
+		{"huge scene", "application/json", `{"scene":{"w":100000,"h":100000,"count":1,"mean_radius":5}}`, "", http.StatusBadRequest, "", ""},
+		{"negative count", "application/json", `{"scene":{"w":64,"h":64,"count":-1,"mean_radius":5}}`, "", http.StatusBadRequest, "", ""},
+		{"no radius", "application/json", `{"scene":{"w":64,"h":64,"count":1}}`, "", http.StatusBadRequest, "", ""},
+		{"bad strategy", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"strategy":"warp"}}`, "", http.StatusBadRequest, "", `unknown strategy "warp"`},
+		{"negative iterations", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"iterations":-5}}`, "", http.StatusBadRequest, "Iterations", ""},
+		{"huge iterations", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"iterations":2000000000}}`, "", http.StatusBadRequest, "", ""},
+		{"noise out of range", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5,"noise":2}}`, "", http.StatusBadRequest, "", ""},
+		{"garbage bytes", "application/x-thing", "\x00\x01\x02", "", http.StatusUnsupportedMediaType, "", ""},
+		{"truncated png", "image/png", "\x89PNG\r\n\x1a\n\x00\x00", "radius=5", http.StatusBadRequest, "", ""},
+		{"pgm bomb header", "", "P5 1000000000 1000000000 255\n", "radius=5", http.StatusBadRequest, "", ""},
+		{"pgm truncated header", "", "P5 10", "radius=5", http.StatusBadRequest, "", ""},
+		{"pgm bad tokens", "", "P5 x y 255\n", "radius=5", http.StatusBadRequest, "", ""},
+		{"pgm truncated raster", "", "P5 8 8 255\nxx", "radius=5", http.StatusBadRequest, "", ""},
+		{"upload without radius", "", string(pgm), "", http.StatusBadRequest, "", ""},
+		{"upload bad query", "", string(pgm), "radius=abc", http.StatusBadRequest, "", `bad query parameter radius="abc"`},
+		{"upload NaN radius", "", string(pgm), "radius=NaN", http.StatusBadRequest, "", ""},
+		{"upload Inf radius", "", string(pgm), "radius=Inf", http.StatusBadRequest, "MeanRadius", ""},
+		{"upload NaN threshold", "", string(pgm), "radius=5&threshold=nan", http.StatusBadRequest, "Threshold", ""},
+		{"upload -Inf slack", "", string(pgm), "radius=5&grid_slack=-Inf", http.StatusBadRequest, "GridSlack", ""},
+		{"upload bad seed", "", string(pgm), "radius=5&seed=-1", http.StatusBadRequest, "", `bad query parameter seed="-1"`},
+		{"upload bad converge", "", string(pgm), "radius=5&converge=maybe", http.StatusBadRequest, "", `bad query parameter converge="maybe"`},
+		{"upload bad strategy", "", string(pgm), "radius=5&strategy=warp", http.StatusBadRequest, "", `unknown strategy "warp"`},
+		{"bad scene shape", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5,"shape":"hexagon"}}`, "", http.StatusBadRequest, "", ""},
+		{"bad options shape", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"shape":"square"}}`, "", http.StatusBadRequest, "", `unknown shape "square"`},
+		{"axis ratio out of range", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5,"shape":"ellipse","axis_ratio":1.5}}`, "", http.StatusBadRequest, "", ""},
+		{"axis ratio without ellipse", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5,"axis_ratio":0.7}}`, "", http.StatusBadRequest, "", ""},
+		{"upload bad shape", "", string(pgm), "radius=5&shape=blob", http.StatusBadRequest, "", `unknown shape "blob"`},
+		{"threshold above 1", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"threshold":2}}`, "", http.StatusBadRequest, "Threshold", ""},
+		{"negative heat step", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"heat_step":-1}}`, "", http.StatusBadRequest, "HeatStep", ""},
+		{"negative expected count", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"expected_count":-3}}`, "", http.StatusBadRequest, "ExpectedCount", ""},
+		{"negative swap every", "application/json", `{"scene":{"w":64,"h":64,"count":1,"mean_radius":5},"options":{"swap_every":-1}}`, "", http.StatusBadRequest, "SwapEvery", ""},
+		{"upload negative heat step", "", string(pgm), "radius=5&heat_step=-1", http.StatusBadRequest, "HeatStep", ""},
+		{"upload NaN slack", "", string(pgm), "radius=5&grid_slack=NaN", http.StatusBadRequest, "GridSlack", ""},
+		{"upload Inf overlap", "", string(pgm), "radius=5&overlap_penalty=Inf", http.StatusBadRequest, "OverlapPenalty", ""},
+		{"upload -Inf threshold", "", string(pgm), "radius=5&threshold=-Inf", http.StatusBadRequest, "Threshold", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -120,6 +121,9 @@ func TestDecodeSubmitErrors(t *testing.T) {
 			}
 			if !strings.Contains(aerr.msg, tc.field) {
 				t.Fatalf("message %q does not name %s", aerr.msg, tc.field)
+			}
+			if tc.msg != "" && aerr.msg != tc.msg {
+				t.Fatalf("message %q, want %q", aerr.msg, tc.msg)
 			}
 		})
 	}

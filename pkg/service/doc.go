@@ -44,8 +44,8 @@
 // have.
 //
 // Determinism: jobs that omit options.seed get a per-job seed derived
-// from Config.BaseSeed and the submission sequence number (the same
-// SplitMix64 derivation parmcmc.Runner uses). Results for a fixed seed
+// from Config.BaseSeed and the submission sequence number by
+// parmcmc.DeriveSeed (SplitMix64). Results for a fixed seed
 // are bit-identical to a direct parmcmc.Detect call with the same
 // options, regardless of queueing, concurrency, observation,
 // crash/resume history, or which worker process ran the chain.

@@ -449,8 +449,8 @@ func TestDerivedSeeds(t *testing.T) {
 	if a.Seed == 0 || b.Seed == 0 || a.Seed == b.Seed {
 		t.Fatalf("derived seeds %d, %d", a.Seed, b.Seed)
 	}
-	// The daemon's derivation IS the Runner's: job 1 under base seed 42
-	// must agree with parmcmc's exported helper.
+	// The daemon derives seeds with parmcmc.DeriveSeed: job 1 under
+	// base seed 42 must agree with it.
 	if want := parmcmc.DeriveSeed(42, 1); a.Seed != want {
 		t.Fatalf("first derived seed %d, want %d", a.Seed, want)
 	}

@@ -1,10 +1,10 @@
 // Package doccheck is the docs drift gate: it verifies that the code
 // anchors in the hand-written documentation — repo paths in backticks,
 // `pkg.Symbol` references, and relative markdown links — actually
-// exist in the tree, and that every markdown file a Go comment names
-// exists too. `make docs-check` (and CI) runs exactly this package, so
-// renaming a package, deleting a file or moving a doc breaks the build
-// instead of silently rotting the docs.
+// exist in the tree, and that every markdown file and repo pkg.Symbol
+// a Go comment names exists too. `make docs-check` (and CI) runs
+// exactly this package, so renaming a package, deleting a file or
+// moving a doc breaks the build instead of silently rotting the docs.
 package doccheck
 
 import (
@@ -103,10 +103,18 @@ func problems(content, docDir string, symbols map[string]map[string]bool) []stri
 // (https://host/x.md) are not mistaken for repo references.
 var mdRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./-])([A-Za-z0-9_][A-Za-z0-9_./-]*\.md)\b`)
 
+// goSymbol matches a bare pkg.Exported mention in a Go comment, with
+// an optional trailing * that makes the name a prefix (api.Code*). The
+// leading group stops a match from starting mid-identifier or
+// mid-selector (x.pkg.Name).
+var goSymbol = regexp.MustCompile(`(?:^|[^A-Za-z0-9_.])([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)(\*?)`)
+
 // commentProblems reports every *.md reference in a Go file's comments
 // that exists neither relative to the file's directory nor relative to
-// the repo root.
-func commentProblems(src []byte, name, dir string) []string {
+// the repo root, and every pkg.Symbol mention of a repo package that
+// the package does not export. Code blocks in comments (tab-indented
+// lines) are skipped for symbols: they show code, not references.
+func commentProblems(src []byte, name, dir string, symbols map[string]map[string]bool) []string {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
 	if err != nil {
@@ -114,14 +122,39 @@ func commentProblems(src []byte, name, dir string) []string {
 	}
 	var bad []string
 	for _, cg := range f.Comments {
-		for _, m := range mdRef.FindAllStringSubmatch(cg.Text(), -1) {
+		text := cg.Text()
+		for _, m := range mdRef.FindAllStringSubmatch(text, -1) {
 			if exists(filepath.Join(dir, m[1])) || exists(filepath.Join(root, m[1])) {
 				continue
 			}
 			bad = append(bad, fset.Position(cg.Pos()).String()+": comment references "+m[1]+", which does not exist")
 		}
+		for _, line := range strings.Split(text, "\n") {
+			if strings.HasPrefix(line, "\t") {
+				continue
+			}
+			for _, m := range goSymbol.FindAllStringSubmatch(line, -1) {
+				if exported, known := symbols[m[1]]; known && !resolves(exported, m[2], m[3] == "*") {
+					bad = append(bad, fset.Position(cg.Pos()).String()+": comment mentions "+m[1]+"."+m[2]+m[3]+", which package "+m[1]+" does not export")
+				}
+			}
+		}
 	}
 	return bad
+}
+
+// resolves reports whether exported holds name, or with prefix set any
+// name starting with it.
+func resolves(exported map[string]bool, name string, prefix bool) bool {
+	if !prefix {
+		return exported[name]
+	}
+	for sym := range exported {
+		if strings.HasPrefix(sym, name) {
+			return true
+		}
+	}
+	return false
 }
 
 func exists(path string) bool {
@@ -228,8 +261,10 @@ func TestDocAnchorsResolve(t *testing.T) {
 }
 
 // TestGoCommentsResolve is the gate for Go sources: every markdown file
-// named in a non-test .go file's comments must exist.
+// named in a non-test .go file's comments must exist, and every
+// pkg.Symbol it mentions for a repo package must be exported there.
 func TestGoCommentsResolve(t *testing.T) {
+	symbols := symbolIndex(t)
 	scanned := 0
 	walkRepo(t, func(path string, d fs.DirEntry) {
 		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
@@ -240,7 +275,7 @@ func TestGoCommentsResolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		scanned++
-		for _, p := range commentProblems(src, path, filepath.Dir(path)) {
+		for _, p := range commentProblems(src, path, filepath.Dir(path), symbols) {
 			t.Error(p)
 		}
 	})
@@ -252,7 +287,7 @@ func TestGoCommentsResolve(t *testing.T) {
 // TestGateCatchesRot proves the gate actually fires: fabricated docs
 // with a dead path, a dead symbol and a dead link must all be flagged,
 // and their healthy counterparts must not; likewise a Go comment naming
-// a missing markdown file.
+// a missing markdown file or a symbol its repo package does not export.
 func TestGateCatchesRot(t *testing.T) {
 	symbols := symbolIndex(t)
 	rotten := "see `pkg/service/teleporter.go` and `service.FrobnicateQueue`, " +
@@ -269,13 +304,26 @@ func TestGateCatchesRot(t *testing.T) {
 
 	dir := filepath.Join(root, "internal", "core")
 	rottenGo := "// Package core is described in DESIGN.md §7 and docs/plan.md.\npackage core\n"
-	if got := commentProblems([]byte(rottenGo), "rotten.go", dir); len(got) != 2 {
+	if got := commentProblems([]byte(rottenGo), "rotten.go", dir, symbols); len(got) != 2 {
 		t.Fatalf("rotten Go comment produced %d problems, want 2:\n%s", len(got), strings.Join(got, "\n"))
 	}
 	healthyGo := "// Package core: see README.md, docs/architecture.md and\n" +
 		"// https://example.com/DESIGN.md (a URL, skipped).\npackage core\n\n" +
 		"const page = \"DESIGN.md\" // strings are not comments\n"
-	if got := commentProblems([]byte(healthyGo), "healthy.go", dir); len(got) != 0 {
+	if got := commentProblems([]byte(healthyGo), "healthy.go", dir, symbols); len(got) != 0 {
 		t.Fatalf("healthy Go comment flagged:\n%s", strings.Join(got, "\n"))
+	}
+
+	rottenSym := "// Package core seeds runs the way parmcmc.Runner did and maps\n" +
+		"// errors onto api.Nope* codes.\npackage core\n"
+	if got := commentProblems([]byte(rottenSym), "rotten.go", dir, symbols); len(got) != 2 {
+		t.Fatalf("rotten Go symbol mentions produced %d problems, want 2:\n%s", len(got), strings.Join(got, "\n"))
+	}
+	healthySym := "// Package core seeds runs with parmcmc.DeriveSeed and maps errors\n" +
+		"// onto api.Code* codes; http.Client (stdlib) and x.parmcmc.Gone (a\n" +
+		"// selector) are not repo mentions. A code block is skipped:\n//\n" +
+		"//\tid := cfg.IDAt(rng.Intn(n))\npackage core\n"
+	if got := commentProblems([]byte(healthySym), "healthy.go", dir, symbols); len(got) != 0 {
+		t.Fatalf("healthy Go symbol mentions flagged:\n%s", strings.Join(got, "\n"))
 	}
 }
