@@ -24,6 +24,9 @@
 // checkpoint, and the final result is bit-identical to an uninterrupted
 // run.
 //
+// Inputs are PGM (P5 or P2) images of at most imaging.MaxPixels (2^24)
+// pixels; a larger header is refused before any allocation.
+//
 // Strategies: sequential, periodic, periodic+spec, intelligent, blind, mc3.
 package main
 
@@ -49,7 +52,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("mcmcimg: ")
 	var (
-		in         = flag.String("in", "", "input PGM image(s), comma-separated (required)")
+		in         = flag.String("in", "", fmt.Sprintf("input PGM image(s) of at most %d pixels each, comma-separated (required)", imaging.MaxPixels))
 		radius     = flag.Float64("radius", 0, "expected artifact radius in pixels (required)")
 		strategy   = flag.String("strategy", "periodic", "detection strategy or comma-separated list")
 		shape      = flag.String("shape", "disc", "artifact shape family: disc or ellipse")

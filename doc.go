@@ -20,9 +20,9 @@
 // a bounded job queue + worker pool behind an HTTP API with SSE
 // progress streams, 429 backpressure, Prometheus-style metrics and
 // spool-backed crash durability — interrupted jobs resume from their
-// latest checkpoint to bit-identical results. The black-box harness
-// (service_e2e_test.go) pins that against the real binary, SIGKILL
-// included.
+// latest checkpoint to bit-identical results. The black-box case
+// catalog in test/e2e (test/doc/cases.md) pins that against the real
+// binaries, SIGKILL included.
 //
 // The repository-root benchmarks (bench_test.go) regenerate every
 // table and figure of the paper's evaluation. See README.md and

@@ -108,24 +108,11 @@ func (e Ellipse) quad() (A, B, C, F float64) {
 // ellipse. The circular case evaluates the historical disc predicate
 // bit-exactly. An ellipse with a non-positive semi-axis is empty (a
 // degenerate segment covers no area; treating it as empty keeps spans,
-// predicate and naive kernels consistent).
+// predicate and naive kernels consistent), except that a zero-radius
+// disc keeps the historical Circle semantics: it contains exactly its
+// centre point.
 func (e Ellipse) Contains(x, y float64) bool {
-	if e.Rx < 0 || e.Ry < 0 {
-		// Spans are empty for negative axes; the predicate must agree
-		// (squaring would otherwise cover a |axis| disc). A zero-radius
-		// disc keeps the historical Circle semantics: it contains
-		// exactly its centre point.
-		return false
-	}
-	dx, dy := x-e.X, y-e.Y
-	if e.Circular() {
-		return dx*dx+dy*dy <= e.Rx*e.Rx
-	}
-	if e.Rx == 0 || e.Ry == 0 {
-		return false
-	}
-	A, B, C, F := e.quad()
-	return A*dx*dx+B*dx*dy+C*dy*dy <= F
+	return e.PixelPred().Contains(x, y)
 }
 
 // coveredEll is the canonical pixel-coverage predicate of a non-circular
@@ -147,11 +134,12 @@ func (e Ellipse) CoversPixel(x, y int) bool {
 	return e.PixelPred().Covers(x, y)
 }
 
-// PixelPred is the hoisted form of CoversPixel: the per-shape constants
-// (squared radius, or the ellipse quadratic coefficients) are computed
-// once, so per-pixel scans — the naive reference kernels — evaluate the
-// identical canonical predicate without recomputing trigonometry per
-// pixel. Covers(x, y) is bit-equivalent to Ellipse.CoversPixel.
+// PixelPred is the hoisted form of CoversPixel and Contains: the
+// per-shape constants (squared radius, or the ellipse quadratic
+// coefficients) are computed once, so per-pixel scans — the naive
+// reference kernels, the antialiased renderer — evaluate the identical
+// predicate without recomputing trigonometry per sample. Covers(x, y)
+// is bit-equivalent to Ellipse.CoversPixel.
 type PixelPred struct {
 	circular   bool
 	empty      bool
@@ -178,6 +166,16 @@ func (e Ellipse) PixelPred() PixelPred {
 	}
 	p.A, p.B, p.C, p.F = e.quad()
 	return p
+}
+
+// Contains is the hoisted form of Ellipse.Contains: does the point
+// (x, y) lie inside or on the shape?
+func (p PixelPred) Contains(x, y float64) bool {
+	dx, dy := x-p.cx, y-p.cy
+	if p.circular {
+		return dx*dx+dy*dy <= p.r2
+	}
+	return !p.empty && p.A*dx*dx+p.B*dx*dy+p.C*dy*dy <= p.F
 }
 
 // Covers reports whether the centre of pixel (x, y) lies inside the

@@ -253,6 +253,14 @@ func TestReadPGMErrors(t *testing.T) {
 		"P9\n1 1\n255\n\x00",
 		"P5\n0 0\n255\n",
 		"P5\n2 2\n255\nab", // truncated raster
+		// Dimensions beyond MaxPixels are refused before the raster is
+		// sized. The first three products exceed the maximum slice
+		// length, so an unguarded New panics in make rather than
+		// allocating; the last wraps w*h to zero.
+		"P5 1000000000 1000000000 255\n",
+		"P2 1073741824 1073741824 255\n",
+		"P5 1 4611686018427387904 255\n",
+		"P5 4294967296 4294967296 255\n",
 	}
 	for _, src := range cases {
 		if _, err := ReadPGM(bytes.NewBufferString(src)); err == nil {
@@ -378,5 +386,30 @@ func TestClamp(t *testing.T) {
 	im.Clamp()
 	if im.Pix[0] != 0 || im.Pix[1] != 0.5 || im.Pix[2] != 1 {
 		t.Fatalf("clamp = %v", im.Pix)
+	}
+}
+
+// BenchmarkRenderShape renders 48 shapes of radius 7–11 over a 512×384
+// image per op: the per-artifact cost of every synthesized scene.
+func BenchmarkRenderShape(b *testing.B) {
+	for _, kind := range []string{"disc", "ellipse"} {
+		r := rng.New(3)
+		shapes := make([]geom.Ellipse, 48)
+		for i := range shapes {
+			x, y, rad := r.Uniform(0, 512), r.Uniform(0, 384), r.Uniform(7, 11)
+			shapes[i] = geom.Disc(x, y, rad)
+			if kind == "ellipse" {
+				shapes[i].Ry = rad * r.Uniform(0.5, 1)
+				shapes[i].Theta = r.Uniform(0, math.Pi)
+			}
+		}
+		im := New(512, 384)
+		b.Run(kind, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, e := range shapes {
+					RenderShape(im, e, 0.9)
+				}
+			}
+		})
 	}
 }

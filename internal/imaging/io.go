@@ -8,6 +8,7 @@ import (
 	"image/png"
 	"io"
 	"math"
+	"strconv"
 
 	"repro/internal/geom"
 )
@@ -41,8 +42,14 @@ func toByte(v float64) byte {
 	return byte(v*255 + 0.5)
 }
 
+// MaxPixels bounds the images ReadPGM decodes: 2^24 pixels (4096×4096),
+// 128 MiB of float64 samples.
+const MaxPixels = 1 << 24
+
 // ReadPGM parses a binary (P5) or ASCII (P2) PGM image, scaling samples
-// to [0, 1].
+// to [0, 1]. The header's dimensions are checked against MaxPixels
+// before anything is allocated, so untrusted input cannot size the
+// raster.
 func ReadPGM(r io.Reader) (*Image, error) {
 	br := bufio.NewReader(r)
 	magic, err := pgmToken(br)
@@ -58,12 +65,16 @@ func ReadPGM(r io.Reader) (*Image, error) {
 		if err != nil {
 			return nil, fmt.Errorf("imaging: reading PGM header: %w", err)
 		}
-		if _, err := fmt.Sscanf(tok, "%d", dst); err != nil {
+		if *dst, err = strconv.Atoi(tok); err != nil {
 			return nil, fmt.Errorf("imaging: bad PGM header token %q", tok)
 		}
 	}
 	if w <= 0 || h <= 0 || maxv <= 0 || maxv > 65535 {
 		return nil, fmt.Errorf("imaging: invalid PGM dimensions %dx%d max %d", w, h, maxv)
+	}
+	// Bounding each side first keeps w*h from overflowing.
+	if w > MaxPixels || h > MaxPixels || w*h > MaxPixels {
+		return nil, fmt.Errorf("imaging: PGM dimensions %dx%d exceed %d pixels", w, h, MaxPixels)
 	}
 	im := New(w, h)
 	scale := 1 / float64(maxv)

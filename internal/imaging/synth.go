@@ -217,110 +217,61 @@ func clampF(v, lo, hi float64) float64 {
 }
 
 // RenderShape draws an antialiased shape of the given intensity onto
-// im. Discs take the historical RenderDisc path bit-exactly; genuine
-// ellipses use the same erode/dilate scanline structure with both axes
-// grown or shrunk by the half-pixel diagonal.
-func RenderShape(im *Image, e geom.Ellipse, intensity float64) {
-	if e.Circular() {
-		RenderDisc(im, e.AsCircle(), intensity)
-		return
-	}
-	RenderEllipse(im, e, intensity)
-}
-
-// RenderDisc draws an antialiased disc of the given intensity onto im,
-// blending by pixel coverage (4×4 supersampling on boundary pixels).
+// im, blending by pixel coverage (4×4 supersampling on boundary pixels).
 //
 // The interior and exterior are resolved per row via scanline spans of
-// the eroded (R−0.71) and dilated (R+0.71) discs: interior pixels are
-// filled with straight stores, pixels outside the dilated span are
-// skipped entirely, and only the thin boundary ring between the two
-// spans pays for supersampling.
-func RenderDisc(im *Image, c geom.Circle, intensity float64) {
-	r2 := c.R * c.R
-	inner := geom.Circle{X: c.X, Y: c.Y, R: c.R - 0.71} // fully inside if centre is this deep
-	outer := geom.Circle{X: c.X, Y: c.Y, R: c.R + 0.71}
-	ix0, ix1 := inner.PixelCols(im.W)
-	ox0, ox1 := outer.PixelCols(im.W)
-	oy0, oy1 := outer.PixelRows(im.H)
-
-	// blend supersamples the boundary pixels in [xa, xb) of row y.
-	blend := func(y, xa, xb int) {
-		for x := xa; x < xb; x++ {
-			cov := 0.0
-			for sy := 0; sy < 4; sy++ {
-				for sx := 0; sx < 4; sx++ {
-					px := float64(x) + (float64(sx)+0.5)/4
-					py := float64(y) + (float64(sy)+0.5)/4
-					ddx, ddy := px-c.X, py-c.Y
-					if ddx*ddx+ddy*ddy <= r2 {
-						cov++
-					}
-				}
-			}
-			cov /= 16
-			idx := y*im.W + x
-			im.Pix[idx] = im.Pix[idx]*(1-cov) + intensity*cov
-		}
-	}
-
-	for y := oy0; y < oy1; y++ {
-		oa, ob := outer.RowSpan(y, ox0, ox1)
-		if oa >= ob {
-			continue
-		}
-		ia, ib := innerSpan(inner, y, ix0, ix1)
-		if ia >= ib {
-			// No fully-interior pixels on this row: whole span is ring.
-			blend(y, oa, ob)
-			continue
-		}
-		blend(y, oa, ia)
-		row := y * im.W
-		seg := im.Pix[row+ia : row+ib]
-		for i := range seg {
-			seg[i] = intensity
-		}
-		blend(y, ib, ob)
-	}
-}
-
-// innerSpan returns the interior span of row y, empty when the eroded circle
-// has no positive radius.
-func innerSpan(inner geom.Circle, y, x0, x1 int) (int, int) {
-	if inner.R <= 0 {
-		return 0, 0
-	}
-	return inner.RowSpan(y, x0, x1)
-}
-
-// RenderEllipse draws an antialiased (possibly rotated) ellipse: the
-// RenderDisc structure with the eroded/dilated shapes built by shrinking
-// or growing both semi-axes by the half-pixel diagonal.
-func RenderEllipse(im *Image, e geom.Ellipse, intensity float64) {
-	inner := e
+// the eroded and dilated shapes (both semi-axes shrunk or grown by the
+// half-pixel diagonal 0.71): interior pixels are filled with straight
+// stores, pixels outside the dilated span are skipped entirely, and only
+// the thin boundary ring between the two spans pays for supersampling.
+func RenderShape(im *Image, e geom.Ellipse, intensity float64) {
+	inner, outer := e, e
 	inner.Rx -= 0.71
 	inner.Ry -= 0.71
-	outer := e
 	outer.Rx += 0.71
 	outer.Ry += 0.71
 	ix0, ix1 := inner.PixelCols(im.W)
 	ox0, ox1 := outer.PixelCols(im.W)
 	oy0, oy1 := outer.PixelRows(im.H)
 
-	blend := func(y, xa, xb int) {
-		for x := xa; x < xb; x++ {
+	// coverage is the fraction of pixel (x, y)'s 4×4 supersamples inside
+	// the shape. The test is chosen once per shape: a disc compares
+	// squared distances, a genuine ellipse evaluates Ellipse.Contains's
+	// quadratic with its coefficients hoisted.
+	r2 := e.Rx * e.Rx
+	coverage := func(x, y int) float64 {
+		cov := 0.0
+		for sy := 0; sy < 4; sy++ {
+			dy := float64(y) + (float64(sy)+0.5)/4 - e.Y
+			for sx := 0; sx < 4; sx++ {
+				dx := float64(x) + (float64(sx)+0.5)/4 - e.X
+				if dx*dx+dy*dy <= r2 {
+					cov++
+				}
+			}
+		}
+		return cov / 16
+	}
+	if !e.Circular() {
+		in := e.PixelPred()
+		coverage = func(x, y int) float64 {
 			cov := 0.0
 			for sy := 0; sy < 4; sy++ {
+				py := float64(y) + (float64(sy)+0.5)/4
 				for sx := 0; sx < 4; sx++ {
-					px := float64(x) + (float64(sx)+0.5)/4
-					py := float64(y) + (float64(sy)+0.5)/4
-					if e.Contains(px, py) {
+					if in.Contains(float64(x)+(float64(sx)+0.5)/4, py) {
 						cov++
 					}
 				}
 			}
-			cov /= 16
+			return cov / 16
+		}
+	}
+
+	// blend supersamples the boundary pixels in [xa, xb) of row y.
+	blend := func(y, xa, xb int) {
+		for x := xa; x < xb; x++ {
+			cov := coverage(x, y)
 			idx := y*im.W + x
 			im.Pix[idx] = im.Pix[idx]*(1-cov) + intensity*cov
 		}
@@ -336,6 +287,7 @@ func RenderEllipse(im *Image, e geom.Ellipse, intensity float64) {
 			ia, ib = inner.RowSpan(y, ix0, ix1)
 		}
 		if ia >= ib {
+			// No fully-interior pixels on this row: whole span is ring.
 			blend(y, oa, ob)
 			continue
 		}

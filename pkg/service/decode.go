@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 
 	"repro/internal/imaging"
@@ -21,8 +20,9 @@ import (
 const (
 	// MaxBodyBytes bounds an upload or JSON body.
 	MaxBodyBytes = 32 << 20
-	// maxImagePixels bounds decoded uploads and synthetic scenes.
-	maxImagePixels = 1 << 24
+	// maxImagePixels bounds decoded uploads and synthetic scenes: the
+	// bound imaging.ReadPGM enforces, applied to every input format.
+	maxImagePixels = imaging.MaxPixels
 	// maxSceneDim bounds one side of a synthetic scene.
 	maxSceneDim = 4096
 	// maxSceneCount bounds the artifact count of a synthetic scene.
@@ -165,13 +165,6 @@ func decodeImageBytes(contentType string, body []byte) (pix []float64, w, h int,
 		pix, w, h = parmcmc.GrayPixels(img)
 		return pix, w, h, "png", nil
 	case isPGM(body):
-		pw, ph, aerr := pgmDims(body)
-		if aerr != nil {
-			return nil, 0, 0, "", aerr
-		}
-		if int64(pw)*int64(ph) > maxImagePixels {
-			return nil, 0, 0, "", badRequest("PGM dimensions %dx%d exceed %d pixels", pw, ph, maxImagePixels)
-		}
 		img, err := imaging.ReadPGM(bytes.NewReader(body))
 		if err != nil {
 			return nil, 0, 0, "", badRequest("invalid PGM: %v", err)
@@ -205,9 +198,10 @@ func decodeImageSubmit(contentType string, body []byte, query url.Values) (*jobS
 	return &jobSpec{spec: spec, opt: opt, input: body, ext: ext, pix: pix, w: w, h: h}, nil
 }
 
-// isFinite rejects the float values JSON cannot express but query
-// parameters can (strconv.ParseFloat accepts "NaN" and "Inf", which
-// would sail through every ordered comparison below).
+// isFinite rejects NaN and ±Inf, which would sail through every ordered
+// comparison. encoding/json cannot produce them, but the guard stays as
+// a check on input from outside the program. Upload query values never
+// reach it: they go through api.ParseOptionsQuery and Options.Validate.
 func isFinite(vs ...float64) bool {
 	for _, v := range vs {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -228,53 +222,6 @@ func isPGM(body []byte) bool {
 		return true
 	}
 	return false
-}
-
-// pgmDims parses just the width/height tokens of a PGM header, so the
-// size guard runs before ReadPGM allocates the raster.
-func pgmDims(body []byte) (w, h int, _ *apiError) {
-	toks := make([]string, 0, 3)
-	i := 0
-	for len(toks) < 3 && i < len(body) {
-		switch c := body[i]; {
-		case c == '#':
-			for i < len(body) && body[i] != '\n' {
-				i++
-			}
-		case c == ' ' || c == '\t' || c == '\r' || c == '\n':
-			i++
-		default:
-			j := i
-			for j < len(body) {
-				c := body[j]
-				if c == ' ' || c == '\t' || c == '\r' || c == '\n' || c == '#' {
-					break
-				}
-				j++
-			}
-			toks = append(toks, string(body[i:j]))
-			i = j
-		}
-	}
-	if len(toks) < 3 {
-		return 0, 0, badRequest("truncated PGM header")
-	}
-	// toks[0] is the magic; 1 and 2 are width and height.
-	w, err := strconv.Atoi(toks[1])
-	if err != nil {
-		return 0, 0, badRequest("bad PGM width %q", toks[1])
-	}
-	h, err = strconv.Atoi(toks[2])
-	if err != nil {
-		return 0, 0, badRequest("bad PGM height %q", toks[2])
-	}
-	// Bounding each side keeps the caller's w*h product far from int
-	// overflow (the fuzzer found exactly that hole: two huge dimensions
-	// whose product wrapped negative and sailed past the pixel guard).
-	if w <= 0 || h <= 0 || w > maxImagePixels || h > maxImagePixels {
-		return 0, 0, badRequest("invalid PGM dimensions %dx%d", w, h)
-	}
-	return w, h, nil
 }
 
 // optionsFromSpec validates an api.OptionsSpec and maps it onto

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"testing"
 
+	"repro/internal/imaging"
 	"repro/internal/testcorpus"
 	"repro/pkg/api"
 )
@@ -88,20 +90,31 @@ func FuzzDecodeSubmit(f *testing.F) {
 	})
 }
 
-// FuzzPGMDims pins the header pre-scan specifically: it must agree
-// with "parses or not" on arbitrary bytes and never report non-positive
-// dimensions as success.
+// FuzzPGMDims pins the guarded PGM header parse that uploads share with
+// mcmcimg: on arbitrary bytes imaging.ReadPGM never panics, an accepted
+// image has positive dimensions within the pixel bound and a full
+// raster, and the upload decoder agrees with it on every PGM body,
+// rejecting with a typed 400.
 func FuzzPGMDims(f *testing.F) {
 	f.Add([]byte("P5 8 8 255\n"))
 	f.Add([]byte("P5\t#c\n8\r8 65535 "))
 	f.Add([]byte("P5 -3 8 255\n"))
 	f.Add([]byte("P5 99999999999999999999 8 255\n"))
+	f.Add([]byte("P5 1000000000 1000000000 255\n"))
+	f.Add([]byte("P2 2 1 9\n3 9"))
 	f.Add([]byte("#only a comment"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, body []byte) {
-		w, h, aerr := pgmDims(body)
-		if aerr == nil && (w <= 0 || h <= 0) {
-			t.Fatalf("accepted dimensions %dx%d", w, h)
+		im, err := imaging.ReadPGM(bytes.NewReader(body))
+		if err == nil && (im.W <= 0 || im.H <= 0 || im.W*im.H > maxImagePixels || len(im.Pix) != im.W*im.H) {
+			t.Fatalf("accepted %dx%d image with %d pixels", im.W, im.H, len(im.Pix))
+		}
+		if !isPGM(body) {
+			return
+		}
+		_, _, _, _, aerr := decodeImageBytes("", body)
+		if (aerr == nil) != (err == nil) {
+			t.Fatalf("decoder (%v) and ReadPGM (%v) disagree", aerr, err)
 		}
 		if aerr != nil {
 			if aerr.status != http.StatusBadRequest {

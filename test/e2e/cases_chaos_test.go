@@ -1,8 +1,10 @@
 package e2e
 
 import (
+	"encoding/json"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strconv"
 	"syscall"
@@ -38,7 +40,7 @@ var chaosCases = []e2eCase{
 		ID:       "C00104",
 		Title:    "SIGTERM drains gracefully and the job resumes",
 		Priority: 2,
-		Smoke:    false,
+		Smoke:    true,
 		Run:      caseSigtermDrainResume,
 	},
 	{
@@ -73,6 +75,9 @@ func caseKillCheckpointResume(t *testing.T) {
 	watch := watchJob(t, d.url, st.ID, 240, 250*time.Millisecond)
 
 	d.waitCheckpoint(t, st.ID)
+	if got := d.getJob(t, st.ID).State; got != api.StateRunning {
+		t.Fatalf("job state %q at kill time", got)
+	}
 	d.kill(t, syscall.SIGKILL)
 
 	d2 := restartDaemon(t, d, "-job-slots", "1", "-checkpoint-every", "10000")
@@ -107,19 +112,7 @@ func caseKillNoCheckpointScratchRestart(t *testing.T) {
 	st := d.submit(t, matrixScene, matrixOptions(iters, seed))
 	watch := watchJob(t, d.url, st.ID, 240, 250*time.Millisecond)
 
-	// Let the run make real progress first, so the pre-crash watermark
-	// is high enough that a frozen stream would be unmistakable.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		cur := d.getJob(t, st.ID)
-		if cur.State == api.StateRunning && cur.Progress != nil && cur.Progress.Iter >= 20_000 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never built up pre-crash progress")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	d.waitProgress(t, st.ID)
 	if _, err := os.Stat(d.checkpointPath(st.ID)); err == nil {
 		t.Fatal("test premise broken: a checkpoint exists")
 	}
@@ -185,6 +178,17 @@ func caseSigtermDrainResume(t *testing.T) {
 
 	if _, err := os.Stat(d.checkpointPath(st.ID)); err != nil {
 		t.Fatalf("checkpoint gone after graceful shutdown: %v", err)
+	}
+	blob, err := os.ReadFile(filepath.Join(d.spool, st.ID, api.SpoolRecordFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec api.JobRecord
+	if err := json.Unmarshal(blob, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.State.Terminal() {
+		t.Fatalf("graceful shutdown recorded terminal state %q", rec.State)
 	}
 
 	d2 := restartDaemon(t, d, "-job-slots", "1", "-checkpoint-every", "10000")

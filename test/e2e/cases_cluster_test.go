@@ -386,19 +386,7 @@ func caseClusterScratchRelease(t *testing.T) {
 	if holder == w2.id {
 		victim = w2
 	}
-	// Let the run build up real progress so a frozen stream (rather
-	// than a rewind) would be unmistakable.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		cur := d.getJob(t, st.ID)
-		if cur.State == api.StateRunning && cur.Progress != nil && cur.Progress.Iter >= 20_000 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("job never built up pre-kill progress")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	d.waitProgress(t, st.ID)
 	victim.kill(t, syscall.SIGKILL)
 
 	got := doneResult(t, d.waitDone(t, st.ID, 180*time.Second))

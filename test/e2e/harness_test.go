@@ -232,6 +232,24 @@ func (d *daemon) waitDone(t *testing.T, id string, timeout time.Duration) *api.J
 	return nil
 }
 
+// waitProgress polls until the job runs with 20 000 iterations done, so
+// that after a kill a frozen stream, rather than a rewind to zero,
+// would be unmistakable.
+func (d *daemon) waitProgress(t *testing.T, id string) {
+	t.Helper()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		cur := d.getJob(t, id)
+		if cur.State == api.StateRunning && cur.Progress != nil && cur.Progress.Iter >= 20_000 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never built up pre-kill progress", id)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // checkpointPath is the job's spooled checkpoint file.
 func (d *daemon) checkpointPath(id string) string {
 	return filepath.Join(d.spool, id, api.SpoolCheckpointFile)
@@ -321,18 +339,7 @@ func matrixOptions(iters int, seed uint64) api.OptionsSpec {
 // result is held to.
 func directView(t *testing.T, iters int, seed uint64) api.ResultView {
 	t.Helper()
-	pix, _ := parmcmc.GenerateScene(parmcmc.SceneSpec{
-		W: matrixScene.W, H: matrixScene.H, Count: matrixScene.Count,
-		MeanRadius: matrixScene.MeanRadius, Noise: matrixScene.Noise, Seed: matrixScene.Seed,
-	})
-	res, err := parmcmc.Detect(pix, matrixScene.W, matrixScene.H, parmcmc.Options{
-		Strategy: parmcmc.Sequential, MeanRadius: matrixScene.MeanRadius,
-		Iterations: iters, Seed: seed,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return normalize(api.NewResultView(res))
+	return directViewAsync(t, iters, seed)()
 }
 
 // directViewAsync computes directView concurrently with the daemon run.

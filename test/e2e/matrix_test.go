@@ -22,7 +22,8 @@ type e2eCase struct {
 
 // The registry is assembled from the per-area case files:
 // cases_load_test.go, cases_chaos_test.go, cases_checkpoint_test.go,
-// cases_input_test.go, cases_stream_test.go, cases_cluster_test.go.
+// cases_input_test.go, cases_stream_test.go, cases_cluster_test.go,
+// cases_cli_test.go.
 func allCases() []e2eCase {
 	var cases []e2eCase
 	cases = append(cases, loadCases...)
@@ -31,6 +32,7 @@ func allCases() []e2eCase {
 	cases = append(cases, inputCases...)
 	cases = append(cases, streamCases...)
 	cases = append(cases, clusterCases...)
+	cases = append(cases, cliCases...)
 	return cases
 }
 
