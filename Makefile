@@ -51,10 +51,11 @@ test:
 # shared gang's spin-or-park paths both ways, internal/partition runs its
 # region chains concurrently on its work-conserving scheduler
 # (partition.Step), internal/mc3 runs its coupled chains concurrently
-# between swaps, and pkg/service drains running jobs into
-# checkpoints. The service's recovery tests skip under -short, so they
+# between swaps, pkg/service drains running jobs into checkpoints, and
+# its worker and coordinator run concurrent lease, heartbeat and drain
+# goroutines. The service's recovery tests skip under -short, so they
 # run in a second, full pass of their own.
-CPU_PKGS := ./internal/model ./internal/mcmc ./internal/spec ./internal/sched ./internal/core ./internal/partition ./internal/mc3 ./pkg/parmcmc ./pkg/service
+CPU_PKGS := ./internal/model ./internal/mcmc ./internal/spec ./internal/sched ./internal/core ./internal/partition ./internal/mc3 ./pkg/parmcmc ./pkg/service ./pkg/service/worker ./pkg/service/coordinator
 test-cpu:
 	$(GO) test -short -cpu 1,2,4 $(CPU_PKGS)
 	$(GO) test -cpu 1,2,4 -run 'Recovery|Restarted' ./pkg/service

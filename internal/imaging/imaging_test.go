@@ -261,6 +261,13 @@ func TestReadPGMErrors(t *testing.T) {
 		"P2 1073741824 1073741824 255\n",
 		"P5 1 4611686018427387904 255\n",
 		"P5 4294967296 4294967296 255\n",
+		// Samples outside [0, maxval], or not plain integers, are
+		// refused rather than decoded to intensities outside [0, 1].
+		"P2 2 1 255\n300 7abc",
+		"P2 1 1 255\n7abc",
+		"P2 1 1 255\n-3",
+		"P5 1 1 100\n\xff",
+		"P5 1 1 300\n\x01\x2d",
 	}
 	for _, src := range cases {
 		if _, err := ReadPGM(bytes.NewBufferString(src)); err == nil {

@@ -49,7 +49,9 @@ const MaxPixels = 1 << 24
 // ReadPGM parses a binary (P5) or ASCII (P2) PGM image, scaling samples
 // to [0, 1]. The header's dimensions are checked against MaxPixels
 // before anything is allocated, so untrusted input cannot size the
-// raster.
+// raster, and a sample above the header's maxval (or, in P2, one that
+// is not a plain non-negative integer) is an error, so no decoded
+// intensity leaves [0, 1].
 func ReadPGM(r io.Reader) (*Image, error) {
 	br := bufio.NewReader(r)
 	magic, err := pgmToken(br)
@@ -84,9 +86,9 @@ func ReadPGM(r io.Reader) (*Image, error) {
 			if err != nil {
 				return nil, fmt.Errorf("imaging: reading PGM sample %d: %w", i, err)
 			}
-			var v int
-			if _, err := fmt.Sscanf(tok, "%d", &v); err != nil {
-				return nil, fmt.Errorf("imaging: bad PGM sample %q", tok)
+			v, err := strconv.Atoi(tok)
+			if err != nil || v < 0 || v > maxv {
+				return nil, fmt.Errorf("imaging: bad PGM sample %q (want an integer in [0, %d])", tok, maxv)
 			}
 			im.Pix[i] = float64(v) * scale
 		}
@@ -107,6 +109,9 @@ func ReadPGM(r io.Reader) (*Image, error) {
 			v = int(raw[i])
 		} else {
 			v = int(raw[2*i])<<8 | int(raw[2*i+1])
+		}
+		if v > maxv {
+			return nil, fmt.Errorf("imaging: PGM sample %d is %d, above maxval %d", i, v, maxv)
 		}
 		im.Pix[i] = float64(v) * scale
 	}

@@ -47,26 +47,18 @@ func badRequest(format string, args ...any) *apiError {
 	return &apiError{status: http.StatusBadRequest, code: api.CodeBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// jobSpec is a validated, normalized submission: the input (synthetic
-// scene or decoded upload), the wire options (strategy canonicalised,
-// mean radius resolved) and the corresponding parmcmc options.
-type jobSpec struct {
-	spec  api.OptionsSpec
-	opt   parmcmc.Options
-	scene *api.SceneSpec // synthetic input, pixels synthesized at run time
-	input []byte         // raw uploaded bytes, spooled for crash recovery
-	ext   string         // upload format: "png" or "pgm"
-	pix   []float64      // decoded upload
-	w, h  int
-}
-
 // decodeSubmit parses one POST /v1/jobs request — a JSON
 // scene+options body, or a raw PNG/PGM upload with options in query
-// parameters — into a validated jobSpec. All failures are typed 4xx
+// parameters — into the job's record as far as the submission fixes it
+// (normalised options, the requested seed, the scene or the input file
+// name) and the raw upload bytes (nil for a scene). An upload is fully
+// decoded here, so a bad image is a typed 400, but its pixels are not
+// kept: each run decodes the bytes again. All failures are typed 4xx
 // apiErrors; arbitrary input must never panic.
-func decodeSubmit(contentType string, body []byte, query url.Values) (*jobSpec, *apiError) {
+func decodeSubmit(contentType string, body []byte, query url.Values) (*api.JobRecord, []byte, *apiError) {
 	if isJSONSubmit(contentType, body) {
-		return decodeJSONSubmit(body)
+		rec, aerr := decodeJSONSubmit(body)
+		return rec, nil, aerr
 	}
 	return decodeImageSubmit(contentType, body, query)
 }
@@ -84,7 +76,7 @@ func isJSONSubmit(contentType string, body []byte) bool {
 	return false
 }
 
-func decodeJSONSubmit(body []byte) (*jobSpec, *apiError) {
+func decodeJSONSubmit(body []byte) (*api.JobRecord, *apiError) {
 	var req api.JobSpec
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
@@ -136,16 +128,15 @@ func decodeJSONSubmit(body []byte) (*jobSpec, *apiError) {
 		// Detection defaults to the scene's artifact family.
 		spec.Shape = sc.Shape
 	}
-	opt, aerr := optionsFromSpec(&spec)
-	if aerr != nil {
+	if _, aerr := optionsFromSpec(&spec); aerr != nil {
 		return nil, aerr
 	}
-	return &jobSpec{spec: spec, opt: opt, scene: &sc}, nil
+	return &api.JobRecord{Seed: spec.Seed, Options: spec, Scene: &sc}, nil
 }
 
 // decodeImageBytes sniffs and decodes a raw PNG/PGM body — shared by
-// the upload handler and spool recovery (which re-decodes the stored
-// bytes with the job's recorded options, never query parameters).
+// the upload handler and materialize, which decodes the stored bytes
+// again for every run.
 func decodeImageBytes(contentType string, body []byte) (pix []float64, w, h int, ext string, _ *apiError) {
 	switch {
 	case bytes.HasPrefix(body, []byte("\x89PNG\r\n\x1a\n")):
@@ -179,23 +170,22 @@ func decodeImageBytes(contentType string, body []byte) (pix []float64, w, h int,
 	}
 }
 
-func decodeImageSubmit(contentType string, body []byte, query url.Values) (*jobSpec, *apiError) {
-	pix, w, h, ext, aerr := decodeImageBytes(contentType, body)
+func decodeImageSubmit(contentType string, body []byte, query url.Values) (*api.JobRecord, []byte, *apiError) {
+	_, _, _, ext, aerr := decodeImageBytes(contentType, body)
 	if aerr != nil {
-		return nil, aerr
+		return nil, nil, aerr
 	}
 	spec, err := api.ParseOptionsQuery(query)
 	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, nil, badRequest("%v", err)
 	}
 	if spec.MeanRadius <= 0 {
-		return nil, badRequest("image uploads require a positive mean_radius query parameter")
+		return nil, nil, badRequest("image uploads require a positive mean_radius query parameter")
 	}
-	opt, aerr := optionsFromSpec(&spec)
-	if aerr != nil {
-		return nil, aerr
+	if _, aerr := optionsFromSpec(&spec); aerr != nil {
+		return nil, nil, aerr
 	}
-	return &jobSpec{spec: spec, opt: opt, input: body, ext: ext, pix: pix, w: w, h: h}, nil
+	return &api.JobRecord{Seed: spec.Seed, Options: spec, Input: "input." + ext}, body, nil
 }
 
 // isFinite rejects NaN and ±Inf, which would sail through every ordered

@@ -29,23 +29,27 @@ func TestDecodeSubmitJSON(t *testing.T) {
 		Scene:   &api.SceneSpec{W: 64, H: 48, Count: 3, MeanRadius: 5, Seed: 2},
 		Options: api.OptionsSpec{Iterations: 1000, Seed: 7},
 	})
-	spec, aerr := decodeSubmit("application/json", body, nil)
+	rec, input, aerr := decodeSubmit("application/json", body, nil)
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
-	if spec.scene == nil || spec.scene.W != 64 {
-		t.Fatalf("scene %+v", spec.scene)
+	if rec.Scene == nil || rec.Scene.W != 64 {
+		t.Fatalf("scene %+v", rec.Scene)
 	}
 	// mean_radius defaults from the scene; strategy canonicalises.
-	if spec.spec.MeanRadius != 5 || spec.spec.Strategy != "sequential" {
-		t.Fatalf("normalized options %+v", spec.spec)
+	if rec.Options.MeanRadius != 5 || rec.Options.Strategy != "sequential" {
+		t.Fatalf("normalized options %+v", rec.Options)
 	}
-	if spec.opt.MeanRadius != 5 || spec.opt.Seed != 7 || spec.opt.Iterations != 1000 {
-		t.Fatalf("options %+v", spec.opt)
+	_, _, _, opt, err := materialize(*rec, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opt.MeanRadius != 5 || opt.Seed != 7 || opt.Iterations != 1000 {
+		t.Fatalf("options %+v", opt)
 	}
 
 	// Content sniffing: a JSON body with no content type still decodes.
-	if _, aerr := decodeSubmit("", body, nil); aerr != nil {
+	if _, _, aerr := decodeSubmit("", body, nil); aerr != nil {
 		t.Fatal(aerr)
 	}
 }
@@ -109,9 +113,9 @@ func TestDecodeSubmitErrors(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			spec, aerr := decodeSubmit(tc.ct, []byte(tc.body), q)
+			rec, _, aerr := decodeSubmit(tc.ct, []byte(tc.body), q)
 			if aerr == nil {
-				t.Fatalf("accepted: %+v", spec)
+				t.Fatalf("accepted: %+v", rec)
 			}
 			if aerr.status != tc.status {
 				t.Fatalf("status %d (%s), want %d", aerr.status, aerr.msg, tc.status)
@@ -132,23 +136,27 @@ func TestDecodeSubmitErrors(t *testing.T) {
 func TestDecodeUploadQueryOptions(t *testing.T) {
 	pgm := mustScenePGM(t)
 	q, _ := url.ParseQuery("radius=4&strategy=mc3&iters=5000&seed=11&chains=3&heat_step=0.2&swap_every=100&workers=2&converge=false&threshold=0.4")
-	spec, aerr := decodeSubmit("", pgm, q)
+	rec, input, aerr := decodeSubmit("", pgm, q)
 	if aerr != nil {
 		t.Fatal(aerr)
 	}
-	if spec.w != 32 || spec.h != 32 || len(spec.pix) != 32*32 {
-		t.Fatalf("decoded %dx%d, %d pix", spec.w, spec.h, len(spec.pix))
+	pix, w, h, opt, err := materialize(*rec, input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w != 32 || h != 32 || len(pix) != 32*32 {
+		t.Fatalf("decoded %dx%d, %d pix", w, h, len(pix))
 	}
 	want := parmcmc.Options{
 		Strategy: parmcmc.Tempered, MeanRadius: 4, Threshold: 0.4,
 		Iterations: 5000, Workers: 2, Seed: 11,
 		Chains: 3, HeatStep: 0.2, SwapEvery: 100,
 	}
-	if !reflect.DeepEqual(spec.opt, want) {
-		t.Fatalf("options %+v, want %+v", spec.opt, want)
+	if !reflect.DeepEqual(opt, want) {
+		t.Fatalf("options %+v, want %+v", opt, want)
 	}
-	if spec.ext != "pgm" {
-		t.Fatalf("ext %q", spec.ext)
+	if rec.Input != "input.pgm" {
+		t.Fatalf("input %q", rec.Input)
 	}
 }
 
@@ -188,20 +196,24 @@ func TestOptionsSpecRoundTrip(t *testing.T) {
 // carried through.
 func TestDecodeEllipseSubmit(t *testing.T) {
 	body := `{"scene":{"w":96,"h":96,"count":4,"mean_radius":6,"shape":"ellipse","axis_ratio":0.6}}`
-	spec, aerr := decodeSubmit("application/json", []byte(body), nil)
+	rec, input, aerr := decodeSubmit("application/json", []byte(body), nil)
 	if aerr != nil {
 		t.Fatalf("rejected: %v", aerr)
 	}
-	if spec.scene.Shape != parmcmc.Ellipses.String() {
-		t.Fatalf("scene shape %q", spec.scene.Shape)
+	if rec.Scene.Shape != parmcmc.Ellipses.String() {
+		t.Fatalf("scene shape %q", rec.Scene.Shape)
 	}
-	if spec.spec.Shape != parmcmc.Ellipses.String() {
-		t.Fatalf("options shape %q (want defaulted from scene)", spec.spec.Shape)
+	if rec.Options.Shape != parmcmc.Ellipses.String() {
+		t.Fatalf("options shape %q (want defaulted from scene)", rec.Options.Shape)
 	}
-	if spec.opt.Shape != parmcmc.Ellipses {
-		t.Fatalf("parmcmc shape %v", spec.opt.Shape)
+	_, _, _, opt, err := materialize(*rec, input)
+	if err != nil {
+		t.Fatal(err)
 	}
-	ps, err := spec.scene.ToParmcmc()
+	if opt.Shape != parmcmc.Ellipses {
+		t.Fatalf("parmcmc shape %v", opt.Shape)
+	}
+	ps, err := rec.Scene.ToParmcmc()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,11 +223,15 @@ func TestDecodeEllipseSubmit(t *testing.T) {
 	// Upload path: shape from query.
 	pgm := mustScenePGM(t)
 	q, _ := url.ParseQuery("radius=5&shape=ellipse")
-	up, aerr := decodeSubmit("", pgm, q)
+	up, upInput, aerr := decodeSubmit("", pgm, q)
 	if aerr != nil {
 		t.Fatalf("upload rejected: %v", aerr)
 	}
-	if up.opt.Shape != parmcmc.Ellipses {
-		t.Fatalf("upload shape %v", up.opt.Shape)
+	_, _, _, upOpt, err := materialize(*up, upInput)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if upOpt.Shape != parmcmc.Ellipses {
+		t.Fatalf("upload shape %v", upOpt.Shape)
 	}
 }

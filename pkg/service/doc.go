@@ -16,9 +16,13 @@
 //     and requeue jobs whose lease expired (from the latest spooled
 //     checkpoint, or from scratch with Restarted flagged).
 //   - Worker: the pkg/service/worker sub-package runs no Manager at
-//     all — it leases jobs from a coordinator, materialises their
-//     inputs via MaterializeRecord, and runs them through RunChain
-//     with checkpoints written to the shared spool.
+//     all — it leases jobs from a coordinator and runs each granted
+//     api.JobRecord through RunChain, which reads an upload's bytes
+//     from the shared spool and writes checkpoints there.
+//
+// A Job is its api.JobRecord plus, until it ends, its raw upload
+// bytes; RunChain materialises a record and its input into pixels and
+// seeded options the same way in every role.
 //
 // The wire contract — every request/response type, the route table and
 // the error envelope — lives in pkg/api; this package implements the

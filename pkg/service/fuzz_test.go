@@ -55,7 +55,7 @@ func FuzzDecodeSubmit(f *testing.F) {
 		if err != nil {
 			q = nil
 		}
-		spec, aerr := decodeSubmit(ct, body, q)
+		rec, input, aerr := decodeSubmit(ct, body, q)
 		switch {
 		case aerr != nil:
 			if aerr.status < 400 || aerr.status > 499 {
@@ -64,26 +64,39 @@ func FuzzDecodeSubmit(f *testing.F) {
 			if aerr.code == "" {
 				t.Fatalf("decoder error without machine-readable code (%s)", aerr.msg)
 			}
-			if spec != nil {
-				t.Fatal("spec returned alongside an error")
+			if rec != nil || input != nil {
+				t.Fatal("record returned alongside an error")
 			}
 			assertEnvelope(t, aerr)
-		case spec == nil:
-			t.Fatal("nil spec without error")
+		case rec == nil:
+			t.Fatal("nil record without error")
 		default:
 			// An accepted submission must be self-consistent: a usable
-			// input and validated options.
-			if spec.scene == nil && spec.pix == nil {
+			// input and validated options. A scene is not synthesized
+			// here (it may be 4096² pixels); an upload is decoded as
+			// its run will.
+			if rec.Scene == nil && input == nil {
 				t.Fatal("accepted submission with no input")
 			}
-			if spec.pix != nil && len(spec.pix) != spec.w*spec.h {
-				t.Fatalf("accepted %dx%d image with %d pixels", spec.w, spec.h, len(spec.pix))
+			spec := rec.Options
+			opt, oerr := optionsFromSpec(&spec)
+			if oerr != nil {
+				t.Fatalf("accepted options that do not validate: %v", oerr)
 			}
-			if !(spec.opt.MeanRadius > 0) { // also rejects NaN
+			if input != nil {
+				pix, w, h, _, err := materialize(*rec, input)
+				if err != nil {
+					t.Fatalf("accepted upload that does not materialise: %v", err)
+				}
+				if len(pix) != w*h {
+					t.Fatalf("accepted %dx%d image with %d pixels", w, h, len(pix))
+				}
+			}
+			if !(opt.MeanRadius > 0) { // also rejects NaN
 				t.Fatal("accepted options without a positive finite mean radius")
 			}
-			if !isFinite(spec.opt.MeanRadius, spec.opt.ExpectedCount, spec.opt.Threshold,
-				spec.opt.GridSlack, spec.opt.OverlapPenalty, spec.opt.HeatStep) {
+			if !isFinite(opt.MeanRadius, opt.ExpectedCount, opt.Threshold,
+				opt.GridSlack, opt.OverlapPenalty, opt.HeatStep) {
 				t.Fatal("accepted non-finite option value")
 			}
 		}
@@ -92,9 +105,9 @@ func FuzzDecodeSubmit(f *testing.F) {
 
 // FuzzPGMDims pins the guarded PGM header parse that uploads share with
 // mcmcimg: on arbitrary bytes imaging.ReadPGM never panics, an accepted
-// image has positive dimensions within the pixel bound and a full
-// raster, and the upload decoder agrees with it on every PGM body,
-// rejecting with a typed 400.
+// image has positive dimensions within the pixel bound, a full raster
+// and every sample in [0, 1], and the upload decoder agrees with it on
+// every PGM body, rejecting with a typed 400.
 func FuzzPGMDims(f *testing.F) {
 	f.Add([]byte("P5 8 8 255\n"))
 	f.Add([]byte("P5\t#c\n8\r8 65535 "))
@@ -102,12 +115,21 @@ func FuzzPGMDims(f *testing.F) {
 	f.Add([]byte("P5 99999999999999999999 8 255\n"))
 	f.Add([]byte("P5 1000000000 1000000000 255\n"))
 	f.Add([]byte("P2 2 1 9\n3 9"))
+	f.Add([]byte("P2 2 1 255\n300 7abc"))
+	f.Add([]byte("P5 1 1 100\n\xff"))
 	f.Add([]byte("#only a comment"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		im, err := imaging.ReadPGM(bytes.NewReader(body))
 		if err == nil && (im.W <= 0 || im.H <= 0 || im.W*im.H > maxImagePixels || len(im.Pix) != im.W*im.H) {
 			t.Fatalf("accepted %dx%d image with %d pixels", im.W, im.H, len(im.Pix))
+		}
+		if err == nil {
+			for i, v := range im.Pix {
+				if !(v >= 0 && v <= 1) {
+					t.Fatalf("accepted sample %d = %g outside [0, 1]", i, v)
+				}
+			}
 		}
 		if !isPGM(body) {
 			return

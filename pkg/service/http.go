@@ -138,12 +138,12 @@ func (s *server) submit(w http.ResponseWriter, r *http.Request) {
 			"body exceeds %d bytes", MaxBodyBytes)
 		return
 	}
-	spec, aerr := decodeSubmit(r.Header.Get("Content-Type"), body, r.URL.Query())
+	rec, input, aerr := decodeSubmit(r.Header.Get("Content-Type"), body, r.URL.Query())
 	if aerr != nil {
 		writeError(w, aerr.status, aerr.code, "%s", aerr.msg)
 		return
 	}
-	job, err := s.m.Submit(spec)
+	job, err := s.m.Submit(*rec, input)
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")

@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"math"
 	"sync"
 	"time"
@@ -24,29 +23,23 @@ type event struct {
 const convWindow = 1024
 
 // Job is one queued or running detection. All mutable fields are
-// guarded by mu; the input (scene/upload bytes/decoded pixels), seed
-// and options are immutable after construction.
+// guarded by mu.
 type Job struct {
-	id   string
-	seed uint64
-	spec api.OptionsSpec
-	opt  parmcmc.Options // resolved, Seed set to seed
-
-	// scene/ext are immutable; input and pix are released (under mu)
-	// once the job is terminal — the spool keeps the bytes, so a
-	// daemon that has served many uploads does not retain every pixel
-	// buffer for the life of the process.
-	scene *api.SceneSpec
-	input []byte
-	ext   string
-	pix   []float64
-	w, h  int
-
 	// spoolMu serializes this job's spool-record writes (Submit's
 	// pending record vs the worker's terminal record).
 	spoolMu sync.Mutex
 
 	mu sync.Mutex
+	// rec is the job: its durable record (the spool's job.json and a
+	// lease grant's Record), whose State and Error are the job's state
+	// and error. Its ID and Seed are fixed at construction, so ID and
+	// Seed read them without the lock.
+	rec api.JobRecord
+	// input is the raw upload (nil for a scene job), held until the job
+	// is terminal — never the decoded raster, which each run decodes
+	// again — so a daemon does not retain every upload for the life of
+	// the process: the spool keeps the bytes.
+	input []byte
 	// resume, when non-nil, is the spooled checkpoint (its exact bytes,
 	// already checked to parse) the job's next run continues from: set
 	// at recovery for interrupted jobs, and at re-lease (Remote.Requeue)
@@ -62,8 +55,6 @@ type Job struct {
 	// (coordinator role only; empty standalone, while queued, and
 	// after a re-lease until the next grant).
 	worker          string
-	state           api.JobState
-	submitted       time.Time
 	started         time.Time
 	finished        time.Time
 	progress        *parmcmc.Progress
@@ -71,23 +62,15 @@ type Job struct {
 	lastIter        int64
 	lastObs         time.Time // when the lastIter snapshot was observed
 	resultJSON      json.RawMessage
-	errMsg          string
 	cancelRequested bool
 	cancel          func()
 	subs            map[chan event]struct{}
 	done            chan struct{} // closed on entering a terminal state
 }
 
-func newJob(id string, seed uint64, spec *jobSpec, submitted time.Time) *Job {
-	opt := spec.opt
-	opt.Seed = seed
-	wireSpec := spec.spec
-	wireSpec.Seed = seed
+func newJob(rec api.JobRecord, input []byte) *Job {
 	return &Job{
-		id: id, seed: seed, spec: wireSpec, opt: opt,
-		scene: spec.scene, input: spec.input, ext: spec.ext,
-		pix: spec.pix, w: spec.w, h: spec.h,
-		state: api.StatePending, submitted: submitted,
+		rec: rec, input: input,
 		conv: stats.NewStream(convWindow),
 		subs: make(map[chan event]struct{}),
 		done: make(chan struct{}),
@@ -95,44 +78,20 @@ func newJob(id string, seed uint64, spec *jobSpec, submitted time.Time) *Job {
 }
 
 // ID returns the job's identifier.
-func (j *Job) ID() string { return j.id }
+func (j *Job) ID() string { return j.rec.ID }
 
 // Seed returns the seed the job runs with (the per-job derived seed
 // when the submission left it zero).
-func (j *Job) Seed() uint64 { return j.seed }
+func (j *Job) Seed() uint64 { return j.rec.Seed }
 
 // Done returns a channel closed when the job reaches a terminal state.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
-// pixels materialises the job's input image: the decoded upload, or
-// the deterministic synthesis of its scene spec.
-func (j *Job) pixels() ([]float64, int, int, error) {
-	j.mu.Lock()
-	pix, w, h := j.pix, j.w, j.h
-	j.mu.Unlock()
-	if pix != nil {
-		return pix, w, h, nil
-	}
-	if j.scene != nil {
-		ps, err := j.scene.ToParmcmc()
-		if err != nil {
-			// The decoder canonicalised the shape name at submit time, so
-			// this can only mean a corrupted spool record.
-			return nil, 0, 0, err
-		}
-		spix, _ := parmcmc.GenerateScene(ps)
-		return spix, j.scene.W, j.scene.H, nil
-	}
-	return nil, 0, 0, errors.New("service: job has no input")
-}
-
-// releaseInput drops the decoded pixels, raw upload bytes and resume
-// checkpoint. Called after the terminal spool writes: the job can never
-// run again in this process, and recovery re-reads the spooled input
-// file.
+// releaseInput drops the raw upload bytes and resume checkpoint.
+// Called after the terminal spool writes: the job can never run again
+// in this process.
 func (j *Job) releaseInput() {
 	j.mu.Lock()
-	j.pix = nil
 	j.input = nil
 	j.resume = nil
 	j.mu.Unlock()
@@ -145,15 +104,15 @@ func (j *Job) releaseInput() {
 func (j *Job) claimFor(worker string, cancel func()) (time.Duration, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != api.StatePending {
+	if j.rec.State != api.StatePending {
 		return 0, false
 	}
-	j.state = api.StateRunning
+	j.rec.State = api.StateRunning
 	j.started = time.Now()
 	j.cancel = cancel
 	j.worker = worker
 	j.publishLocked("state", j.statusLocked())
-	return j.started.Sub(j.submitted), true
+	return j.started.Sub(j.rec.Submitted), true
 }
 
 // finishTerminal moves the job to a terminal state. resultJSON may be
@@ -163,12 +122,12 @@ func (j *Job) claimFor(worker string, cancel func()) (time.Duration, bool) {
 func (j *Job) finishTerminal(state api.JobState, resultJSON json.RawMessage, errMsg string) (time.Duration, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state.Terminal() {
+	if j.rec.State.Terminal() {
 		return 0, false
 	}
-	j.state = state
+	j.rec.State = state
 	j.resultJSON = resultJSON
-	j.errMsg = errMsg
+	j.rec.Error = errMsg
 	j.finished = time.Now()
 	close(j.done)
 	var ran time.Duration
@@ -184,13 +143,13 @@ func (j *Job) finishTerminal(state api.JobState, resultJSON json.RawMessage, err
 func (j *Job) requestCancel() bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch j.state {
+	switch j.rec.State {
 	case api.StatePending:
-		j.state = api.StateCancelled
+		j.rec.State = api.StateCancelled
 		// Same wire contract as a running job cancelled mid-run (see
 		// Remote.Complete): the queued path must not report an empty
 		// Error for the same outcome.
-		j.errMsg = "cancelled"
+		j.rec.Error = "cancelled"
 		j.finished = time.Now()
 		close(j.done)
 		j.publishLocked("state", j.statusLocked())
@@ -303,13 +262,13 @@ func (j *Job) Status() api.JobStatus {
 
 func (j *Job) statusLocked() api.JobStatus {
 	v := api.JobStatus{
-		ID:        j.id,
-		State:     j.state,
-		Strategy:  j.spec.Strategy,
-		Seed:      j.seed,
-		Submitted: j.submitted,
+		ID:        j.rec.ID,
+		State:     j.rec.State,
+		Strategy:  j.rec.Options.Strategy,
+		Seed:      j.rec.Seed,
+		Submitted: j.rec.Submitted,
 		Result:    j.resultJSON,
-		Error:     j.errMsg,
+		Error:     j.rec.Error,
 		Restarted: j.restarted,
 		Worker:    j.worker,
 	}
@@ -342,10 +301,10 @@ type jobSpecTelemetry struct {
 func (j *Job) specTelemetry() (t jobSpecTelemetry, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != api.StateRunning || j.progress == nil || j.progress.SpecWidth == 0 {
+	if j.rec.State != api.StateRunning || j.progress == nil || j.progress.SpecWidth == 0 {
 		return t, false
 	}
-	return jobSpecTelemetry{id: j.id, width: j.progress.SpecWidth, speedup: j.progress.SpecSpeedup}, true
+	return jobSpecTelemetry{id: j.rec.ID, width: j.progress.SpecWidth, speedup: j.progress.SpecSpeedup}, true
 }
 
 // Diag returns the job's chain diagnostics: the latest progress
@@ -356,22 +315,22 @@ func (j *Job) Diag() api.DiagView {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	d := api.DiagView{
-		ID:       j.id,
-		State:    j.state,
-		Strategy: j.spec.Strategy,
-		Shape:    j.spec.Shape,
-		Seed:     j.seed,
+		ID:       j.rec.ID,
+		State:    j.rec.State,
+		Strategy: j.rec.Options.Strategy,
+		Shape:    j.rec.Options.Shape,
+		Seed:     j.rec.Seed,
 		Samples:  j.conv.Len(),
 		RHat:     api.Float(j.conv.RHat()),
 		ESS:      api.Float(j.conv.ESS()),
-		Error:    j.errMsg,
+		Error:    j.rec.Error,
 	}
 	if j.progress != nil {
 		d.Progress = api.NewProgressEvent(*j.progress)
 		d.SpecWidth = j.progress.SpecWidth
 		d.SpecSpeedup = api.Float(j.progress.SpecSpeedup)
 	}
-	if j.state == api.StateDone && len(j.resultJSON) > 0 {
+	if j.rec.State == api.StateDone && len(j.resultJSON) > 0 {
 		var rv api.ResultView
 		if err := json.Unmarshal(j.resultJSON, &rv); err == nil {
 			d.AcceptRate = rv.AcceptRate

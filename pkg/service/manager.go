@@ -164,21 +164,25 @@ func (m *Manager) AddMetrics(f func(io.Writer)) {
 	m.metricsMu.Unlock()
 }
 
-// Submit validates nothing (its jobSpec is already validated by the
-// decoder): it assigns an id and seed, spools the job and enqueues it.
-func (m *Manager) Submit(spec *jobSpec) (*Job, error) {
+// Submit validates nothing (its record is the decoder's, already
+// validated): it completes the record — an id, the seed (derived when
+// the submission left it zero), the pending state and the submit time
+// — spools the job and enqueues it. input is the raw upload, nil for a
+// scene job.
+func (m *Manager) Submit(rec api.JobRecord, input []byte) (*Job, error) {
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
 		return nil, ErrStopped
 	}
 	m.seq++
-	id := fmt.Sprintf("job-%08d", m.seq)
-	seed := spec.opt.Seed
-	if seed == 0 {
-		seed = parmcmc.DeriveSeed(m.cfg.BaseSeed, m.seq)
+	rec.ID = fmt.Sprintf("job-%08d", m.seq)
+	if rec.Seed == 0 {
+		rec.Seed = parmcmc.DeriveSeed(m.cfg.BaseSeed, m.seq)
 	}
-	job := newJob(id, seed, spec, time.Now())
+	rec.Options.Seed = rec.Seed
+	rec.State, rec.Submitted = api.StatePending, time.Now()
+	job := newJob(rec, input)
 	// The channel's capacity is inflated by recovered jobs (see
 	// NewManager); the configured bound is enforced here so the 429
 	// contract holds for new submissions even right after a restart.
@@ -192,13 +196,13 @@ func (m *Manager) Submit(spec *jobSpec) (*Job, error) {
 		m.mu.Unlock()
 		return nil, ErrQueueFull
 	}
-	m.jobs[id] = job
-	m.order = append(m.order, id)
+	m.jobs[rec.ID] = job
+	m.order = append(m.order, rec.ID)
 	m.mu.Unlock()
 	if err := m.spoolRecord(job); err != nil {
 		// Durability is best-effort per job: the run proceeds, but a
 		// restart would not know about it — say so loudly.
-		m.cfg.Logf("service: spooling %s: %v (job will not survive a restart)", id, err)
+		m.cfg.Logf("service: spooling %s: %v (job will not survive a restart)", rec.ID, err)
 	}
 	return job, nil
 }
@@ -264,11 +268,12 @@ func (m *Manager) execute(r *Remote) {
 	}
 }
 
-// runLocal runs one job from its in-memory input and lands the outcome
-// through r — unless the manager is shutting down and the client did
-// not cancel first. Then it lands nothing: the spool record stays
-// non-terminal and RunChain has checkpointed the stop point, so the
-// next manager over the same spool resumes the job with no work lost.
+// runLocal runs one job from its record and in-memory input and lands
+// the outcome through r — unless the manager is shutting down and the
+// client did not cancel first. Then it lands nothing: the spool record
+// stays non-terminal and RunChain has checkpointed the stop point, so
+// the next manager over the same spool resumes the job with no work
+// lost.
 func (m *Manager) runLocal(r *Remote, job *Job) {
 	ctx, cancel := context.WithCancel(m.ctx)
 	defer cancel()
@@ -276,16 +281,10 @@ func (m *Manager) runLocal(r *Remote, job *Job) {
 		return // cancelled while queued
 	}
 	job.mu.Lock()
-	checkpoint := job.resume
+	rec, input, checkpoint := job.rec, job.input, job.resume
 	job.mu.Unlock()
-	opt := job.opt
-	opt.CheckpointEvery = m.cfg.CheckpointEvery
-	opt.Observer = func(p parmcmc.Progress) { r.observe(job, p) }
-	pix, w, h, err := job.pixels()
-	var raw json.RawMessage
-	if err == nil {
-		raw, err = RunChain(ctx, m.ctx, job.id, pix, w, h, opt, checkpoint, m.cfg.SpoolDir, m.cfg.Logf)
-	}
+	raw, err := RunChain(ctx, m.ctx, rec, input, checkpoint, m.cfg.CheckpointEvery,
+		func(p parmcmc.Progress) { r.observe(job, p) }, m.cfg.SpoolDir, m.cfg.Logf)
 	switch {
 	case err == nil:
 		r.Complete(job, raw, "")
@@ -309,7 +308,7 @@ func (m *Manager) terminate(job *Job, state api.JobState, result json.RawMessage
 		m.tel.jobDuration.Observe(ran.Seconds())
 	}
 	if err := m.spoolRecord(job); err != nil {
-		m.cfg.Logf("service: spooling %s: %v", job.id, err)
+		m.cfg.Logf("service: spooling %s: %v", job.ID(), err)
 	}
 	job.releaseInput()
 	job.publish("state", job.Status())
@@ -356,7 +355,7 @@ func (m *Manager) StateCounts() map[api.JobState]int {
 	counts := make(map[api.JobState]int, 5)
 	for _, job := range m.Jobs() {
 		job.mu.Lock()
-		counts[job.state]++
+		counts[job.rec.State]++
 		job.mu.Unlock()
 	}
 	return counts
@@ -385,5 +384,5 @@ func (m *Manager) iterRate() float64 {
 
 // sortJobsByID orders recovered jobs deterministically.
 func sortJobsByID(jobs []*Job) {
-	sort.Slice(jobs, func(a, b int) bool { return jobs[a].id < jobs[b].id })
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID() < jobs[b].ID() })
 }

@@ -3,46 +3,41 @@ package service
 import (
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"repro/pkg/api"
 	"repro/pkg/parmcmc"
 )
 
-// MaterializeRecord rebuilds a job's runnable inputs from its durable
-// record: the resolved (seeded) parmcmc options and the input pixels —
-// decoded from the spooled upload named by the record, or synthesized
-// from its scene spec. Both paths are deterministic, so a worker
-// materialising the same record always runs the same chain; this is
-// what a lease grant hands to pkg/service/worker.
-func MaterializeRecord(rec api.JobRecord, spoolDir string) (pix []float64, w, h int, opt parmcmc.Options, err error) {
+// materialize turns a job's record and its input bytes into what its
+// chain runs on: the seeded parmcmc options, and the input pixels —
+// the upload decoded from input, or the record's scene synthesized. It
+// is the one such mapping: RunChain runs every role's chains through
+// it, and spool recovery validates an interrupted upload with it. Both
+// paths are deterministic, so every role materialising the same record
+// runs the same chain.
+func materialize(rec api.JobRecord, input []byte) (pix []float64, w, h int, opt parmcmc.Options, err error) {
 	spec := rec.Options
-	o, aerr := optionsFromSpec(&spec)
+	opt, aerr := optionsFromSpec(&spec)
 	if aerr != nil {
-		return nil, 0, 0, parmcmc.Options{}, fmt.Errorf("service: record %s: invalid options: %v", rec.ID, aerr)
+		return nil, 0, 0, parmcmc.Options{}, fmt.Errorf("invalid options: %v", aerr)
 	}
-	o.Seed = rec.Seed
+	opt.Seed = rec.Seed
 	switch {
 	case rec.Input != "":
-		raw, rerr := os.ReadFile(filepath.Join(spoolDir, rec.ID, filepath.Base(rec.Input)))
-		if rerr != nil {
-			return nil, 0, 0, parmcmc.Options{}, fmt.Errorf("service: record %s: %w", rec.ID, rerr)
-		}
-		var derr *apiError
-		pix, w, h, _, derr = decodeImageBytes("", raw)
-		if derr != nil {
-			return nil, 0, 0, parmcmc.Options{}, fmt.Errorf("service: record %s: decoding input: %v", rec.ID, derr)
+		if pix, w, h, _, aerr = decodeImageBytes("", input); aerr != nil {
+			return nil, 0, 0, parmcmc.Options{}, fmt.Errorf("decoding input: %v", aerr)
 		}
 	case rec.Scene != nil:
 		ps, serr := rec.Scene.ToParmcmc()
 		if serr != nil {
-			return nil, 0, 0, parmcmc.Options{}, fmt.Errorf("service: record %s: %v", rec.ID, serr)
+			// The decoder canonicalised the shape name at submit time, so
+			// this can only mean a corrupted record.
+			return nil, 0, 0, parmcmc.Options{}, serr
 		}
 		pix, _ = parmcmc.GenerateScene(ps)
 		w, h = rec.Scene.W, rec.Scene.H
 	default:
-		return nil, 0, 0, parmcmc.Options{}, errors.New("service: record " + rec.ID + " has no input")
+		return nil, 0, 0, parmcmc.Options{}, errors.New("no input")
 	}
-	return pix, w, h, o, nil
+	return pix, w, h, opt, nil
 }

@@ -65,12 +65,9 @@ func (r *Remote) Next(ctx context.Context) (*Job, error) {
 // the checkpoint bytes to resume from (nil = scratch) and whether this
 // run is a flagged scratch restart.
 func (r *Remote) Describe(job *Job) (rec api.JobRecord, checkpoint []byte, restarted bool) {
-	rec = recordOf(job)
 	job.mu.Lock()
-	checkpoint = job.resume
-	restarted = job.restarted
-	job.mu.Unlock()
-	return rec, checkpoint, restarted
+	defer job.mu.Unlock()
+	return job.rec, job.resume, job.restarted
 }
 
 // Start claims the job for a worker ("" for the standalone executor);
@@ -143,12 +140,12 @@ func (r *Remote) Requeue(job *Job) {
 	}
 	blob := r.m.readCheckpoint(job.ID())
 	job.mu.Lock()
-	if job.state != api.StateRunning {
+	if job.rec.State != api.StateRunning {
 		// Terminal (or never started) — nothing to re-lease.
 		job.mu.Unlock()
 		return
 	}
-	job.state = api.StatePending
+	job.rec.State = api.StatePending
 	job.started = time.Time{}
 	job.cancel = nil
 	job.worker = ""

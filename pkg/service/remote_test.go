@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -10,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/imaging"
 	"repro/pkg/api"
 	"repro/pkg/parmcmc"
 )
@@ -36,24 +39,20 @@ func newTestExternal(t *testing.T, cfg Config) (*Manager, *Remote) {
 	return m, r
 }
 
-// runLeased emulates one worker turn over the Remote seam: materialise
-// the granted record and run it through RunChain from the granted
-// checkpoint, reporting progress through r. Its ctx is also the drain
+// runLeased emulates one worker turn over the Remote seam: run the
+// granted record through RunChain from the granted checkpoint, with
+// the input read from the spool as a worker's is, reporting progress
+// through r. Its ctx is also the drain
 // context, so like a dying worker it spools every checkpoint, the stop
 // point included. It returns the encoded result, or nil if the run was
 // interrupted.
 func runLeased(t *testing.T, ctx context.Context, m *Manager, r *Remote, job *Job) json.RawMessage {
 	t.Helper()
 	rec, blob, _ := r.Describe(job)
-	pix, w, h, opt, err := MaterializeRecord(rec, m.cfg.SpoolDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.CheckpointEvery = m.cfg.CheckpointEvery
-	opt.Observer = func(p parmcmc.Progress) {
+	observe := func(p parmcmc.Progress) {
 		r.Observe(job, *api.NewProgressEvent(p))
 	}
-	raw, err := RunChain(ctx, ctx, rec.ID, pix, w, h, opt, blob, m.cfg.SpoolDir,
+	raw, err := RunChain(ctx, ctx, rec, nil, blob, m.cfg.CheckpointEvery, observe, m.cfg.SpoolDir,
 		func(f string, a ...any) { t.Errorf(f, a...) }) // a failed checkpoint write fails the test
 	if err != nil {
 		if ctx.Err() != nil {
@@ -111,73 +110,158 @@ func TestExternalLifecycle(t *testing.T) {
 	}
 }
 
+// leaseInput is one way to submit the same detection: a synthetic
+// scene, or that scene's pixels uploaded as a PGM or PNG image. want is
+// a direct parmcmc.Detect over exactly the pixels the daemon runs on.
+type leaseInput struct {
+	name   string
+	submit func(t *testing.T, url string) api.JobStatus
+	want   func(t *testing.T) api.ResultView
+}
+
+// leaseInputs returns the scene, PGM-upload and PNG-upload forms of
+// testScene under spec. An upload job's leased run reads its input from
+// the spool, so these cover the worker's spool read next to the
+// scene's synthesis.
+func leaseInputs(t *testing.T, spec api.OptionsSpec) []leaseInput {
+	t.Helper()
+	ps, err := testScene.ToParmcmc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pix, _ := parmcmc.GenerateScene(ps)
+	img := &imaging.Image{W: testScene.W, H: testScene.H, Pix: pix}
+	var pgm, png bytes.Buffer
+	if err := img.WritePGM(&pgm); err != nil {
+		t.Fatal(err)
+	}
+	if err := img.WritePNG(&png); err != nil {
+		t.Fatal(err)
+	}
+	upload := func(name, ct string, body []byte) leaseInput {
+		return leaseInput{
+			name: name,
+			submit: func(t *testing.T, url string) api.JobStatus {
+				resp, err := http.Post(url+"/v1/jobs?"+api.OptionsQuery(spec).Encode(), ct, bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != http.StatusCreated {
+					t.Fatalf("upload: status %d", resp.StatusCode)
+				}
+				var view api.JobStatus
+				if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+					t.Fatal(err)
+				}
+				return view
+			},
+			want: func(t *testing.T) api.ResultView {
+				dpix, w, h, _, aerr := decodeImageBytes("", body)
+				if aerr != nil {
+					t.Fatal(aerr)
+				}
+				s := spec
+				opt, aerr := optionsFromSpec(&s)
+				if aerr != nil {
+					t.Fatal(aerr)
+				}
+				res, err := parmcmc.Detect(dpix, w, h, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return normalizeResult(api.NewResultView(res))
+			},
+		}
+	}
+	return []leaseInput{
+		{
+			name: "scene",
+			submit: func(t *testing.T, url string) api.JobStatus {
+				return submitJSON(t, url, api.JobSpec{Scene: &testScene, Options: spec})
+			},
+			want: func(t *testing.T) api.ResultView { return expectedView(t, testScene, spec) },
+		},
+		upload("pgm", "image/x-portable-graymap", pgm.Bytes()),
+		upload("png", "image/png", png.Bytes()),
+	}
+}
+
 // TestExternalRequeueResumesBitIdentically kills the first "worker"
 // mid-run after a checkpoint exists, requeues the job, and checks the
 // second run resumes from the checkpoint (not flagged restarted, no
-// iteration double-counting) and lands the bit-identical result.
+// iteration double-counting) and lands the bit-identical result — for
+// a scene job and for PGM and PNG uploads, whose leased runs read the
+// spooled input.
 func TestExternalRequeueResumesBitIdentically(t *testing.T) {
 	t.Parallel()
-	m, r := newTestExternal(t, Config{CheckpointEvery: 1000})
-	srv := httptest.NewServer(m.Handler())
-	defer srv.Close()
-
 	spec := testOptions(11, 60000)
-	view := submitJSON(t, srv.URL, api.JobSpec{Scene: &testScene, Options: spec})
+	for _, in := range leaseInputs(t, spec) {
+		in := in
+		t.Run(in.name, func(t *testing.T) {
+			t.Parallel()
+			m, r := newTestExternal(t, Config{CheckpointEvery: 1000})
+			srv := httptest.NewServer(m.Handler())
+			defer srv.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	job, err := r.Next(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Start(job, "w-0001", func() {})
+			view := in.submit(t, srv.URL)
 
-	// First run: die once a checkpoint is on disk.
-	runCtx, die := context.WithCancel(ctx)
-	ckpt := filepath.Join(m.cfg.SpoolDir, view.ID, api.SpoolCheckpointFile)
-	go func() {
-		for runCtx.Err() == nil {
-			if _, err := os.Stat(ckpt); err == nil {
-				die()
-				return
+			ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+			defer cancel()
+			job, err := r.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
 			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
-	if raw := runLeased(t, runCtx, m, r, job); raw != nil {
-		t.Fatal("first run finished before it could be killed; lower CheckpointEvery")
-	}
-	die()
+			r.Start(job, "w-0001", func() {})
 
-	r.Requeue(job)
-	st := getJob(t, srv.URL, view.ID)
-	if st.State != api.StatePending || st.Restarted || st.Worker != "" {
-		t.Fatalf("requeued status = %+v", st)
-	}
+			// First run: die once a checkpoint is on disk.
+			runCtx, die := context.WithCancel(ctx)
+			ckpt := filepath.Join(m.cfg.SpoolDir, view.ID, api.SpoolCheckpointFile)
+			go func() {
+				for runCtx.Err() == nil {
+					if _, err := os.Stat(ckpt); err == nil {
+						die()
+						return
+					}
+					time.Sleep(5 * time.Millisecond)
+				}
+			}()
+			if raw := runLeased(t, runCtx, m, r, job); raw != nil {
+				t.Fatal("first run finished before it could be killed; lower CheckpointEvery")
+			}
+			die()
 
-	// Second run: must come back out of Next ahead of new submissions
-	// and resume from the checkpoint.
-	job2, err := r.Next(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if job2 != job {
-		t.Fatalf("requeue returned a different job: %s", job2.ID())
-	}
-	if _, blob, restarted := r.Describe(job2); len(blob) == 0 || restarted {
-		t.Fatalf("grant after requeue: checkpoint %d bytes, restarted %v", len(blob), restarted)
-	}
-	r.Start(job2, "w-0002", func() {})
-	raw := runLeased(t, ctx, m, r, job2)
-	if raw == nil {
-		t.Fatal("second run did not finish")
-	}
-	r.Complete(job2, raw, "")
+			r.Requeue(job)
+			st := getJob(t, srv.URL, view.ID)
+			if st.State != api.StatePending || st.Restarted || st.Worker != "" {
+				t.Fatalf("requeued status = %+v", st)
+			}
 
-	want := expectedView(t, testScene, spec)
-	final := waitDone(t, srv.URL, view.ID)
-	if got := normalizeResult(decodeResult(t, final)); !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed result differs from uninterrupted run\ngot  %+v\nwant %+v", got, want)
+			// Second run: must come back out of Next ahead of new submissions
+			// and resume from the checkpoint.
+			job2, err := r.Next(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if job2 != job {
+				t.Fatalf("requeue returned a different job: %s", job2.ID())
+			}
+			if _, blob, restarted := r.Describe(job2); len(blob) == 0 || restarted {
+				t.Fatalf("grant after requeue: checkpoint %d bytes, restarted %v", len(blob), restarted)
+			}
+			r.Start(job2, "w-0002", func() {})
+			raw := runLeased(t, ctx, m, r, job2)
+			if raw == nil {
+				t.Fatal("second run did not finish")
+			}
+			r.Complete(job2, raw, "")
+
+			want := in.want(t)
+			final := waitDone(t, srv.URL, view.ID)
+			if got := normalizeResult(decodeResult(t, final)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("resumed result differs from uninterrupted run\ngot  %+v\nwant %+v", got, want)
+			}
+		})
 	}
 }
 

@@ -19,16 +19,7 @@ var errLostLease = errors.New("lease lost")
 // roles run under — and its resume path.
 func TestRunChain(t *testing.T) {
 	spec := testOptions(31, 40000)
-	opt, aerr := optionsFromSpec(&spec)
-	if aerr != nil {
-		t.Fatal(aerr)
-	}
-	ps, err := testScene.ToParmcmc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pix, _ := parmcmc.GenerateScene(ps)
-	w, h := testScene.W, testScene.H
+	rec := api.JobRecord{ID: "job-1", Seed: spec.Seed, Options: spec, Scene: &testScene}
 	want := expectedView(t, testScene, spec)
 
 	// stop runs the chain with its periodic checkpoints out of reach and
@@ -45,16 +36,14 @@ func TestRunChain(t *testing.T) {
 		defer cancel(nil)
 		drainCtx, endProcess := context.WithCancel(context.Background())
 		defer endProcess()
-		o := opt
-		o.CheckpointEvery = 100_000_000
-		o.Observer = func(parmcmc.Progress) {
+		observe := func(parmcmc.Progress) {
 			cancel(cause)
 			if shutdown {
 				endProcess()
 			}
 		}
 		logf := func(f string, a ...any) { t.Errorf(f, a...) }
-		if _, err := RunChain(ctx, drainCtx, "job-1", pix, w, h, o, nil, spool, logf); !errors.Is(err, context.Canceled) {
+		if _, err := RunChain(ctx, drainCtx, rec, nil, nil, 100_000_000, observe, spool, logf); !errors.Is(err, context.Canceled) {
 			t.Fatalf("stopped run returned %v, want context.Canceled", err)
 		}
 		blob, err := os.ReadFile(filepath.Join(spool, "job-1", spoolCheckpointFile))
@@ -86,7 +75,7 @@ func TestRunChain(t *testing.T) {
 			if blob == nil {
 				t.Fatal("a shutdown left no checkpoint at its stop point")
 			}
-			raw, err := RunChain(context.Background(), context.Background(), "job-1", pix, w, h, opt, blob, "",
+			raw, err := RunChain(context.Background(), context.Background(), rec, nil, blob, 0, nil, "",
 				func(f string, a ...any) { t.Errorf(f, a...) })
 			if err != nil {
 				t.Fatal(err)
@@ -102,8 +91,8 @@ func TestRunChain(t *testing.T) {
 	}
 
 	t.Run("corrupt_checkpoint_is_an_error", func(t *testing.T) {
-		if _, err := RunChain(context.Background(), context.Background(), "job-1", pix, w, h, opt,
-			[]byte("not a checkpoint"), "", t.Logf); err == nil {
+		if _, err := RunChain(context.Background(), context.Background(), rec, nil,
+			[]byte("not a checkpoint"), 0, nil, "", t.Logf); err == nil {
 			t.Fatal("RunChain accepted a corrupt checkpoint")
 		}
 	})

@@ -417,13 +417,17 @@ func TestImageUpload(t *testing.T) {
 
 			// The daemon decoded the upload itself; reproduce that and
 			// detect directly.
-			spec, aerr := decodeSubmit(tc.ct, tc.body, map[string][]string{
+			rec, input, aerr := decodeSubmit(tc.ct, tc.body, map[string][]string{
 				"radius": {"7"}, "iters": {"20000"}, "seed": {"9"}, "strategy": {"sequential"},
 			})
 			if aerr != nil {
 				t.Fatal(aerr)
 			}
-			res, err := parmcmc.Detect(spec.pix, spec.w, spec.h, spec.opt)
+			pix, w, h, opt, err := materialize(*rec, input)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := parmcmc.Detect(pix, w, h, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

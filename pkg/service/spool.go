@@ -35,26 +35,13 @@ func (m *Manager) spooling() bool { return m.cfg.SpoolDir != "" }
 
 func (m *Manager) jobDir(id string) string { return filepath.Join(m.cfg.SpoolDir, id) }
 
-// recordOf builds the job's durable record — the spool's job.json and
-// the Record field of a lease grant. No I/O: the input file name is
-// derived from the upload's extension, which outlives the released
-// bytes.
-func recordOf(job *Job) api.JobRecord {
-	rec := api.JobRecord{
-		ID:        job.id,
-		Seed:      job.seed,
-		Submitted: job.submitted,
-		Options:   job.spec,
-		Scene:     job.scene,
+// readSpooledInput reads the upload a record names from its job's
+// spool directory.
+func readSpooledInput(spoolDir string, rec api.JobRecord) ([]byte, error) {
+	if spoolDir == "" {
+		return nil, fmt.Errorf("input %s is not held and there is no spool", rec.Input)
 	}
-	if job.ext != "" {
-		rec.Input = "input." + job.ext
-	}
-	job.mu.Lock()
-	rec.State = job.state
-	rec.Error = job.errMsg
-	job.mu.Unlock()
-	return rec
+	return os.ReadFile(filepath.Join(spoolDir, rec.ID, filepath.Base(rec.Input)))
 }
 
 // spoolRecord persists the job's record, and with it, on first write,
@@ -70,13 +57,12 @@ func (m *Manager) spoolRecord(job *Job) error {
 	}
 	job.spoolMu.Lock()
 	defer job.spoolMu.Unlock()
-	dir := m.jobDir(job.id)
+	dir := m.jobDir(job.ID())
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	rec := recordOf(job)
 	job.mu.Lock()
-	input, result := job.input, job.resultJSON // input may be released once the job is terminal
+	rec, input, result := job.rec, job.input, job.resultJSON // input may be released once the job is terminal
 	job.mu.Unlock()
 	if input != nil {
 		path := filepath.Join(dir, rec.Input)
@@ -130,10 +116,10 @@ func (m *Manager) recoverSpool() ([]*Job, error) {
 			m.cfg.Logf("service: skipping spooled job %s: %v", e.Name(), err)
 			continue
 		}
-		m.jobs[job.id] = job
-		m.order = append(m.order, job.id)
+		m.jobs[job.ID()] = job
+		m.order = append(m.order, job.ID())
 		var n uint64
-		if parseJobSeq(job.id, &n) && n > m.seq {
+		if parseJobSeq(job.ID(), &n) && n > m.seq {
 			m.seq = n
 		}
 		if !terminal {
@@ -160,33 +146,13 @@ func (m *Manager) recoverJob(name string) (*Job, bool, error) {
 	if rec.ID != name {
 		return nil, false, fmt.Errorf("record id %q does not match directory", rec.ID)
 	}
-	spec := rec.Options
-	opt, aerr := optionsFromSpec(&spec)
-	if aerr != nil {
+	if _, aerr := optionsFromSpec(&rec.Options); aerr != nil {
 		return nil, false, fmt.Errorf("invalid recorded options: %v", aerr)
 	}
-	js := &jobSpec{spec: spec, opt: opt, scene: rec.Scene}
-	// Terminal jobs never run again, so their (possibly large) input is
-	// not re-decoded — only resumable jobs pay for it.
-	if rec.Input != "" && !rec.State.Terminal() {
-		raw, err := os.ReadFile(filepath.Join(dir, rec.Input))
-		if err != nil {
-			return nil, false, err
-		}
-		// Options come from the record; only the image bytes need
-		// re-decoding (deterministically, so resume stays bit-identical).
-		pix, w, h, ext, daerr := decodeImageBytes("", raw)
-		if daerr != nil {
-			return nil, false, fmt.Errorf("re-decoding input: %v", daerr)
-		}
-		js.input, js.ext = raw, ext
-		js.pix, js.w, js.h = pix, w, h
-	}
-	job := newJob(rec.ID, rec.Seed, js, rec.Submitted)
-
 	if rec.State.Terminal() {
-		job.state = rec.State
-		job.errMsg = rec.Error
+		// Terminal jobs never run again, so their (possibly large) input
+		// is not read back.
+		job := newJob(rec, nil)
 		if rec.State == api.StateDone {
 			res, err := os.ReadFile(filepath.Join(dir, spoolResultFile))
 			if err != nil {
@@ -198,12 +164,25 @@ func (m *Manager) recoverJob(name string) (*Job, bool, error) {
 		return job, true, nil
 	}
 
-	// Interrupted: resume from the latest checkpoint when one exists
-	// (and still parses); otherwise restart from scratch — both paths
-	// produce the bit-identical final result. A scratch restart is
-	// flagged on the job (JobStatus.Restarted) so a streaming client
-	// that watched the pre-crash run rewinds its progress watermark
-	// instead of silently suppressing the whole re-run.
+	// Interrupted: pending again. An upload is validated exactly as its
+	// run will materialise it, and only its bytes are kept. The job
+	// resumes from the latest checkpoint when one exists (and still
+	// parses); otherwise it restarts from scratch — both paths produce
+	// the bit-identical final result. A scratch restart is flagged on
+	// the job (JobStatus.Restarted) so a streaming client that watched
+	// the pre-crash run rewinds its progress watermark instead of
+	// silently suppressing the whole re-run.
+	rec.State, rec.Error = api.StatePending, ""
+	var input []byte
+	if rec.Input != "" {
+		if input, err = readSpooledInput(m.cfg.SpoolDir, rec); err != nil {
+			return nil, false, err
+		}
+		if _, _, _, _, err := materialize(rec, input); err != nil {
+			return nil, false, err
+		}
+	}
+	job := newJob(rec, input)
 	job.resume = m.readCheckpoint(rec.ID)
 	job.restarted = job.resume == nil
 	return job, false, nil

@@ -290,7 +290,8 @@ func (w *Worker) runLease(ctx context.Context, grant api.LeaseGrant) {
 	w.complete(ctx, lease, report)
 }
 
-// detect runs the chain under the lease's ctx through service.RunChain,
+// detect runs the granted record's chain under the lease's ctx through
+// service.RunChain, which reads an upload's input from the spool,
 // resuming from the granted checkpoint if any. It returns
 // errLeaseExpired when the coordinator disowned the lease mid-run.
 // workerCtx is the whole worker's, RunChain's drain context: when it
@@ -300,15 +301,10 @@ func (w *Worker) runLease(ctx context.Context, grant api.LeaseGrant) {
 // cause), writes none, so it never overwrites the re-leased copy's
 // checkpoints.
 func (w *Worker) detect(workerCtx, ctx context.Context, grant api.LeaseGrant) (json.RawMessage, error) {
-	pix, width, height, opt, err := service.MaterializeRecord(grant.Record, w.cfg.SpoolDir)
-	if err != nil {
-		return nil, err
-	}
 	runCtx, abandon := context.WithCancelCause(ctx)
 	defer abandon(nil)
 
-	opt.CheckpointEvery = grant.CheckpointEvery
-	opt.Observer = func(p parmcmc.Progress) {
+	observe := func(p parmcmc.Progress) {
 		var ack api.ProgressAck
 		status, env, perr := w.do(runCtx, api.InternalPrefix+"/leases/"+grant.Lease.ID+"/progress",
 			api.ProgressReport{WorkerID: grant.Lease.WorkerID, Progress: *api.NewProgressEvent(p)}, &ack)
@@ -325,8 +321,8 @@ func (w *Worker) detect(workerCtx, ctx context.Context, grant api.LeaseGrant) (j
 		}
 	}
 
-	raw, err := service.RunChain(runCtx, workerCtx, grant.Record.ID, pix, width, height, opt,
-		grant.Checkpoint, w.cfg.SpoolDir, w.cfg.Logf)
+	raw, err := service.RunChain(runCtx, workerCtx, grant.Record, nil, grant.Checkpoint,
+		grant.CheckpointEvery, observe, w.cfg.SpoolDir, w.cfg.Logf)
 	if context.Cause(runCtx) == errLeaseExpired {
 		return nil, errLeaseExpired
 	}
