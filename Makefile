@@ -152,8 +152,10 @@ bench-check:
 #
 # The -scaling-gate floors fail the run when the speculative sampler's
 # simulated end-to-end speedup drops below 1.4x at 2 procs / 1.6x at 4,
-# or when measured thread-throughput scaling falls below 1.1x at 2 procs
-# — the measured gate skips (loudly) on hosts with fewer cores.
+# when its measured end-to-end speedup on real lanes (the /measured
+# leaves: adaptive width, Workers = GOMAXPROCS) falls below 1.15x at 2
+# procs, or when measured thread-throughput scaling falls below 1.1x at
+# 2 procs — the measured gates skip (loudly) on hosts with fewer cores.
 SCALING_CPUS := 1,2,4
 bench-scaling:
 	$(GO) run ./cmd/benchjson \
@@ -161,6 +163,7 @@ bench-scaling:
 		-cpu $(SCALING_CPUS) -benchtime 0.3s -count 2 -o BENCH_scaling.json \
 		-scaling-gate 'BenchmarkSamplerScaling/.*/width=adaptive@2:1.4' \
 		-scaling-gate 'BenchmarkSamplerScaling/.*/width=adaptive@4:1.6' \
+		-scaling-gate 'BenchmarkSamplerScaling/.*/measured@2:1.15:measured' \
 		-scaling-gate 'BenchmarkThroughputScaling@2:1.1:measured'
 
 # Nightly fuzz smoke: run every Fuzz* target for FUZZ_TIME each (the

@@ -181,7 +181,8 @@ func BenchmarkThroughputScaling(b *testing.B) {
 // the spec-* metrics additionally record the executor's realized eq. 3
 // iterations-per-batch and its (fixed or adaptive) width, so the
 // adaptive controller can be compared against every fixed width on the
-// same workload.
+// same workload. The measured leaves run the detection on real lanes
+// instead, so the curve also carries a measured sampler speedup.
 func BenchmarkSamplerScaling(b *testing.B) {
 	workloads := []struct {
 		name string
@@ -229,6 +230,20 @@ func BenchmarkSamplerScaling(b *testing.B) {
 				}
 			})
 		}
+		// measured runs the same detection on real lanes (Workers =
+		// GOMAXPROCS, adaptive width, no simulation): across the -cpu
+		// list its ns/op gives the measured end-to-end speedup curve.
+		b.Run(wl.name+"/measured", func(b *testing.B) {
+			procs := runtime.GOMAXPROCS(0)
+			for i := 0; i < b.N; i++ {
+				if _, err := parmcmc.Detect(pix, wl.spec.W, wl.spec.H, parmcmc.Options{
+					Strategy: parmcmc.PeriodicSpeculative, MeanRadius: wl.spec.MeanRadius,
+					Iterations: 40000, Seed: 7, Workers: procs, PartitionGrid: 3,
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -263,20 +278,40 @@ func BenchmarkPeriodicVsSequential(b *testing.B) {
 }
 
 // BenchmarkSpeculativeExecutor measures speculative stepping throughput
-// against plain stepping (the eq. 3 mechanism).
+// against plain stepping (the eq. 3 mechanism). The width=N leaves
+// speculate over the full move mixture at a fixed width; globals
+// restricts the moves to M_g, as the periodic engine's global phases
+// do, at the adaptive width on GOMAXPROCS lanes — the executor as
+// PeriodicSpeculative runs it.
 func BenchmarkSpeculativeExecutor(b *testing.B) {
+	warm := func(b *testing.B) *mcmc.Engine {
+		s := benchState(b, 256, 256, 20)
+		e := mcmc.MustNew(s, rng.New(1), mcmc.DefaultWeights(), mcmc.DefaultStepSizes(10))
+		e.RunN(10000)
+		return e
+	}
 	for _, width := range []int{1, 2, 4, 8} {
 		width := width
 		b.Run("width="+itoa(width), func(b *testing.B) {
-			s := benchState(b, 256, 256, 20)
-			e := mcmc.MustNew(s, rng.New(1), mcmc.DefaultWeights(), mcmc.DefaultStepSizes(10))
-			e.RunN(10000)
-			x := spec.NewExecutor(e, width, nil)
+			x := spec.NewExecutor(warm(b), width, nil)
 			defer x.Close()
 			b.ResetTimer()
 			x.RunN(b.N)
 		})
 	}
+	b.Run("globals", func(b *testing.B) {
+		e := warm(b)
+		var globals []mcmc.Move
+		for m := mcmc.Move(0); m < mcmc.NumMoves; m++ {
+			if m.IsGlobal() && e.W[m] > 0 {
+				globals = append(globals, m)
+			}
+		}
+		x := spec.NewExecutorOpts(e, spec.Config{Workers: runtime.GOMAXPROCS(0)}, globals)
+		defer x.Close()
+		b.ResetTimer()
+		x.RunN(b.N)
+	})
 }
 
 // BenchmarkLikelihoodDelta measures the core O(r²) incremental

@@ -52,19 +52,57 @@ type Gang struct {
 	epoch   padUint64
 	next    padInt64
 	pending padInt64
-	// waiting is set while Run's caller blocks on done.
-	waiting padUint64
 
-	done  chan struct{}
-	slots []gangSlot
+	// caller is where Run's caller parks on the round's completion;
+	// slots[i] is where background worker i parks between rounds.
+	caller Waiter
+	slots  []Waiter
 }
 
-// gangSlot is one background worker's parking state, padded to a cache
-// line so that neighbouring workers' park/wake flags never false-share.
-type gangSlot struct {
+// Waiter is the parking spot of one goroutine that waits for a
+// condition another goroutine makes true. Its waker must make the
+// condition true and then call Wake: the Dekker pair with park (store
+// parked, then re-check the condition; against make true, then load
+// parked), both sequentially consistent, means either the parker sees
+// the condition or the waker sees it parked and hands it a token.
+// Tokens are buffered and every wake re-checks the condition, so a
+// stale token costs one more re-check. The zero Waiter is not usable:
+// build one with NewWaiter, or as part of a Gang.
+type Waiter struct {
 	parked atomic.Uint64
 	wake   chan struct{}
 	_      [64 - 8 - 8]byte
+}
+
+// NewWaiter returns a Waiter ready to park on.
+func NewWaiter() *Waiter {
+	w := &Waiter{}
+	w.init()
+	return w
+}
+
+func (w *Waiter) init() { w.wake = make(chan struct{}, 1) }
+
+// park blocks until cond holds.
+func (w *Waiter) park(cond func() bool) {
+	w.parked.Store(1)
+	for !cond() {
+		<-w.wake
+	}
+	w.parked.Store(0)
+}
+
+// Wake hands the waiter a token if it is parked and reports whether it
+// was. Call it after making the waiter's condition true.
+func (w *Waiter) Wake() bool {
+	if w.parked.Load() == 0 {
+		return false
+	}
+	select {
+	case w.wake <- struct{}{}:
+	default:
+	}
+	return true
 }
 
 type padUint64 struct {
@@ -108,10 +146,11 @@ func NewGang(workers int) *Gang {
 	if workers < 1 {
 		panic("sched: NewGang needs at least one worker")
 	}
-	g := &Gang{workers: workers, done: make(chan struct{}, 1)}
-	g.slots = make([]gangSlot, workers)
+	g := &Gang{workers: workers}
+	g.caller.init()
+	g.slots = make([]Waiter, workers)
 	for i := range g.slots {
-		g.slots[i].wake = make(chan struct{}, 1)
+		g.slots[i].init()
 	}
 	return g
 }
@@ -160,32 +199,31 @@ func (g *Gang) Run(tasks int, fn func(worker, task int)) {
 	// consumed with a re-check, so a stale token merely costs one spin.
 	spin := g.fits()
 	for i := 1; i < g.workers; i++ {
-		sl := &g.slots[i]
-		if sl.parked.Load() != 0 {
-			select {
-			case sl.wake <- struct{}{}:
-			default:
-			}
+		if g.slots[i].Wake() {
 			// The woken worker waits in this P's run-next slot: spinning
 			// here would keep it from running.
 			spin = false
 		}
 	}
 	g.drain(0)
-	// Wait for the round's last pending count to retire. Blocking uses a
-	// second Dekker pair: we store waiting=1 and then re-load pending; the
-	// worker that retires the last count decrements pending and then
-	// loads waiting, handing us a token if it is set. As with the wake
-	// tokens, a stale token only costs one more re-check.
+	// Wait for the round's last pending count to retire; the worker that
+	// retires it wakes the caller's Waiter.
 	finished := func() bool { return g.pending.v.Load() == 0 }
 	if g.pending.v.Add(-1) != 0 && !(spin && g.await(finished)) {
-		g.waiting.v.Store(1)
-		for !finished() {
-			<-g.done
-		}
-		g.waiting.v.Store(0)
+		g.caller.park(finished)
 	}
 	g.fn = nil
+}
+
+// Wait returns once cond holds. It waits as the gang's own workers do —
+// spinning while the process's gangs fit in GOMAXPROCS, briefly
+// otherwise (see await) — and then parks on w, so whoever makes cond
+// true must call w.Wake afterwards. Callers are the gang's tasks, which
+// coordinate among themselves inside one Run.
+func (g *Gang) Wait(w *Waiter, cond func() bool) {
+	if !g.await(cond) {
+		w.park(cond)
+	}
 }
 
 // fits reports whether every started, unclosed gang of the process fits
@@ -244,26 +282,15 @@ func (g *Gang) drain(worker int) {
 // work is the background worker loop: wait for a new epoch, run the
 // round, report completion, repeat until Close.
 func (g *Gang) work(self int, seen uint64) {
-	sl := &g.slots[self]
 	released := func() bool { return g.epoch.v.Load() != seen }
 	for {
-		for !g.await(released) {
-			sl.parked.Store(1)
-			if !released() {
-				<-sl.wake
-			}
-			sl.parked.Store(0)
-		}
+		g.Wait(&g.slots[self], released)
 		seen = g.epoch.v.Load()
 		if g.closing.Load() {
 			return
 		}
 		g.drain(self)
-		if g.pending.v.Add(-1) == 0 && g.waiting.v.Load() != 0 {
-			select {
-			case g.done <- struct{}{}:
-			default:
-			}
+		if g.pending.v.Add(-1) == 0 && g.caller.Wake() {
 			// The caller now sits in this P's run-next slot: yield so it
 			// resumes at once instead of after this worker's next spin.
 			runtime.Gosched()
@@ -282,9 +309,8 @@ func (g *Gang) Close() {
 	busyWidth.Add(-int64(g.workers))
 	g.epoch.v.Add(1)
 	for i := 1; i < g.workers; i++ {
-		sl := &g.slots[i]
 		select {
-		case sl.wake <- struct{}{}:
+		case g.slots[i].wake <- struct{}{}:
 		default:
 		}
 	}

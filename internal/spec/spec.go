@@ -28,7 +28,8 @@
 // same committed chain. That is what lets the adaptive controller
 // (controller.go) pick widths from timing data while checkpoint resume
 // stays bit-identical: width decisions need not be replayed, because
-// they cannot influence the chain.
+// they cannot influence the chain. It also lets RunN drop batches
+// altogether on a gang and stream iterations run-ahead (stream.go).
 package spec
 
 import (
@@ -40,7 +41,8 @@ import (
 	"repro/internal/sched"
 )
 
-// DefaultMaxWidth caps the adaptive controller's width search. Eq. 3
+// DefaultMaxWidth caps the adaptive controller's width search, and is
+// the run-ahead depth of an adaptive executor's streamed RunN. Eq. 3
 // saturates at 1/(1−p_r) — 4 for the paper's p_r ≈ 0.75 — so widths past
 // 8 buy nothing for realistic rejection rates.
 const DefaultMaxWidth = 8
@@ -65,12 +67,12 @@ type Config struct {
 	// defaults to min(width cap, GOMAXPROCS) — or the width cap itself
 	// in Simulate mode, where no real goroutines are spawned.
 	Workers int
-	// Gang, when non-nil, supplies the evaluation lanes: batches run on
-	// this gang, one lane per gang worker, instead of on a gang of the
-	// executor's own. The caller keeps ownership (Close leaves it
-	// open), which lets the periodic engine share one warm gang between
-	// its local phases and its speculative global batches. Ignored in
-	// Simulate mode.
+	// Gang, when non-nil, supplies the evaluation lanes: batches and
+	// streamed RunN calls run on this gang, one lane per gang worker,
+	// instead of on a gang of the executor's own. The caller keeps
+	// ownership (Close leaves it open), which lets the periodic engine
+	// share one warm gang between its local phases and its speculative
+	// global phases. Ignored in Simulate mode.
 	Gang *sched.Gang
 	// Simulate runs evaluations serially but timed, accumulating
 	// SimSeqSeconds/SimSpecSeconds — the single-machine device for
@@ -107,6 +109,13 @@ type Executor struct {
 	evalTask  func(lane, i int)
 	batchBase int64
 
+	// st is the run-ahead state RunN streams through on a gang (nil
+	// without one), streamTask the gang task that runs a lane of it, and
+	// streamed reports whether RunN has streamed yet.
+	st         *stream
+	streamTask func(lane, _ int)
+	streamed   bool
+
 	ctl *controller // nil for fixed width
 
 	simulate bool
@@ -114,7 +123,9 @@ type Executor struct {
 
 	// Batches and Consumed accumulate how many speculative rounds ran
 	// and how many chain iterations they covered; their ratio is the
-	// measured per-iteration speedup.
+	// measured per-iteration speedup. A streamed RunN counts the rounds
+	// a StepBatch loop at the run-ahead depth would have run (see
+	// runStream).
 	Batches  int64
 	Consumed int64
 
@@ -128,7 +139,7 @@ type Executor struct {
 	SimSpecSeconds float64
 
 	// props is the reusable batch buffer so steady-state speculative
-	// rounds allocate nothing.
+	// rounds allocate nothing; a streamed RunN uses it as its ring.
 	props    []mcmc.Proposal
 	evalSecs []float64
 }
@@ -196,7 +207,17 @@ func NewExecutorOpts(host *mcmc.Engine, cfg Config, moves []mcmc.Move) *Executor
 	for i := range x.slots {
 		x.slots[i] = host.ShadowScratch()
 	}
-	x.evalTask = func(lane, i int) { x.evalOne(lane, x.batchBase, i) }
+	x.evalTask = func(lane, i int) { x.evalOne(lane, x.batchBase+int64(i), &x.props[i]) }
+	if x.gang != nil {
+		x.st = newStream(lanes, maxW)
+		x.streamTask = func(lane, _ int) {
+			if lane == 0 {
+				x.hostStream()
+			} else {
+				x.laneStream(lane)
+			}
+		}
+	}
 	if cfg.Width == 0 {
 		x.ctl = newController(maxW, workers)
 	}
@@ -208,9 +229,10 @@ func NewExecutorOpts(host *mcmc.Engine, cfg Config, moves []mcmc.Move) *Executor
 }
 
 // Width returns the width the next batch will run at: the fixed width,
-// or the adaptive controller's current pick.
+// or the adaptive controller's current pick. Once RunN has streamed, it
+// is the run-ahead depth, MaxWidth.
 func (x *Executor) Width() int {
-	if x.ctl != nil {
+	if x.ctl != nil && !x.streamed {
 		return x.ctl.width
 	}
 	return len(x.props)
@@ -239,18 +261,18 @@ func iterSeed(base uint64, k int64) uint64 {
 	return base + uint64(k)*0x9e3779b97f4a7c15
 }
 
-// evalOne evaluates the proposal for chain iteration base+i on the given
-// lane's slot engine.
-func (x *Executor) evalOne(lane int, base int64, i int) {
+// evalOne evaluates the proposal for chain iteration k on the given
+// lane's slot engine into dst.
+func (x *Executor) evalOne(lane int, k int64, dst *mcmc.Proposal) {
 	sh := x.slots[lane]
-	sh.R.Reseed(iterSeed(x.seqBase, base+int64(i)))
+	sh.R.Reseed(iterSeed(x.seqBase, k))
 	var kind mcmc.Move
 	if x.moves == nil {
 		kind = sh.PickMove()
 	} else {
 		kind = x.moves[sh.R.Pick(x.weights)]
 	}
-	x.props[i] = sh.Propose(kind)
+	*dst = sh.Propose(kind)
 }
 
 // StepBatch runs one speculative round of up to `width` proposals and
@@ -281,7 +303,7 @@ func (x *Executor) StepBatch(width int) (consumed int, applied bool) {
 		secs := x.evalSecs[:width]
 		for i := range props {
 			t0 := time.Now()
-			x.evalOne(0, base, i)
+			x.evalOne(0, base+int64(i), &props[i])
 			secs[i] = time.Since(t0).Seconds()
 		}
 	case x.gang != nil && width > 1:
@@ -289,7 +311,7 @@ func (x *Executor) StepBatch(width int) (consumed int, applied bool) {
 		x.gang.Run(width, x.evalTask)
 	default:
 		for i := range props {
-			x.evalOne(0, base, i)
+			x.evalOne(0, base+int64(i), &props[i])
 		}
 	}
 
@@ -332,9 +354,15 @@ func (x *Executor) StepBatch(width int) (consumed int, applied bool) {
 	return consumed, applied
 }
 
-// RunN advances the chain by exactly n iterations using speculative
-// batches, clamping the final batch so the count is exact.
+// RunN advances the chain by exactly n iterations. On a gang it streams
+// them in one round whose lanes run ahead of the chain (runStream);
+// otherwise — a single lane, or Simulate mode — it runs StepBatch
+// rounds at Width, clamping the final one so the count is exact.
 func (x *Executor) RunN(n int) {
+	if x.st != nil && n > 0 {
+		x.runStream(n)
+		return
+	}
 	for done := 0; done < n; {
 		width := x.Width()
 		if rem := n - done; rem < width {

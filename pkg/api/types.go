@@ -106,9 +106,11 @@ type ProgressEvent struct {
 	PartitionsDone int    `json:"partitions_done"`
 
 	// Speculative-executor telemetry (PeriodicSpeculative runs only):
-	// the speculation width the next batch runs at — the adaptive
-	// controller's current pick, or the configured fixed width — and the
-	// measured committed-iterations-per-batch speedup so far. Telemetry
+	// the speculation width the global phases run at — the configured
+	// fixed width, or at the adaptive setting the controller's current
+	// pick (the run-ahead depth when they stream on workers > 1 real
+	// lanes; see parmcmc.Progress) — and the measured
+	// committed-iterations-per-batch speedup so far. Telemetry
 	// only: the sampled chain is identical for every width, so these
 	// never appear in ResultView.
 	SpecWidth   int   `json:"spec_width,omitempty"`

@@ -410,11 +410,17 @@ type Result struct {
 	SimLocalSeconds float64
 
 	// Speculative-executor metadata for PeriodicSpeculative runs.
-	// SpecBatches counts speculative rounds; SpecSpeedup is the measured
-	// consumed-iterations-per-batch (the realized eq. 3 gain); SpecWidth
-	// is the width the executor ended at (the fixed width, or the
-	// adaptive controller's final pick — the latter is timing-driven and
-	// so not deterministic, unlike the chain itself). With
+	// SpecBatches counts speculative rounds of width SpecWidth: the
+	// batches run, or — when the global phases ran on Workers > 1 real
+	// lanes, which stream iterations run-ahead instead of batching them —
+	// the batches a fork/join executor of that width would have run over
+	// the same chain (a batch ends at an accept or after SpecWidth
+	// iterations). SpecSpeedup is the consumed iterations per batch (the
+	// realized eq. 3 gain). SpecWidth is the fixed width, the run-ahead
+	// depth on real lanes at the adaptive setting (MaxWidth, 8), or in
+	// single-lane and simulated runs the adaptive controller's final
+	// pick, which is timing-driven and so not deterministic, unlike the
+	// chain itself. At a fixed width all three are deterministic. With
 	// Options.SimulateParallel, SimGlobalSeconds is the simulated
 	// Workers-way global-phase wall-clock (per-batch LPT makespan plus
 	// overhead) and SimGlobalSerialSeconds the serial-equivalent cost of

@@ -34,11 +34,13 @@ type Progress struct {
 	Partitions, PartitionsDone int
 
 	// Speculative-executor telemetry, populated only by the
-	// PeriodicSpeculative strategy: the width the next batch will run at
-	// (the adaptive controller's current pick, or the fixed width) and
-	// the measured consumed-iterations-per-batch so far — the realized
-	// eq. 3 speedup, 1 meaning speculation never helped. Telemetry only:
-	// the sampled chain is identical for every width schedule.
+	// PeriodicSpeculative strategy: the width the global phases run at
+	// (the fixed width; at the adaptive setting the run-ahead depth when
+	// they stream on Workers > 1 real lanes, else the controller's
+	// current pick) and the consumed iterations per batch so far — the
+	// realized eq. 3 speedup, 1 meaning speculation never helped (see
+	// Result.SpecBatches). Telemetry only: the sampled chain is identical
+	// for every width schedule.
 	SpecWidth   int
 	SpecSpeedup float64
 }

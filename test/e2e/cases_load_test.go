@@ -103,8 +103,12 @@ func caseQueueSaturation(t *testing.T) {
 	for i := 0; i < 3; i++ { // 1 running + 2 queued
 		long.Seed = uint64(i + 1)
 		accepted = append(accepted, d.submit(t, matrixScene, long))
+		if i == 0 {
+			// The first job holds the queue's place until the one slot
+			// dequeues it.
+			d.waitState(t, accepted[0].ID, api.StateRunning)
+		}
 	}
-	d.waitState(t, accepted[0].ID, api.StateRunning)
 
 	long.Seed = 99
 	_, err := d.c.Submit(ctx, api.JobSpec{Scene: &matrixScene, Options: long})
