@@ -103,7 +103,11 @@ func BenchmarkSequentialIteration(b *testing.B) {
 // BenchmarkMoveKinds measures each proposal kind separately; the paper's
 // theory assumes τ_g ≈ τ_l, which this verifies. Each shape family
 // benches its own move set (axis-scale/rotate exist only for ellipses;
-// split/merge only for discs), on an engine over a matching scene.
+// split/merge only for discs), on an engine over a matching scene. Each
+// leaf repeats one kind on a state that rarely changes, so the death,
+// replace and local-move rows mostly hit the engine's memo of old-side
+// terms and price only the new shape; a chain that mixes kinds hits it
+// less often. The BenchmarkLikDelta* rows time the kernels themselves.
 func BenchmarkMoveKinds(b *testing.B) {
 	run := func(name string, kind geom.ShapeKind, moves []mcmc.Move) {
 		s := benchStateKind(b, 512, 512, 40, kind)
@@ -272,6 +276,44 @@ func BenchmarkPeriodicVsSequential(b *testing.B) {
 					b.Fatal(err)
 				}
 				pe.Run(iters)
+			}
+		})
+	}
+}
+
+// BenchmarkPeriodicCycle measures one steady-state PeriodicSpeculative
+// cycle — a speculative global phase and a local phase over the 3×3
+// offset grid of PartitionGrid 2 — on the Table I bead scene, as a
+// detection runs it, at one and two workers. The engine is warmed by a
+// full detection's budget first, so the scene is populated and every
+// pooled buffer has grown; ns/op is the time per cycle.
+func BenchmarkPeriodicCycle(b *testing.B) {
+	scene := imaging.Synthesize(imaging.SceneSpec{
+		W: 512, H: 384, Count: 48, MeanRadius: 9, RadiusStdDev: 0.9,
+		Noise: 0.07, Clusters: 6, MinSeparation: 1.05,
+	}, rng.New(2011))
+	for _, workers := range []int{1, 2} {
+		workers := workers
+		b.Run("workers="+itoa(workers), func(b *testing.B) {
+			s, err := model.NewState(scene.Image, model.DefaultParams(48, 9))
+			if err != nil {
+				b.Fatal(err)
+			}
+			e := mcmc.MustNew(s, rng.New(7), mcmc.DefaultWeights(), mcmc.DefaultStepSizes(9))
+			pe, err := core.NewEngine(e, core.Options{
+				LocalPhaseIters: 300, GridXM: 512 / 2 * 1.01, GridYM: 384 / 2 * 1.01,
+				Workers: workers, Speculative: true,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer pe.Close()
+			cycle := pe.GlobalPhaseIters() + pe.Opt.LocalPhaseIters
+			pe.Run(150000)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pe.Run(cycle)
 			}
 		})
 	}

@@ -319,7 +319,7 @@ func (pe *Engine) localPhase(n int) {
 
 	// Deterministic per-cell RNG streams, independent of scheduling.
 	for _, w := range workers {
-		w.rng = pe.E.R.Split()
+		pe.E.R.SplitInto(&w.rng)
 	}
 
 	// Run the non-empty cells on the worker pool ("more partitions than
@@ -422,8 +422,11 @@ func assignLargestRemainder(n int, counts []int, workers []*cellWorker, remsBuf 
 }
 
 // mergeWorkers folds every worker's results back into the shared state:
-// circle positions, spatial index, cached posterior and statistics.
+// circle positions, spatial index, cached posterior and statistics. The
+// workers wrote coverage through the field directly, so it also advances
+// the state's mutation generation.
 func (pe *Engine) mergeWorkers(workers []*cellWorker) {
+	pe.E.S.BumpGen()
 	for _, w := range workers {
 		w.forEachChanged(func(id int, c geom.Ellipse, spans []geom.Span) {
 			pe.E.S.CommitMoved(id, c, spans)

@@ -46,8 +46,10 @@ type cellWorker struct {
 	cell   geom.Rect
 	margin float64
 	steps  mcmc.StepSizes
-	rng    *rng.RNG
-	iters  int
+	// rng is the cell's stream, split into place each phase, so a
+	// pooled worker reuses one generator.
+	rng   rng.RNG
+	iters int
 
 	// specWidth (>= 1) is the batch width.
 	specWidth int
@@ -60,6 +62,11 @@ type cellWorker struct {
 	// with this cell; owned entries may be mutated, the rest are frozen.
 	entries []workerEntry
 	ownedAt []int // indices into entries of owned circles
+	// gen is the worker's mutation generation: apply advances it, and
+	// an entry's memoised old-side terms are valid while its termsGen
+	// equals it. Neighbour entries are frozen for the phase, so only
+	// the worker's own moves can stale them.
+	gen uint64
 
 	// localWeights holds the masses of the local move kinds, indexed by
 	// localMoves order: shift, resize, axis-scale, rotate (the last two
@@ -83,12 +90,12 @@ func (w *cellWorker) reset(s *model.State, cell geom.Rect, margin float64, steps
 	w.cell = cell
 	w.margin = margin
 	w.steps = steps
-	w.rng = nil
 	w.iters = 0
 	w.specWidth = specWidth
 	w.batches, w.evals = 0, 0
 	w.entries = w.entries[:0]
 	w.ownedAt = w.ownedAt[:0]
+	w.gen = 1
 	w.localWeights = localWeights
 	w.dLik, w.dPrior = 0, 0
 	w.stats = mcmc.Stats{}
@@ -110,6 +117,11 @@ type workerEntry struct {
 	// its backing array across phases.
 	spans []geom.Span
 	own   []geom.Span
+	// logShape and overlap memoise LogShapePrior(c) and overlapSum(c)
+	// against the other entries; valid while termsGen equals the
+	// worker's gen.
+	termsGen          uint64
+	logShape, overlap float64
 }
 
 // nextEntry appends an entry slot, reusing a pooled slot's own buffer.
@@ -121,6 +133,7 @@ func (w *cellWorker) nextEntry(id int, c geom.Ellipse, owned bool) *workerEntry 
 	}
 	e := &w.entries[len(w.entries)-1]
 	e.id, e.c, e.original, e.owned, e.spans = id, c, c, owned, nil
+	e.termsGen = 0
 	return e
 }
 
@@ -179,8 +192,8 @@ var localMoves = [4]mcmc.Move{mcmc.Shift, mcmc.Resize, mcmc.AxisScale, mcmc.Rota
 func (w *cellWorker) propose(p *localProposal) {
 	move := localMoves[w.rng.Pick(w.localWeights[:])]
 	idx := w.ownedAt[w.rng.Intn(len(w.ownedAt))]
-	oldC := w.entries[idx].c
-	newC := mcmc.Perturb(move, oldC, w.rng, w.steps)
+	e := &w.entries[idx]
+	newC := mcmc.Perturb(move, e.c, &w.rng, w.steps)
 	p.move, p.idx, p.newC = move, idx, newC
 	p.valid, p.dLik, p.dPrior = false, 0, 0
 
@@ -189,13 +202,17 @@ func (w *cellWorker) propose(p *localProposal) {
 		return
 	}
 	p.valid = true
-	p.dPrior = w.s.LogShapePrior(newC) - w.s.LogShapePrior(oldC)
-	p.dPrior -= w.s.P.OverlapPenalty *
-		(w.overlapSum(newC, idx) - w.overlapSum(oldC, idx))
+	if e.termsGen != w.gen {
+		e.logShape = w.s.LogShapePrior(e.c)
+		e.overlap = w.overlapSum(e.c, idx)
+		e.termsGen = w.gen
+	}
+	p.dPrior = w.s.LogShapePrior(newC) - e.logShape
+	p.dPrior -= w.s.P.OverlapPenalty * (w.overlapSum(newC, idx) - e.overlap)
 	// Field kernel: the occupancy skip prices the move against the
 	// entry's table, and the new shape's table lands in p.ms for the
 	// apply.
-	p.dLik = w.s.F.LikDeltaMovePrepared(w.entries[idx].spans, newC, &p.ms)
+	p.dLik = w.s.F.LikDeltaMovePrepared(e.spans, newC, &p.ms)
 }
 
 // apply commits an accepted proposal to the shared coverage buffer and
@@ -207,6 +224,7 @@ func (w *cellWorker) apply(p *localProposal) {
 	entry.own = append(entry.own[:0], spans...)
 	entry.spans = entry.own
 	entry.c = p.newC
+	w.gen++
 	w.dLik += p.dLik
 	w.dPrior += p.dPrior
 	w.stats.Accepted[p.move]++
@@ -247,7 +265,7 @@ func (w *cellWorker) run() {
 				w.stats.Invalid[p.move]++
 				continue
 			}
-			if mcmc.Accept(w.rng, p.dLik+p.dPrior) {
+			if mcmc.Accept(&w.rng, p.dLik+p.dPrior) {
 				w.apply(p)
 				break
 			}

@@ -57,6 +57,31 @@ func TestShiftResizeProposalsZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestDeathReplaceZeroAlloc extends the full-iteration property to the
+// two global moves that read the proposal memo, for discs and ellipses:
+// a death or replace iteration allocates nothing, whether it hits the
+// memo (a repeat pick between commits) or refills it (after a commit).
+// Each death runs after a birth so the configuration size stays put.
+func TestDeathReplaceZeroAlloc(t *testing.T) {
+	for _, kind := range []geom.ShapeKind{geom.KindDisc, geom.KindEllipse} {
+		e := allocEngineKind(t, kind)
+		for _, m := range []Move{Death, Replace} {
+			run := func() {
+				if m == Death {
+					e.Decide(e.Propose(Birth))
+				}
+				e.Decide(e.Propose(m))
+			}
+			for i := 0; i < 200; i++ {
+				run()
+			}
+			if avg := testing.AllocsPerRun(500, run); avg != 0 {
+				t.Errorf("%v %v: %v allocs/op in steady state, want 0", kind, m, avg)
+			}
+		}
+	}
+}
+
 // TestProposeOnlyZeroAlloc checks the evaluation (read-only) half for
 // every move kind except birth/death/split (whose *apply* path touches
 // the configuration's growable storage; their Propose is covered here).

@@ -155,6 +155,11 @@ type Engine struct {
 	// engine for the same reason as partners.
 	ms model.MoveSpans
 
+	// memo keeps each priced shape's old-side terms until the state
+	// next changes (see termsMemo). Per engine for the same reason as
+	// partners.
+	memo termsMemo
+
 	// kindR is a dedicated stream for RunN's chunked move-kind draws,
 	// split off the acceptance stream at construction. Keeping the kind
 	// draws out of the main stream makes the chain invariant to how
@@ -217,6 +222,7 @@ func (e *Engine) ShadowScratch() *Engine {
 	s.kindR = rng.New(1)
 	s.partners = nil
 	s.ms = model.MoveSpans{}
+	s.memo = nil
 	return &s
 }
 
@@ -396,11 +402,11 @@ func (e *Engine) proposeDeath() Proposal {
 		return Proposal{Move: Death, Valid: false}
 	}
 	id := e.S.Cfg.IDAt(e.R.Intn(n))
-	c := e.S.Cfg.Get(id)
-	dLik, dPrior := e.S.EvalRemove(id)
+	m := e.memo.entry(e.S, id)
+	dLik, dPrior := m.remove(id)
 	logPos := -e.S.LogAreaTerm()
 	// q_fwd = w_D · 1/n;   q_rev = w_B · q_pos(c) · pr(shape).
-	hastings := (math.Log(e.wNorm[Birth]) + logPos + e.S.LogShapePrior(c)) -
+	hastings := (math.Log(e.wNorm[Birth]) + logPos + m.old.LogShape) -
 		(math.Log(e.wNorm[Death]) - math.Log(float64(n)))
 	dPost := dLik + dPrior
 	return Proposal{
@@ -417,16 +423,16 @@ func (e *Engine) proposeReplace() Proposal {
 		return Proposal{Move: Replace, Valid: false}
 	}
 	id := e.S.Cfg.IDAt(e.R.Intn(n))
-	oldC := e.S.Cfg.Get(id)
 	newC := e.drawPriorShape()
-	dLik, dPrior := e.S.EvalMoveCached(id, newC, &e.ms)
+	old := e.memo.entry(e.S, id).old
+	dLik, dPrior := e.S.EvalMoveTerms(id, newC, old, &e.ms)
 	if math.IsInf(dPrior, -1) {
 		return Proposal{Move: Replace, Valid: false}
 	}
 	// Proposal densities: both directions pick 1/n and draw from the
 	// prior, so only the shape density asymmetry survives; it cancels
 	// against the shape prior ratio inside dPrior.
-	hastings := e.S.LogShapePrior(oldC) - e.S.LogShapePrior(newC)
+	hastings := old.LogShape - e.S.LogShapePrior(newC)
 	dPost := dLik + dPrior
 	return Proposal{
 		Move: Replace, Valid: true,
@@ -451,7 +457,7 @@ func (e *Engine) proposeLocal(m Move) Proposal {
 	}
 	id := e.S.Cfg.IDAt(e.R.Intn(n))
 	newC := Perturb(m, e.S.Cfg.Get(id), e.R, e.Steps)
-	dLik, dPrior := e.S.EvalMoveCached(id, newC, &e.ms)
+	dLik, dPrior := e.S.EvalMoveTerms(id, newC, e.memo.entry(e.S, id).old, &e.ms)
 	if math.IsInf(dPrior, -1) {
 		return Proposal{Move: m, Valid: false}
 	}

@@ -197,7 +197,7 @@ func TestBirthDeathDetailedBalance(t *testing.T) {
 		// The newborn is the last dense entry.
 		id := s.Cfg.IDAt(s.Cfg.Len() - 1)
 		c := s.Cfg.Get(id)
-		dLik, dPrior := s.EvalRemove(id)
+		dLik, dPrior := s.EvalRemoveTerms(id, s.OldTerms(id))
 		n := s.Cfg.Len()
 		logAlphaDeath := dLik + dPrior +
 			(math.Log(e.wNorm[Birth]) - s.LogAreaTerm() + s.LogShapePrior(c)) -

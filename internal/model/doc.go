@@ -51,9 +51,18 @@
 // ellipse it was rasterised from. A shape is rasterised once when it
 // enters the state or changes (ApplyAdd, ApplyMoveCached, ApplyExchange,
 // CommitMoved, Restore); every evaluation that prices or removes it
-// (EvalRemove, EvalMoveCached, EvalExchange, the periodic cell workers)
+// (EvalRemoveTerms, EvalMoveTerms, EvalExchange, the periodic cell workers)
 // reads the stored table. A read whose key mismatches rasterises afresh
 // into scratch, so a stale table is never used. Tables are pure
 // geometry, so the kernels see exactly the spans they would have
 // computed; they are derived data and never serialised.
+//
+// # Mutation generation
+//
+// Every mutator advances State.Gen, and code that writes Cover through
+// the Field directly calls BumpGen once its writes are merged. Within
+// one generation a live shape's OldTerms (its shape-prior density and
+// overlap sum) and its removal delta cannot change, so the engines keep
+// them between commits and pass them to EvalMoveTerms and
+// EvalRemoveTerms. The generation is never serialised.
 package model

@@ -134,6 +134,8 @@ func (s *State) Dump() StateDump {
 // Restore overwrites the state's mutable parts from a dump taken on a
 // state built over the same image and parameters.
 func (s *State) Restore(d StateDump) error {
+	// Bump first: even a restore that fails may have overwritten parts.
+	s.gen++
 	if err := s.Cfg.Restore(d.Cfg); err != nil {
 		return err
 	}

@@ -253,6 +253,7 @@ func (s *State) ApplyExchange(removedIDs []int, added []geom.Ellipse, dLik, dPri
 	}
 	s.logLik += dLik
 	s.logPrior += dPrior
+	s.gen++
 	return ids
 }
 

@@ -138,7 +138,7 @@ func BenchmarkCoverMove(b *testing.B) {
 	newC := oldC.Translate(1.7, -2.1)
 	f.CoverAdd(oldC, +1)
 	// scanline measures the production apply: an accepted move replays
-	// the new-shape table its evaluation prepared (State.EvalMoveCached
+	// the new-shape table its evaluation prepared (State.EvalMoveTerms
 	// → ApplyMoveCached) against the stored old-shape table, so no row
 	// span is computed twice. cold recomputes
 	// the spans, the pre-span-cache behaviour.

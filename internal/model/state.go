@@ -54,6 +54,8 @@ type State struct {
 	logLik   float64
 	logPrior float64
 	logArea  float64
+	// gen is the mutation generation (see Gen).
+	gen uint64
 	// logLambda (log λ) and prior are functions of P alone, evaluated
 	// once here so no proposal recomputes them.
 	logLambda float64
@@ -173,6 +175,19 @@ func (s *State) Bounds() geom.Rect {
 	return geom.Rect{X1: float64(s.W), Y1: float64(s.H)}
 }
 
+// Gen returns the state's mutation generation. Every mutator advances
+// it (ApplyAdd, ApplyRemove, ApplyMoveCached, ApplyExchange, CommitMoved,
+// Restore, BumpGen), so two reads that see the same generation on the
+// same state see the same configuration, coverage and index: anything
+// computed from them in between, such as a shape's OldTerms, is still
+// exact. It is derived data, never serialised.
+func (s *State) Gen() uint64 { return s.gen }
+
+// BumpGen advances the mutation generation. Code that writes Cover
+// through F directly (the periodic engine's cell workers) calls it once
+// those writes are merged; every other mutator bumps it itself.
+func (s *State) BumpGen() { s.gen++ }
+
 // LogPost returns the cached relative log-posterior.
 func (s *State) LogPost() float64 { return s.logLik + s.logPrior }
 
@@ -242,15 +257,20 @@ func (s *State) priorDeltaAdd(c geom.Ellipse) float64 {
 	return d
 }
 
-// priorDeltaRemove returns the change in relative log-prior from removing
-// circle id.
-func (s *State) priorDeltaRemove(id int) float64 {
+// OldTerms are the terms of a live shape's current value that pricing
+// its removal or replacement needs: its shape-prior log density and its
+// overlap sum with every other live shape. They depend on the state
+// alone, so a caller may keep them while Gen is unchanged and pass them
+// to EvalRemoveTerms and EvalMoveTerms instead of recomputing them.
+type OldTerms struct {
+	LogShape float64 // LogShapePrior of the shape
+	Overlap  float64 // OverlapSum of the shape, excluding itself
+}
+
+// OldTerms returns live shape id's old-side terms.
+func (s *State) OldTerms(id int) OldTerms {
 	c := s.Cfg.Get(id)
-	d := -s.logLambda
-	d += s.logArea
-	d -= s.prior.logShape(c)
-	d += s.P.OverlapPenalty * s.OverlapSum(c, id)
-	return d
+	return OldTerms{LogShape: s.prior.logShape(c), Overlap: s.OverlapSum(c, id)}
 }
 
 // EvalAdd returns the posterior delta (Δlik, Δprior) of adding c, without
@@ -272,12 +292,18 @@ func (s *State) ApplyAdd(c geom.Ellipse, dLik, dPrior float64) int {
 	s.Index.Insert(id, c.X, c.Y)
 	s.logLik += dLik
 	s.logPrior += dPrior
+	s.gen++
 	return id
 }
 
-// EvalRemove returns the posterior delta of removing circle id.
-func (s *State) EvalRemove(id int) (dLik, dPrior float64) {
-	dPrior = s.priorDeltaRemove(id)
+// EvalRemoveTerms returns the posterior delta of removing circle id,
+// given its old-side terms; old must be OldTerms(id) at the current
+// generation.
+func (s *State) EvalRemoveTerms(id int, old OldTerms) (dLik, dPrior float64) {
+	dPrior = -s.logLambda
+	dPrior += s.logArea
+	dPrior -= old.LogShape
+	dPrior += s.P.OverlapPenalty * old.Overlap
 	dLik = -s.F.sumSpans(s.ShapeSpans(id, nil), 1)
 	return dLik, dPrior
 }
@@ -291,29 +317,32 @@ func (s *State) ApplyRemove(id int, dLik, dPrior float64) {
 	s.dropSpans(id)
 	s.logLik += dLik
 	s.logPrior += dPrior
+	s.gen++
 }
 
-// EvalMoveCached returns the posterior delta of replacing circle id with
-// newC (a shift and/or resize). newC's span table computed during
-// pricing is left in ms, so a matching ApplyMoveCached replays the
-// coverage update from it instead of rasterising newC again; the
-// engines thread a per-engine scratch through here.
-func (s *State) EvalMoveCached(id int, newC geom.Ellipse, ms *MoveSpans) (dLik, dPrior float64) {
-	oldC := s.Cfg.Get(id)
+// EvalMoveTerms returns the posterior delta of replacing circle id with
+// newC (a shift and/or resize), given id's old-side terms; old must be
+// OldTerms(id) at the current generation. The engines keep the terms
+// between mutations, so a proposal prices only the new shape. newC's
+// span table computed during pricing is left in ms, so a matching
+// ApplyMoveCached replays the coverage update from it instead of
+// rasterising newC again; the engines thread a per-engine scratch
+// through here.
+func (s *State) EvalMoveTerms(id int, newC geom.Ellipse, old OldTerms, ms *MoveSpans) (dLik, dPrior float64) {
 	if !s.validPosition(newC) {
 		return 0, math.Inf(-1)
 	}
-	dPrior = s.prior.logShape(newC) - s.prior.logShape(oldC)
+	dPrior = s.prior.logShape(newC) - old.LogShape
 	if math.IsInf(dPrior, -1) {
 		return 0, dPrior
 	}
-	dPrior -= s.P.OverlapPenalty * (s.OverlapSum(newC, id) - s.OverlapSum(oldC, id))
+	dPrior -= s.P.OverlapPenalty * (s.OverlapSum(newC, id) - old.Overlap)
 	dLik = s.F.LikDeltaMovePrepared(s.ShapeSpans(id, nil), newC, ms)
 	return dLik, dPrior
 }
 
 // ApplyMoveCached replaces circle id with newC and updates every cache,
-// reusing the new-shape table a matching EvalMoveCached left in ms; on a
+// reusing the new-shape table a matching EvalMoveTerms left in ms; on a
 // key mismatch (e.g. a speculative executor committing a shadow's
 // proposal) the table is rasterised afresh into ms, so it is always safe
 // to call. newC's table becomes the shape's stored table.
@@ -324,6 +353,7 @@ func (s *State) ApplyMoveCached(id int, newC geom.Ellipse, dLik, dPrior float64,
 	s.Cfg.Update(id, newC)
 	s.logLik += dLik
 	s.logPrior += dPrior
+	s.gen++
 }
 
 // CommitMoved records that circle id was already moved externally — its
@@ -336,6 +366,7 @@ func (s *State) CommitMoved(id int, newC geom.Ellipse, spans []geom.Span) {
 	s.Index.Move(id, oldC.X, oldC.Y, newC.X, newC.Y)
 	s.Cfg.Update(id, newC)
 	s.storeSpans(id, newC, spans)
+	s.gen++
 }
 
 // Recompute recalculates the relative log-likelihood and log-prior from

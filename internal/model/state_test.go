@@ -17,6 +17,16 @@ func (s *State) EvalMove(id int, newC geom.Ellipse) (dLik, dPrior float64) {
 	return s.EvalMoveCached(id, newC, &ms)
 }
 
+// EvalMoveCached and EvalRemove price with freshly computed old-side
+// terms, as an engine whose memo misses does.
+func (s *State) EvalMoveCached(id int, newC geom.Ellipse, ms *MoveSpans) (dLik, dPrior float64) {
+	return s.EvalMoveTerms(id, newC, s.OldTerms(id), ms)
+}
+
+func (s *State) EvalRemove(id int) (dLik, dPrior float64) {
+	return s.EvalRemoveTerms(id, s.OldTerms(id))
+}
+
 // ApplyMove commits a move priced by EvalMove, rasterising newC afresh.
 func (s *State) ApplyMove(id int, newC geom.Ellipse, dLik, dPrior float64) {
 	var ms MoveSpans

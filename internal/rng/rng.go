@@ -18,7 +18,11 @@
 // global state.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
 
 // RNG is a xoshiro256** generator. The zero value is invalid; construct
 // with New or NewFrom. RNG is not safe for concurrent use; give each
@@ -112,6 +116,9 @@ var longJumpPoly = [4]uint64{
 	0x77710069854ee241, 0x39109bb02acbe635,
 }
 
+// applyJump advances r by the jump poly encodes, one 256-step pass of
+// the generator (the reference algorithm). Jump uses it only to build
+// its table; LongJump, which runs once per engine, calls it directly.
 func (r *RNG) applyJump(poly [4]uint64) {
 	var s0, s1, s2, s3 uint64
 	for _, jp := range poly {
@@ -129,12 +136,59 @@ func (r *RNG) applyJump(poly [4]uint64) {
 	r.hasGauss = false
 }
 
+// jumpTable holds Jump as a 64×16 nibble table: entry [p][v] is the
+// jumped image of the state whose only set bits are v at nibble p (bits
+// 4p..4p+3, counting from s[0]'s least significant bit). The jump is
+// linear over GF(2), so the image of any state is the XOR of the
+// entries its 64 nibbles select. The table is built on first use by
+// applying the polynomial jump to the 256 single-bit states.
+var jumpTable = sync.OnceValue(func() *[64][16][4]uint64 {
+	var basis [256][4]uint64
+	for i := range basis {
+		var r RNG
+		r.s[i/64] = 1 << uint(i%64)
+		r.applyJump(jumpPoly)
+		basis[i] = r.s
+	}
+	t := new([64][16][4]uint64)
+	for p := range t {
+		for v := 1; v < 16; v++ {
+			// Entry v is entry v without its lowest set bit, XOR that
+			// bit's basis image.
+			low := bits.TrailingZeros(uint(v))
+			prev, b := t[p][v&(v-1)], basis[4*p+low]
+			t[p][v] = [4]uint64{prev[0] ^ b[0], prev[1] ^ b[1], prev[2] ^ b[2], prev[3] ^ b[3]}
+		}
+	}
+	return t
+})
+
 // Jump advances the generator by 2^128 steps. Streams separated by a Jump
-// never overlap in practice.
-func (r *RNG) Jump() { r.applyJump(jumpPoly) }
+// never overlap in practice. It reads the nibble table (64 lookups)
+// rather than stepping the generator 256 times; the result is the same
+// state, and any cached Normal variate is dropped as before.
+func (r *RNG) Jump() {
+	t := jumpTable()
+	var s0, s1, s2, s3 uint64
+	for w, x := range r.s {
+		row := t[16*w : 16*w+16]
+		for q := range row {
+			e := &row[q][x&15]
+			s0 ^= e[0]
+			s1 ^= e[1]
+			s2 ^= e[2]
+			s3 ^= e[3]
+			x >>= 4
+		}
+	}
+	r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
+	r.hasGauss = false
+}
 
 // LongJump advances the generator by 2^192 steps; use it to separate whole
-// families of Jump-separated streams.
+// families of Jump-separated streams. It runs the polynomial jump: each
+// engine long-jumps once, at construction, so a second table would not
+// pay for its 32 KiB.
 func (r *RNG) LongJump() { r.applyJump(longJumpPoly) }
 
 // Split returns a new generator positioned one Jump (2^128 steps) beyond
@@ -144,9 +198,18 @@ func (r *RNG) LongJump() { r.applyJump(longJumpPoly) }
 //	master := rng.New(seed)
 //	for i := range workers { workers[i].rng = master.Split() }
 func (r *RNG) Split() *RNG {
-	child := NewFrom(r)
-	r.Jump()
+	child := new(RNG)
+	r.SplitInto(child)
 	return child
+}
+
+// SplitInto is Split into a caller-owned generator: dst takes r's
+// current stream (without a cached Normal variate) and r jumps. It
+// allocates nothing, so pooled workers can keep one generator each.
+func (r *RNG) SplitInto(dst *RNG) {
+	*dst = *r
+	dst.hasGauss = false
+	r.Jump()
 }
 
 // Saved is a serializable snapshot of an RNG's complete state: the four

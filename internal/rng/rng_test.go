@@ -396,3 +396,101 @@ func TestReseedMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+// polyJump is the reference xoshiro256 jump (Blackman & Vigna's
+// published loop): step the generator 256 times, XOR-accumulating the
+// states the polynomial's set bits select.
+func polyJump(r *RNG) {
+	var acc [4]uint64
+	for _, jp := range jumpPoly {
+		for b := 0; b < 64; b++ {
+			if jp&(1<<uint(b)) != 0 {
+				for i := range acc {
+					acc[i] ^= r.s[i]
+				}
+			}
+			r.Uint64()
+		}
+	}
+	r.s = acc
+	r.hasGauss = false
+}
+
+// The table jump must land exactly where the polynomial jump does, and
+// drop a cached Normal variate as it always has: over seeded states,
+// states holding a cached Gaussian, and sparse and dense bit patterns
+// that stress single nibbles of the table.
+func TestJumpMatchesPolynomial(t *testing.T) {
+	check := func(name string, r *RNG) {
+		t.Helper()
+		got, want := *r, *r
+		got.Jump()
+		polyJump(&want)
+		if got.s != want.s {
+			t.Fatalf("%s: table jump %x, polynomial jump %x", name, got.s, want.s)
+		}
+		if got.hasGauss {
+			t.Fatalf("%s: Jump kept a cached Normal variate", name)
+		}
+	}
+	src := New(2026)
+	for i := 0; i < 10000; i++ {
+		r := New(src.Uint64())
+		if i%2 == 1 {
+			r.Normal() // leaves the polar method's second variate cached
+			if !r.hasGauss {
+				t.Fatal("Normal left no cached variate")
+			}
+		}
+		check("seeded", r)
+	}
+	for bit := 0; bit < 256; bit++ {
+		var r RNG
+		r.s[bit/64] = 1 << uint(bit%64)
+		check("single bit", &r)
+		r.s = [4]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+		r.s[bit/64] &^= 1 << uint(bit%64)
+		check("all but one bit", &r)
+	}
+	// Jumps compose: a chain of table jumps follows the chain of
+	// polynomial ones.
+	a, b := New(5), New(5)
+	for i := 0; i < 64; i++ {
+		a.Jump()
+		polyJump(b)
+	}
+	if a.s != b.s {
+		t.Fatal("64 table jumps diverged from 64 polynomial jumps")
+	}
+}
+
+// SplitInto hands out the streams Split does, and leaves the parent
+// where Split leaves it, without allocating.
+func TestSplitIntoMatchesSplit(t *testing.T) {
+	a, b := New(31), New(31)
+	a.Normal()
+	b.Normal()
+	var child RNG
+	for i := 0; i < 8; i++ {
+		want := a.Split()
+		b.SplitInto(&child)
+		if child.s != want.s || child.hasGauss || a.s != b.s {
+			t.Fatalf("split %d: SplitInto diverged from Split", i)
+		}
+		if child.Uint64() != want.Uint64() {
+			t.Fatalf("split %d: child streams differ", i)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { b.SplitInto(&child) }); n != 0 {
+		t.Fatalf("SplitInto: %v allocs/op, want 0", n)
+	}
+}
+
+func BenchmarkJump(b *testing.B) {
+	r := New(1)
+	jumpTable() // build outside the timed loop
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Jump()
+	}
+}
