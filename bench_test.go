@@ -324,7 +324,9 @@ func BenchmarkPeriodicCycle(b *testing.B) {
 // speculate over the full move mixture at a fixed width; globals
 // restricts the moves to M_g, as the periodic engine's global phases
 // do, at the adaptive width on GOMAXPROCS lanes — the executor as
-// PeriodicSpeculative runs it.
+// PeriodicSpeculative runs it. globals/lanes=1 is the same executor on
+// one lane, which streams inline: the path of every Workers=1
+// PeriodicSpeculative detection.
 func BenchmarkSpeculativeExecutor(b *testing.B) {
 	warm := func(b *testing.B) *mcmc.Engine {
 		s := benchState(b, 256, 256, 20)
@@ -341,7 +343,7 @@ func BenchmarkSpeculativeExecutor(b *testing.B) {
 			x.RunN(b.N)
 		})
 	}
-	b.Run("globals", func(b *testing.B) {
+	globals := func(b *testing.B, workers int) {
 		e := warm(b)
 		var globals []mcmc.Move
 		for m := mcmc.Move(0); m < mcmc.NumMoves; m++ {
@@ -349,11 +351,13 @@ func BenchmarkSpeculativeExecutor(b *testing.B) {
 				globals = append(globals, m)
 			}
 		}
-		x := spec.NewExecutorOpts(e, spec.Config{Workers: runtime.GOMAXPROCS(0)}, globals)
+		x := spec.NewExecutorOpts(e, spec.Config{Workers: workers}, globals)
 		defer x.Close()
 		b.ResetTimer()
 		x.RunN(b.N)
-	})
+	}
+	b.Run("globals", func(b *testing.B) { globals(b, runtime.GOMAXPROCS(0)) })
+	b.Run("globals/lanes=1", func(b *testing.B) { globals(b, 1) })
 }
 
 // BenchmarkLikelihoodDelta measures the core O(r²) incremental

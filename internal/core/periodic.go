@@ -31,9 +31,8 @@ type Options struct {
 	Workers int
 
 	// Speculative runs the global phases as speculative moves (eq. 3)
-	// with SpecWidth concurrent proposal evaluations per batch; SpecWidth
-	// 0 picks the width adaptively from the windowed rejection rate and
-	// measured per-batch costs (see spec.Config). The realized chain is
+	// with up to SpecWidth proposals evaluated ahead of the chain;
+	// SpecWidth 0 is adaptive (see spec.Config). The realized chain is
 	// the same at every width, width 1 included.
 	Speculative bool
 	SpecWidth   int

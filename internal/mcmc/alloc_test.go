@@ -140,14 +140,14 @@ func TestEllipseProposeOnlyZeroAlloc(t *testing.T) {
 }
 
 // TestAcceptedCommitsZeroAlloc pins the commit half: accepted birth,
-// death, move and replace commits — which store, replace or drop the
-// shape's span table in the state — allocate nothing in steady state,
-// for discs and ellipses. Birth and death run as a pair so the
-// configuration size stays put; recycled IDs reuse their table's
-// backing array. It also re-checks every Propose with an exact count
-// (split and merge price their exchange from stack tables):
-// testing.AllocsPerRun rounds down, so a path that allocates on only
-// some calls would pass it. Commits keep the rounded count, as the
+// death, move, replace, split and merge commits — which store, replace
+// or drop the shape's span table in the state — allocate nothing in
+// steady state, for discs and ellipses. Birth and death, and split and
+// merge, run as pairs so the configuration size stays put; recycled IDs
+// reuse their table's backing array. It also re-checks every Propose
+// with an exact count (split and merge price their exchange from stack
+// tables): testing.AllocsPerRun rounds down, so a path that allocates on
+// only some calls would pass it. Commits keep the rounded count, as the
 // spatial index's buckets still grow now and then when a shape lands
 // somewhere new.
 func TestAcceptedCommitsZeroAlloc(t *testing.T) {
@@ -158,6 +158,24 @@ func TestAcceptedCommitsZeroAlloc(t *testing.T) {
 				e.Commit(p)
 			}
 		}
+		// splitMerge commits a split and then the merge of the two
+		// shapes it added, which ApplyExchange leaves last in the dense
+		// order, so the configuration size stays put. Split and merge
+		// are disc-only: for ellipses both propose as invalid.
+		splitMerge := func() {
+			p := e.Propose(Split)
+			if !p.Valid {
+				return
+			}
+			e.Commit(p)
+			n := e.S.Cfg.Len()
+			i, j := e.S.Cfg.IDAt(n-2), e.S.Cfg.IDAt(n-1)
+			ci := e.S.Cfg.Get(i)
+			e.partners = e.S.AppendPartnersNear(e.partners[:0], ci.X, ci.Y, e.Steps.MergeDist, i)
+			if m := e.evalMergePair(i, j, len(e.partners)); m.Valid {
+				e.Commit(m)
+			}
+		}
 		cases := []struct {
 			name string
 			run  func()
@@ -165,6 +183,7 @@ func TestAcceptedCommitsZeroAlloc(t *testing.T) {
 			{"birth+death", func() { commit(Birth); commit(Death) }},
 			{"shift", func() { commit(Shift) }},
 			{"replace", func() { commit(Replace) }},
+			{"split+merge", splitMerge},
 		}
 		for _, c := range cases {
 			for i := 0; i < 2000; i++ {

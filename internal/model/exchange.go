@@ -228,12 +228,15 @@ func (s *State) exchangeSpans(all []geom.Span, starts []int, removedIDs []int, a
 	return all, append(starts, len(all))
 }
 
-// ApplyExchange performs the exchange evaluated by EvalExchange and
-// returns the IDs of the added circles. The coverage update runs as a
-// single fused span walk over all exchanged shapes (each constant-
-// multiplicity segment written once with its net change) instead of one
-// pass per shape; the added shapes' tables become their stored tables.
-func (s *State) ApplyExchange(removedIDs []int, added []geom.Ellipse, dLik, dPrior float64) []int {
+// ApplyExchange performs the exchange evaluated by EvalExchange. The
+// added circles take the last len(added) positions of the
+// configuration's dense order (Cfg.IDAt), in order, so a caller that
+// needs their IDs reads them there and a commit allocates nothing. The
+// coverage update runs as a single fused span walk over all exchanged
+// shapes (each constant-multiplicity segment written once with its net
+// change) instead of one pass per shape; the added shapes' tables
+// become their stored tables.
+func (s *State) ApplyExchange(removedIDs []int, added []geom.Ellipse, dLik, dPrior float64) {
 	var spanBuf [2 * spanStack]geom.Span
 	var startBuf [likMultiSpans + 1]int
 	all, starts := s.exchangeSpans(spanBuf[:0], startBuf[:0], removedIDs, added)
@@ -244,17 +247,15 @@ func (s *State) ApplyExchange(removedIDs []int, added []geom.Ellipse, dLik, dPri
 		s.Cfg.Remove(id)
 		s.dropSpans(id)
 	}
-	ids := make([]int, len(added))
 	for i, c := range added {
-		ids[i] = s.Cfg.Add(c)
-		s.Index.Insert(ids[i], c.X, c.Y)
+		id := s.Cfg.Add(c)
+		s.Index.Insert(id, c.X, c.Y)
 		k := len(removedIDs) + i
-		s.storeSpans(ids[i], c, all[starts[k]:starts[k+1]])
+		s.storeSpans(id, c, all[starts[k]:starts[k+1]])
 	}
 	s.logLik += dLik
 	s.logPrior += dPrior
 	s.gen++
-	return ids
 }
 
 // CountNear returns the number of live circles other than exclude whose

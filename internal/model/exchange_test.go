@@ -110,9 +110,10 @@ func TestExchangeRoundTrip(t *testing.T) {
 		if math.IsInf(dp, -1) {
 			continue
 		}
-		newIDs := s.ApplyExchange([]int{i, j}, []geom.Ellipse{merged}, dl, dp)
-		if len(newIDs) != 1 {
-			t.Fatalf("got %d new IDs", len(newIDs))
+		s.ApplyExchange([]int{i, j}, []geom.Ellipse{merged}, dl, dp)
+		newIDs := []int{s.Cfg.IDAt(s.Cfg.Len() - 1)}
+		if got := s.Cfg.Get(newIDs[0]); got != merged {
+			t.Fatalf("last dense ID holds %v, want the added %v", got, merged)
 		}
 		rl, rp := s.EvalExchange(newIDs, []geom.Ellipse{ci, cj})
 		if math.Abs(dl+rl) > 1e-6 || math.Abs(dp+rp) > 1e-6 {

@@ -8,11 +8,11 @@ import (
 
 // Gang is a persistent worker group for tight fork/join loops: the same
 // set of goroutines is released once per round through an atomic-epoch
-// barrier instead of being spawned per round as ForEach does. At the
-// batch sizes the speculative executor runs (a handful of likelihood
-// evaluations per barrier, microseconds apart), per-round goroutine and
-// channel setup dominates ForEach's cost; a Gang amortises it to one
-// atomic increment plus at most one channel wake per parked worker.
+// barrier instead of being spawned per round as ForEach does. A
+// periodic engine runs a round per phase (a local phase's cells, or one
+// streamed global phase), so per-round goroutine and channel setup
+// would be paid hundreds of times per detection; a Gang amortises it to
+// one atomic increment plus at most one channel wake per parked worker.
 //
 // The calling goroutine participates as worker 0, so a Gang of W workers
 // runs W-1 background goroutines. Tasks within a round are claimed from a

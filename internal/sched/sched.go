@@ -6,7 +6,7 @@
 // reclaimed through the use of a task scheduler, allowing more
 // partitions than there are available processors to be employed". Gang
 // is the persistent-worker barrier a periodic engine runs both its local
-// phases and its speculative batches on.
+// phases and its streamed speculative global phases on.
 package sched
 
 import (

@@ -1,29 +1,28 @@
 package spec
 
-// controller picks the speculation width that maximises expected
-// committed chain iterations per second, pricing each width by what a
-// batch of that width was measured to cost:
+// controller is Simulate mode's adaptive width: it picks the batch width
+// that maximises expected committed chain iterations per second on the
+// modelled Workers-lane machine, pricing each width by what a batch of
+// that width was modelled to cost:
 //
 //	score(n) = E[consumed | p_r, n] / cost(n)
 //
 // where E is ExpectedIterationsPerBatch, p_r the windowed rejection rate
-// of the restricted move-set and cost(n) the smoothed wall-clock of one
-// width-n batch — evaluation, gang dispatch, lane imbalance and the
-// acceptance scan, as the host actually ran them (in Simulate mode, the
-// modelled makespan plus overhead instead). No overlap model is assumed:
-// a width whose lanes do not overlap on this host costs what it costs,
-// and width 1, which evaluates inline without a gang round, wins
-// whenever a gang round is slower than the evaluations it spreads.
+// of the restricted move-set and cost(n) the smoothed cost of one
+// width-n batch: the LPT makespan of its timed evaluations over Workers
+// lanes plus DefaultSimOverhead. A width past Workers pays a second wave
+// of evaluations, so the scores settle where eq. 3's gain stops paying
+// for the waves and the per-batch overhead.
 //
 // Every width is run once, for a short probe window, before the
 // controller trusts its scores, and every ctlProbeEvery-th decision
 // probes the width run least recently instead of holding the best one,
-// so a width whose cost has changed since (a warmer gang, a busier host,
-// a different chain regime) is re-measured.
+// so a width whose cost has changed since (a different chain regime,
+// slower evaluations) is re-measured.
 //
 // Because the realized chain is width-invariant (see the package doc),
-// the controller is free to consume wall-clock measurements: its
-// decisions affect throughput only, never results, so checkpoint resume
+// the controller is free to consume timed evaluations: its decisions
+// affect the modelled cost only, never results, so checkpoint resume
 // needs no replay of the decision sequence.
 type controller struct {
 	maxWidth int
@@ -93,7 +92,8 @@ func newController(maxWidth, workers int) *controller {
 // observe folds one batch's outcome into the windowed estimates and
 // re-decides the width at the decision cadence. width is the batch's
 // width, tested counts proposals whose acceptance test ran, rejected
-// those that failed it, and secs is the batch's cost (0 when untimed).
+// those that failed it, and secs is the batch's modelled cost (0 leaves
+// the cost estimate as it is).
 func (c *controller) observe(width, tested, rejected int, secs float64) {
 	c.tested += float64(tested)
 	c.rejected += float64(rejected)
@@ -115,11 +115,10 @@ func (c *controller) observe(width, tested, rejected int, secs float64) {
 }
 
 // foldWindow folds the window's mean batch cost into the held width's
-// smoothed cost. The window's slowest batch is left out: it is where a
-// worker that parked while the previous window ran inline pays its
-// wake-up, a cost of switching widths rather than of this one. A window
-// with fewer than half its batches timed at the held width (the clamped
-// tail of a RunN) leaves the cost as it is.
+// smoothed cost. The window's slowest batch is left out, so one
+// evaluation the host descheduled does not price the whole width. A
+// window with fewer than half its batches at the held width (the
+// clamped tail of a RunN) leaves the cost as it is.
 func (c *controller) foldWindow(window int) {
 	n := c.nsample
 	c.nsample = 0

@@ -155,8 +155,8 @@ func TestAdaptiveRunNExact(t *testing.T) {
 	if w := x.Width(); w < 1 || w > 8 {
 		t.Fatalf("adaptive width %d out of range", w)
 	}
-	if !x.Adaptive() || x.MaxWidth() != 8 {
-		t.Fatalf("accessors: Adaptive=%v MaxWidth=%d", x.Adaptive(), x.MaxWidth())
+	if x.MaxWidth() != 8 {
+		t.Fatalf("MaxWidth = %d, want 8", x.MaxWidth())
 	}
 }
 

@@ -25,11 +25,12 @@
 // iteration k is a function of seed_k and the state S_k alone — neither
 // depends on how iterations were grouped into batches — so any width
 // schedule, including one driven by wall-clock measurements, yields the
-// same committed chain. That is what lets the adaptive controller
-// (controller.go) pick widths from timing data while checkpoint resume
-// stays bit-identical: width decisions need not be replayed, because
-// they cannot influence the chain. It also lets RunN drop batches
-// altogether on a gang and stream iterations run-ahead (stream.go).
+// same committed chain. So the executor has two paths. A real executor
+// drops batches altogether and streams iterations run-ahead on any
+// number of lanes (stream.go). A Simulate executor runs the paper's
+// batch model, whose adaptive controller (controller.go) picks widths
+// from timed evaluations while checkpoint resume stays bit-identical:
+// width decisions need not be replayed.
 package spec
 
 import (
@@ -41,10 +42,10 @@ import (
 	"repro/internal/sched"
 )
 
-// DefaultMaxWidth caps the adaptive controller's width search, and is
-// the run-ahead depth of an adaptive executor's streamed RunN. Eq. 3
-// saturates at 1/(1−p_r) — 4 for the paper's p_r ≈ 0.75 — so widths past
-// 8 buy nothing for realistic rejection rates.
+// DefaultMaxWidth is the run-ahead depth of an adaptive real executor,
+// and caps Simulate mode's adaptive width search. Eq. 3 saturates at
+// 1/(1−p_r) — 4 for the paper's p_r ≈ 0.75 — so widths past 8 buy
+// nothing for realistic rejection rates.
 const DefaultMaxWidth = 8
 
 // DefaultSimOverhead is the modelled per-batch dispatch+barrier cost
@@ -55,11 +56,12 @@ const DefaultSimOverhead = 1e-6
 // Config configures an Executor beyond the basic fixed-width case.
 type Config struct {
 	// Width is the fixed speculation width (>= 1). 0 selects the
-	// adaptive controller, which re-picks the width from the windowed
-	// rejection rate and measured per-batch costs (see controller.go).
+	// adaptive width: a real executor's run-ahead depth is MaxWidth, and
+	// in Simulate mode the controller re-picks the batch width (see
+	// controller.go).
 	Width int
-	// MaxWidth caps the adaptive width search; 0 means DefaultMaxWidth.
-	// Ignored when Width > 0.
+	// MaxWidth is the adaptive depth and width cap; 0 means
+	// DefaultMaxWidth. Ignored when Width > 0.
 	MaxWidth int
 	// Workers is the degree of evaluation parallelism. In normal runs it
 	// bounds the gang of persistent eval goroutines; in Simulate mode it
@@ -67,12 +69,12 @@ type Config struct {
 	// defaults to min(width cap, GOMAXPROCS) — or the width cap itself
 	// in Simulate mode, where no real goroutines are spawned.
 	Workers int
-	// Gang, when non-nil, supplies the evaluation lanes: batches and
-	// streamed RunN calls run on this gang, one lane per gang worker,
-	// instead of on a gang of the executor's own. The caller keeps
-	// ownership (Close leaves it open), which lets the periodic engine
-	// share one warm gang between its local phases and its speculative
-	// global phases. Ignored in Simulate mode.
+	// Gang, when non-nil, supplies the evaluation lanes: every streamed
+	// round runs on this gang, one lane per gang worker, instead of on a
+	// gang of the executor's own. The caller keeps ownership (Close
+	// leaves it open), which lets the periodic engine share one warm
+	// gang between its local phases and its speculative global phases.
+	// Ignored in Simulate mode.
 	Gang *sched.Gang
 	// Simulate runs evaluations serially but timed, accumulating
 	// SimSeqSeconds/SimSpecSeconds — the single-machine device for
@@ -99,33 +101,25 @@ type Executor struct {
 	// host identically on every machine.
 	seqBase uint64
 
-	// gang is the persistent eval worker group (nil when evaluation is
-	// serial: single lane or Simulate mode); ownGang reports whether the
-	// executor built it and so must close it. evalTask evaluates task i
-	// of the batch starting at chain iteration batchBase on a lane, built
-	// once so a batch hands the gang no fresh closure.
-	gang      *sched.Gang
-	ownGang   bool
-	evalTask  func(lane, i int)
-	batchBase int64
+	// gang runs the lanes of a streamed round (nil for a single lane,
+	// which streams inline, and in Simulate mode); ownGang reports
+	// whether the executor built it and so must close it.
+	gang    *sched.Gang
+	ownGang bool
 
-	// st is the run-ahead state RunN streams through on a gang (nil
-	// without one), streamTask the gang task that runs a lane of it, and
-	// streamed reports whether RunN has streamed yet.
+	// st is the run-ahead state every real RunN and StepBatch streams
+	// through (nil in Simulate mode), streamTask the gang task that runs
+	// a lane of it.
 	st         *stream
 	streamTask func(lane, _ int)
-	streamed   bool
 
-	ctl *controller // nil for fixed width
-
-	simulate bool
-	workers  int
+	ctl     *controller // Simulate mode with an adaptive width only
+	workers int         // Simulate mode's modelled lane count
 
 	// Batches and Consumed accumulate how many speculative rounds ran
 	// and how many chain iterations they covered; their ratio is the
-	// measured per-iteration speedup. A streamed RunN counts the rounds
-	// a StepBatch loop at the run-ahead depth would have run (see
-	// runStream).
+	// measured per-iteration speedup. A real executor counts the windows
+	// of its run-ahead depth (see runStream), whatever its lane count.
 	Batches  int64
 	Consumed int64
 
@@ -139,7 +133,7 @@ type Executor struct {
 	SimSpecSeconds float64
 
 	// props is the reusable batch buffer so steady-state speculative
-	// rounds allocate nothing; a streamed RunN uses it as its ring.
+	// rounds allocate nothing; a real executor uses it as its ring.
 	props    []mcmc.Proposal
 	evalSecs []float64
 }
@@ -156,7 +150,7 @@ func NewExecutor(host *mcmc.Engine, width int, moves []mcmc.Move) *Executor {
 }
 
 // NewExecutorOpts builds an executor from a full Config; Width 0 selects
-// the adaptive controller. The executor owns background goroutines when
+// the adaptive width. The executor owns background goroutines when
 // evaluation is parallel — release them with Close.
 func NewExecutorOpts(host *mcmc.Engine, cfg Config, moves []mcmc.Move) *Executor {
 	if cfg.Width < 0 {
@@ -178,10 +172,9 @@ func NewExecutorOpts(host *mcmc.Engine, cfg Config, moves []mcmc.Move) *Executor
 		}
 	}
 	x := &Executor{
-		host:     host,
-		moves:    moves,
-		simulate: cfg.Simulate,
-		workers:  workers,
+		host:    host,
+		moves:   moves,
+		workers: workers,
 	}
 	if moves != nil {
 		if len(moves) == 0 {
@@ -207,32 +200,35 @@ func NewExecutorOpts(host *mcmc.Engine, cfg Config, moves []mcmc.Move) *Executor
 	for i := range x.slots {
 		x.slots[i] = host.ShadowScratch()
 	}
-	x.evalTask = func(lane, i int) { x.evalOne(lane, x.batchBase+int64(i), &x.props[i]) }
-	if x.gang != nil {
-		x.st = newStream(lanes, maxW)
-		x.streamTask = func(lane, _ int) {
-			if lane == 0 {
-				x.hostStream()
-			} else {
-				x.laneStream(lane)
-			}
-		}
-	}
-	if cfg.Width == 0 {
-		x.ctl = newController(maxW, workers)
-	}
 	x.props = make([]mcmc.Proposal, maxW)
 	if cfg.Simulate {
 		x.evalSecs = make([]float64, maxW)
+		if cfg.Width == 0 {
+			x.ctl = newController(maxW, workers)
+		}
+	} else {
+		x.st = newStream(lanes, maxW)
+		if x.gang != nil {
+			// The gang's caller may claim a second task once its first
+			// has run the host's part; the round is then over for it.
+			x.streamTask = func(lane, _ int) {
+				switch {
+				case lane != 0:
+					x.laneStream(lane)
+				case x.st.over.Load() == 0:
+					x.hostStream()
+				}
+			}
+		}
 	}
 	return x
 }
 
-// Width returns the width the next batch will run at: the fixed width,
-// or the adaptive controller's current pick. Once RunN has streamed, it
-// is the run-ahead depth, MaxWidth.
+// Width returns the width the next round runs at: the run-ahead depth
+// of a real executor, which is MaxWidth, and in Simulate mode the fixed
+// width or the adaptive controller's current pick.
 func (x *Executor) Width() int {
-	if x.ctl != nil && !x.streamed {
+	if x.ctl != nil {
 		return x.ctl.width
 	}
 	return len(x.props)
@@ -240,9 +236,6 @@ func (x *Executor) Width() int {
 
 // MaxWidth returns the widest batch the executor can run.
 func (x *Executor) MaxWidth() int { return len(x.props) }
-
-// Adaptive reports whether the width is controller-driven.
-func (x *Executor) Adaptive() bool { return x.ctl != nil }
 
 // Close releases the persistent eval workers of a gang the executor
 // built itself (a Config.Gang stays open). The executor must not be used
@@ -277,42 +270,25 @@ func (x *Executor) evalOne(lane int, k int64, dst *mcmc.Proposal) {
 
 // StepBatch runs one speculative round of up to `width` proposals and
 // returns how many chain iterations it consumed (1..width) and whether a
-// proposal was applied. Acceptance randomness comes from the host RNG in
-// consumed-iteration order and proposal randomness from the reseeded
-// per-iteration streams, so the chain matches the sequential sampler's
-// regardless of batching (see the package doc).
+// proposal was applied: one streamed window (runStream) or, in Simulate
+// mode, one serial timed batch. Acceptance randomness comes from the
+// host RNG in consumed-iteration order and proposal randomness from the
+// reseeded per-iteration streams, so the chain matches the sequential
+// sampler's regardless of batching (see the package doc).
 func (x *Executor) StepBatch(width int) (consumed int, applied bool) {
-	if width < 1 {
-		width = 1
-	}
-	if width > len(x.props) {
-		width = len(x.props)
-	}
-	props := x.props[:width]
+	width = min(max(width, 1), len(x.props))
 	base := x.host.Iter
-	var t0 time.Time
-	if x.ctl != nil && !x.simulate {
-		t0 = time.Now()
+	if x.st != nil {
+		applied = x.runStream(width, true)
+		return int(x.host.Iter - base), applied
 	}
 
-	// Evaluate the expensive likelihood deltas concurrently (or serially
-	// but timed, in Simulate mode) on the frozen state. Width 1 runs
-	// inline: a gang round would only add its dispatch.
-	switch {
-	case x.simulate:
-		secs := x.evalSecs[:width]
-		for i := range props {
-			t0 := time.Now()
-			x.evalOne(0, base+int64(i), &props[i])
-			secs[i] = time.Since(t0).Seconds()
-		}
-	case x.gang != nil && width > 1:
-		x.batchBase = base
-		x.gang.Run(width, x.evalTask)
-	default:
-		for i := range props {
-			x.evalOne(0, base+int64(i), &props[i])
-		}
+	// Simulate: evaluate serially but timed on the frozen state.
+	props, secs := x.props[:width], x.evalSecs[:width]
+	for i := range props {
+		t0 := time.Now()
+		x.evalOne(0, base+int64(i), &props[i])
+		secs[i] = time.Since(t0).Seconds()
 	}
 
 	// Apply the acceptance tests in order; at most one state change.
@@ -330,20 +306,14 @@ func (x *Executor) StepBatch(width int) (consumed int, applied bool) {
 	}
 	x.Consumed += int64(consumed)
 
-	var batchSecs float64
-	if x.simulate {
-		secs := x.evalSecs[:width]
-		// A sequential chain would have evaluated exactly the consumed
-		// proposals (they are width-invariant); the speculative machine
-		// pays the makespan of all of them over Workers lanes.
-		for _, s := range secs[:consumed] {
-			x.SimSeqSeconds += s
-		}
-		batchSecs = sched.Makespan(secs, sched.LPTAssign(secs, x.workers)) + DefaultSimOverhead
-		x.SimSpecSeconds += batchSecs
-	} else if x.ctl != nil {
-		batchSecs = time.Since(t0).Seconds()
+	// A sequential chain would have evaluated exactly the consumed
+	// proposals (they are width-invariant); the speculative machine pays
+	// the makespan of all of them over Workers lanes.
+	for _, s := range secs[:consumed] {
+		x.SimSeqSeconds += s
 	}
+	batchSecs := sched.Makespan(secs, sched.LPTAssign(secs, x.workers)) + DefaultSimOverhead
+	x.SimSpecSeconds += batchSecs
 	if x.ctl != nil {
 		rejected := consumed
 		if applied {
@@ -354,21 +324,20 @@ func (x *Executor) StepBatch(width int) (consumed int, applied bool) {
 	return consumed, applied
 }
 
-// RunN advances the chain by exactly n iterations. On a gang it streams
-// them in one round whose lanes run ahead of the chain (runStream);
-// otherwise — a single lane, or Simulate mode — it runs StepBatch
-// rounds at Width, clamping the final one so the count is exact.
+// RunN advances the chain by exactly n iterations. A real executor
+// streams them in one round whose lanes run ahead of the chain
+// (runStream); a Simulate executor runs StepBatch rounds at Width,
+// clamping the final one so the count is exact.
 func (x *Executor) RunN(n int) {
-	if x.st != nil && n > 0 {
-		x.runStream(n)
+	if n <= 0 {
+		return
+	}
+	if x.st != nil {
+		x.runStream(n, false)
 		return
 	}
 	for done := 0; done < n; {
-		width := x.Width()
-		if rem := n - done; rem < width {
-			width = rem
-		}
-		consumed, _ := x.StepBatch(width)
+		consumed, _ := x.StepBatch(min(x.Width(), n-done))
 		done += consumed
 	}
 }

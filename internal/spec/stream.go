@@ -29,6 +29,8 @@ type stream struct {
 	waiters []*sched.Waiter
 
 	end, depth int64
+	// once ends the round at its first accept; applied reports a commit.
+	once, applied bool
 }
 
 type paddedInt64 struct {
@@ -95,36 +97,44 @@ func (st *stream) restart(k int64) {
 	st.tested.Store(k)
 }
 
-// runStream advances the chain by n iterations as one gang round in
-// which the lanes run ahead of the chain. Every lane, the host included
-// as lane 0, claims iterations from a shared counter and evaluates them
-// against the frozen state, at most depth ahead of the host's next test.
-// The host tests the results in iteration order, recording rejections
-// without stopping anyone. On an accept it stops the lanes, waits until
-// none is evaluating, commits, discards what was evaluated beyond the
-// accepted iteration and reopens claims after it. Proposal k is a
-// function of (seqBase, k) and S_k alone, and acceptance uniforms come
-// from the host stream in tested order, so the chain is the one
-// StepBatch would realise at any width (see the package doc).
+// runStream advances the chain by up to n iterations in one round (a
+// gang round, or inline on a single lane) in which the lanes run ahead
+// of the chain. Every lane, the host included as lane 0, claims
+// iterations from a shared counter and evaluates them against the
+// frozen state, at most depth ahead of the host's next test. The host
+// tests the results in iteration order, recording rejections without
+// stopping anyone. On an accept it stops the lanes, waits until none is
+// evaluating, commits, discards what was evaluated beyond the accepted
+// iteration and reopens claims after it. Proposal k is a function of
+// (seqBase, k) and S_k alone, and acceptance uniforms come from the host
+// stream in tested order, so the chain is the one a serial sampler
+// realises (see the package doc). A single lane evaluates only the
+// iterations it tests. With once set, the round ends at its first
+// accept (StepBatch's window); it reports a commit.
 //
-// Batches counts the width-depth windows the fork/join executor would
-// have run over the same chain: a window closes at an accept or after
+// Batches counts the width-depth windows a batch executor would have
+// run over the same chain: a window closes at an accept or after
 // min(depth, remaining) iterations, so at a fixed width the counters
-// match a StepBatch loop's exactly.
-func (x *Executor) runStream(n int) {
-	st := x.st
-	st.restart(x.host.Iter)
-	st.end = x.host.Iter + int64(n)
+// match a Simulate StepBatch loop's exactly.
+func (x *Executor) runStream(n int, once bool) bool {
+	st, base := x.st, x.host.Iter
+	st.restart(base)
+	st.end = base + int64(n)
+	st.once, st.applied = once, false
 	st.over.Store(0)
-	x.streamed = true
-	x.gang.Run(len(st.waiters), x.streamTask)
-	x.Consumed += int64(n)
+	if x.gang != nil {
+		x.gang.Run(len(st.waiters), x.streamTask)
+	} else {
+		x.hostStream()
+	}
+	x.Consumed += x.host.Iter - base
+	return st.applied
 }
 
 // hostStream is lane 0 of runStream: it tests, commits and evaluates.
 func (x *Executor) hostStream() {
 	st, h := x.st, x.host
-	win := h.Iter // first iteration of the current fork/join window
+	win := h.Iter // first iteration of the current batch window
 	var lim int64
 	for t := h.Iter; t < st.end; t = h.Iter {
 		i := t % st.depth
@@ -135,6 +145,13 @@ func (x *Executor) hostStream() {
 				h.Commit(p)
 				x.Batches++
 				win = t + 1
+				st.applied = true
+				if st.once {
+					// Close claims before letting the lanes go.
+					st.next.Store(st.end)
+					st.gen.Add(1)
+					break
+				}
 				st.restart(t + 1)
 				st.gen.Add(1)
 				st.wakeLanes()
@@ -156,7 +173,7 @@ func (x *Executor) hostStream() {
 		// A lane holds iteration t.
 		x.gang.Wait(st.waiters[0], func() bool { return st.ready[i].Load() == t+1 })
 	}
-	if win < st.end {
+	if win < h.Iter {
 		x.Batches++
 	}
 	st.over.Store(1)
@@ -167,10 +184,13 @@ func (x *Executor) hostStream() {
 // evaluating. The Dekker pair with laneStream (gen RMW then busy loads;
 // busy store then gen load, all sequentially consistent) means a lane
 // either sees the odd generation before it touches the state or is seen
-// busy here.
+// busy here. A single lane has no one to stop.
 func (x *Executor) quiesce() {
 	st := x.st
 	st.gen.Add(1)
+	if x.gang == nil {
+		return
+	}
 	x.gang.Wait(st.waiters[0], func() bool {
 		for j := 1; j < len(st.busy); j++ {
 			if st.busy[j].Load() != 0 {

@@ -107,9 +107,8 @@ type ProgressEvent struct {
 
 	// Speculative-executor telemetry (PeriodicSpeculative runs only):
 	// the speculation width the global phases run at — the configured
-	// fixed width, or at the adaptive setting the controller's current
-	// pick (the run-ahead depth when they stream on workers > 1 real
-	// lanes; see parmcmc.Progress) — and the measured
+	// fixed width, or the run-ahead depth, 8, at the adaptive setting
+	// (see parmcmc.Progress) — and the measured
 	// committed-iterations-per-batch speedup so far. Telemetry
 	// only: the sampled chain is identical for every width, so these
 	// never appear in ResultView.

@@ -151,13 +151,15 @@ type Options struct {
 	// Periodic and Blind (default 2).
 	LocalPhaseIters int
 	PartitionGrid   int
-	// SpecWidth is the speculation width for PeriodicSpeculative. 0 (the
-	// default) picks the width adaptively: a controller tracks the
-	// windowed rejection rate of the global move-set and re-picks the
-	// width maximizing expected committed iterations per second under
-	// the paper's eq. 3 model, net of measured per-batch overhead. The
-	// realized chain is identical for every width (and for the adaptive
-	// schedule) — only throughput changes.
+	// SpecWidth is the speculation width for PeriodicSpeculative: how
+	// far the global phases' lanes may run ahead of the chain. 0 (the
+	// default) is adaptive: a run-ahead depth of 8, and under
+	// SimulateParallel a controller that tracks the windowed rejection
+	// rate of the global move-set and re-picks the batch width
+	// maximizing expected committed iterations per second of the
+	// modelled machine under the paper's eq. 3 model. The realized chain
+	// is identical for every width (and for the adaptive schedule) —
+	// only throughput changes.
 	SpecWidth int
 	// LocalSpecWidth > 1 additionally runs speculative batches inside
 	// each periodic partition worker (eq. 4's per-machine threads).
@@ -410,17 +412,15 @@ type Result struct {
 	SimLocalSeconds float64
 
 	// Speculative-executor metadata for PeriodicSpeculative runs.
-	// SpecBatches counts speculative rounds of width SpecWidth: the
-	// batches run, or — when the global phases ran on Workers > 1 real
-	// lanes, which stream iterations run-ahead instead of batching them —
-	// the batches a fork/join executor of that width would have run over
-	// the same chain (a batch ends at an accept or after SpecWidth
-	// iterations). SpecSpeedup is the consumed iterations per batch (the
-	// realized eq. 3 gain). SpecWidth is the fixed width, the run-ahead
-	// depth on real lanes at the adaptive setting (MaxWidth, 8), or in
-	// single-lane and simulated runs the adaptive controller's final
-	// pick, which is timing-driven and so not deterministic, unlike the
-	// chain itself. At a fixed width all three are deterministic. With
+	// SpecBatches counts speculative rounds of width SpecWidth: those a
+	// fork/join executor would have run over the chain a real run
+	// streams (a batch ends at an accept or after SpecWidth
+	// iterations), or those a SimulateParallel run modelled.
+	// SpecSpeedup is the consumed iterations per batch (the realized
+	// eq. 3 gain). SpecWidth is the fixed width, or at the adaptive
+	// setting the run-ahead depth (8), or under SimulateParallel the
+	// model controller's timing-driven final pick. In every real run all
+	// three are fixed by (options, seed) at any Workers. With
 	// Options.SimulateParallel, SimGlobalSeconds is the simulated
 	// Workers-way global-phase wall-clock (per-batch LPT makespan plus
 	// overhead) and SimGlobalSerialSeconds the serial-equivalent cost of

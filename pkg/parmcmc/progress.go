@@ -35,9 +35,9 @@ type Progress struct {
 
 	// Speculative-executor telemetry, populated only by the
 	// PeriodicSpeculative strategy: the width the global phases run at
-	// (the fixed width; at the adaptive setting the run-ahead depth when
-	// they stream on Workers > 1 real lanes, else the controller's
-	// current pick) and the consumed iterations per batch so far — the
+	// (the fixed width; at the adaptive setting the run-ahead depth, 8,
+	// of a real run, and the model controller's current pick under
+	// SimulateParallel) and the consumed iterations per batch so far — the
 	// realized eq. 3 speedup, 1 meaning speculation never helped (see
 	// Result.SpecBatches). Telemetry only: the sampled chain is identical
 	// for every width schedule.

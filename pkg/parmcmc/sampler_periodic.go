@@ -129,7 +129,9 @@ func (sp *periodicSampler) Finish(res *Result) error {
 // adaptive width decisions need no replay either (see package spec).
 // Payloads from older builds may also carry a Shadows field (the
 // pre-adaptive executor's per-slot RNG streams); gob skips it, since
-// the chain it described is re-derived, not replayed.
+// the chain it described is re-derived, not replayed. An older Workers=1
+// adaptive payload's ExecBatches, counted at timed widths, count on at
+// the run-ahead depth.
 type periodicDump struct {
 	Host                   mcmc.EngineDump
 	ExecBatches            int64

@@ -55,7 +55,7 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(spec) > 0 {
-		fmt.Fprintf(w, "# HELP mcmcd_spec_width Current speculation width of the job's global phases (adaptive controller's pick, or the fixed configured width).\n")
+		fmt.Fprintf(w, "# HELP mcmcd_spec_width Speculation width of the job's global phases: the fixed configured width, or the run-ahead depth 8 when adaptive.\n")
 		fmt.Fprintf(w, "# TYPE mcmcd_spec_width gauge\n")
 		for _, t := range spec {
 			fmt.Fprintf(w, "mcmcd_spec_width{job=%q} %d\n", t.id, t.width)
